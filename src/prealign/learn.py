@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .net import Mlp, ForwardTrace, _check_labels, accuracy, cross_entropy, forward
+from .net import (Mlp, ForwardTrace, _check_labels, _empty_trace, _split_params,
+                  accuracy, cross_entropy, forward)
 from .records import RunRecord
 from .seeds import rng_for
 
@@ -32,6 +33,7 @@ __all__ = [
     "backward_bp",
     "backward_fa",
     "adam_step",
+    "step",
     "evaluate",
     "train",
 ]
@@ -42,24 +44,51 @@ _RULES = ("BP", "FA")
 @dataclass
 class Gradients:
     """Loss gradients for every weight matrix and bias vector, in layer
-    order and with the parameter shapes."""
+    order and with the parameter shapes.  Gradients a backward pass writes
+    also carry ``flat``, the vector in the parameter layout that the lists
+    are views of."""
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False)
+
+
+@dataclass
+class _Buffers:
+    """Everything one :func:`step` writes, allocated once for batches of up
+    to ``rows`` samples; a shorter batch uses the leading rows."""
+
+    rows: int
+    trace: ForwardTrace
+    grads: Gradients
+    deltas: list[np.ndarray]
+    masks: list[np.ndarray]
+
+    @classmethod
+    def allocate(cls, mlp: Mlp, rows: int) -> "_Buffers":
+        flat = np.empty_like(mlp.params)
+        return cls(
+            rows=rows,
+            trace=_empty_trace(mlp.dims, rows),
+            grads=Gradients(*_split_params(flat, mlp.dims), flat=flat),
+            deltas=[np.empty((rows, d)) for d in mlp.dims[1:]],
+            masks=[np.empty((rows, d), dtype=bool) for d in mlp.dims[1:-1]],
+        )
 
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators, one pair per parameter tensor."""
+    """Adam moment accumulators ``m`` and ``v`` in the flat parameter
+    layout, and the work buffers the update and :func:`step` reuse."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list, repr=False)
-    v_weights: list[np.ndarray] = field(default_factory=list, repr=False)
-    m_biases: list[np.ndarray] = field(default_factory=list, repr=False)
-    v_biases: list[np.ndarray] = field(default_factory=list, repr=False)
+    m: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False)
+    temps: np.ndarray | None = field(default=None, repr=False)
+    buffers: _Buffers | None = field(default=None, repr=False)
 
     @classmethod
     def for_mlp(cls, mlp: Mlp, beta1: float = 0.9, beta2: float = 0.999,
@@ -69,10 +98,9 @@ class AdamState:
             beta2=beta2,
             epsilon=epsilon,
             step=0,
-            m_weights=[np.zeros_like(w) for w in mlp.weights],
-            v_weights=[np.zeros_like(w) for w in mlp.weights],
-            m_biases=[np.zeros_like(b) for b in mlp.biases],
-            v_biases=[np.zeros_like(b) for b in mlp.biases],
+            m=np.zeros_like(mlp.params),
+            v=np.zeros_like(mlp.params),
+            temps=np.empty((2, mlp.params.size)),
         )
 
 
@@ -106,7 +134,8 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
 
 
-def _backward(mlp: Mlp, trace: ForwardTrace, labels, use_feedback: bool) -> Gradients:
+def _backward(mlp: Mlp, trace: ForwardTrace, labels, use_feedback: bool,
+              buffers: _Buffers | None) -> Gradients:
     y = _check_labels(trace.probabilities, labels)
     n = trace.probabilities.shape[0]
     if len(trace.pre_activations) != mlp.n_layers:
@@ -114,41 +143,47 @@ def _backward(mlp: Mlp, trace: ForwardTrace, labels, use_feedback: bool) -> Grad
             f"trace has {len(trace.pre_activations)} layers, network has "
             f"{mlp.n_layers}"
         )
-    delta = trace.probabilities.copy()
+    if buffers is None:
+        buffers = _Buffers.allocate(mlp, n)
+    grads = buffers.grads
+    delta = buffers.deltas[-1][:n]
+    np.copyto(delta, trace.probabilities)
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    d_weights = [None] * mlp.n_layers
-    d_biases = [None] * mlp.n_layers
     for l in range(mlp.n_layers - 1, -1, -1):
-        d_weights[l] = delta.T @ trace.activations[l]
-        d_biases[l] = delta.sum(axis=0)
+        np.matmul(delta.T, trace.activations[l], out=grads.d_weights[l])
+        np.sum(delta, axis=0, out=grads.d_biases[l])
         if l > 0:
+            carried = buffers.deltas[l - 1][:n]
             if use_feedback:
-                carried = delta @ mlp.feedback[l].T
+                np.matmul(delta, mlp.feedback[l].T, out=carried)
             else:
-                carried = delta @ mlp.weights[l]
-            delta = carried * (trace.pre_activations[l - 1] > 0)
-    return Gradients(d_weights=d_weights, d_biases=d_biases)
+                np.matmul(delta, mlp.weights[l], out=carried)
+            mask = buffers.masks[l - 1][:n]
+            np.greater(trace.pre_activations[l - 1], 0, out=mask)
+            carried *= mask
+            delta = carried
+    return grads
 
 
-def backward_bp(mlp: Mlp, trace: ForwardTrace, labels) -> Gradients:
-    """Exact cross-entropy gradients by backpropagation."""
-    return _backward(mlp, trace, labels, use_feedback=False)
+def backward_bp(mlp: Mlp, trace: ForwardTrace, labels, buffers=None) -> Gradients:
+    """Exact cross-entropy gradients by backpropagation.  ``buffers``, the
+    work buffers of an :class:`AdamState`, receive the result in place of
+    fresh arrays."""
+    return _backward(mlp, trace, labels, False, buffers)
 
 
-def backward_fa(mlp: Mlp, trace: ForwardTrace, labels) -> Gradients:
+def backward_fa(mlp: Mlp, trace: ForwardTrace, labels, buffers=None) -> Gradients:
     """Feedback-alignment update directions: the backward pass uses the fixed
     random matrices ``B_l`` in place of the transposed forward weights.  The
-    output layer's gradient is exact; hidden gradients are not, by design."""
-    return _backward(mlp, trace, labels, use_feedback=True)
+    output layer's gradient is exact; hidden gradients are not, by design.
+    ``buffers`` is as for :func:`backward_bp`."""
+    return _backward(mlp, trace, labels, True, buffers)
 
 
-def adam_step(mlp: Mlp, state: AdamState, grads: Gradients, learning_rate: float) -> None:
-    """One bias-corrected Adam update, applied in place to ``mlp`` and
-    ``state``.  Touches weights and biases only; feedback matrices stay
-    fixed for the life of the network."""
-    if learning_rate <= 0:
-        raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
+def _flat_gradients(mlp: Mlp, grads: Gradients) -> np.ndarray:
+    """Check gradients from outside :func:`step` against the network and
+    return them in the flat parameter layout."""
     if len(grads.d_weights) != len(mlp.weights):
         raise ShapeError(
             f"gradients cover {len(grads.d_weights)} layers, network has "
@@ -160,22 +195,72 @@ def adam_step(mlp: Mlp, state: AdamState, grads: Gradients, learning_rate: float
     for g, b in zip(grads.d_biases, mlp.biases):
         if g.shape != b.shape:
             raise ShapeError(f"gradient shape {g.shape} != bias shape {b.shape}")
+    return np.concatenate([a.ravel() for pair in zip(grads.d_weights, grads.d_biases)
+                           for a in pair])
+
+
+def adam_step(mlp: Mlp, state: AdamState, grads: Gradients, learning_rate: float) -> None:
+    """One bias-corrected Adam update, applied in place to ``mlp`` and
+    ``state``.  Touches weights and biases only; feedback matrices stay
+    fixed for the life of the network.
+
+    Shapes are checked unless ``grads`` are the ones :func:`step` wrote into
+    this state's buffers, which were allocated for the network.  Results are
+    bitwise those of the per-element formula
+    ``p -= lr * (m * s_m) / (sqrt(v * s_v) + eps)`` evaluated in that order,
+    so every operation below keeps its operands where the formula puts them.
+    """
+    if learning_rate <= 0:
+        raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
+    if state.buffers is not None and grads is state.buffers.grads:
+        g = grads.flat
+    else:
+        g = _flat_gradients(mlp, grads)
     state.step += 1
     t = state.step
     scale_m = 1.0 / (1.0 - state.beta1**t)
     scale_v = 1.0 / (1.0 - state.beta2**t)
-    params = list(zip(mlp.weights, grads.d_weights, state.m_weights, state.v_weights))
-    params += list(zip(mlp.biases, grads.d_biases, state.m_biases, state.v_biases))
-    for p, g, m, v in params:
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        # a blown-up gradient surfaces as NumericError, not a runtime warning
-        with np.errstate(invalid="ignore", over="ignore"):
-            p -= learning_rate * (m * scale_m) / (np.sqrt(v * scale_v) + state.epsilon)
-        if not np.all(np.isfinite(p)):
-            raise NumericError("parameters became NaN or Inf during Adam update")
+    m, v, p = state.m, state.v, mlp.params
+    a, b = state.temps
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=a)
+    v *= state.beta2
+    v += np.multiply(np.square(g, out=a), 1.0 - state.beta2, out=a)
+    # a blown-up gradient surfaces as NumericError, not a runtime warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.multiply(m, scale_m, out=a)
+        a *= learning_rate
+        np.multiply(v, scale_v, out=b)
+        np.sqrt(b, out=b)
+        b += state.epsilon
+        a /= b
+        p -= a
+    if not np.all(np.isfinite(p)):
+        raise NumericError("parameters became NaN or Inf during Adam update")
+
+
+def step(mlp: Mlp, state: AdamState, x: np.ndarray, y: np.ndarray, rule: str,
+         learning_rate: float) -> ForwardTrace:
+    """One training step on the batch ``(x, y)``: forward pass, the
+    ``rule`` backward pass (``"BP"`` or ``"FA"``), and an Adam update of
+    ``mlp`` in place.
+
+    Returns the forward trace of the batch, taken before the update.  Its
+    arrays are ``state``'s work buffers, which the next step overwrites.
+    """
+    n = len(x)
+    buffers = state.buffers
+    if buffers is None or buffers.rows < n:
+        buffers = state.buffers = _Buffers.allocate(mlp, n)
+    trace = forward(mlp, x, out=buffers.trace)
+    if rule == "FA":
+        grads = backward_fa(mlp, trace, y, buffers)
+    elif rule == "BP":
+        grads = backward_bp(mlp, trace, y, buffers)
+    else:
+        raise ConfigError(f"rule must be one of {_RULES}, got {rule!r}")
+    adam_step(mlp, state, grads, learning_rate)
+    return trace
 
 
 def evaluate(mlp: Mlp, inputs, labels) -> tuple[float, float]:
@@ -228,18 +313,22 @@ def train(
     _check_split("test", x_test, y_test, mlp)
     rng = rng_for(config.seed, "shuffle")
     adam = AdamState.for_mlp(mlp)
-    backward = backward_fa if config.rule == "FA" else backward_bp
     records: list[RunRecord] = []
     n = x_train.shape[0]
+    rows = min(config.batch_size, n)
+    x_batch = np.empty((rows, x_train.shape[1]))
+    y_batch = np.empty(rows, dtype=y_train.dtype)
     best_acc = -np.inf
     stalled = 0
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            trace = forward(mlp, x_train[idx])
-            grads = backward(mlp, trace, y_train[idx])
-            adam_step(mlp, adam, grads, config.learning_rate)
+            # indices come from a permutation of range(n), so "clip" never
+            # clips; it spares the copy "raise" makes when writing to out
+            x = np.take(x_train, idx, axis=0, out=x_batch[: len(idx)], mode="clip")
+            y = np.take(y_train, idx, out=y_batch[: len(idx)], mode="clip")
+            step(mlp, adam, x, y, config.rule, config.learning_rate)
         train_loss, train_acc = evaluate(mlp, x_train, y_train)
         test_loss, test_acc = evaluate(mlp, x_test, y_test)
         if test_acc > best_acc:

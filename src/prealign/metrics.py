@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, ShapeError
-from .learn import AdamState, adam_step, backward_fa
+from .errors import ConfigError, NumericError, ShapeError
+from .learn import AdamState, step
 from .linalg import pca_fit, pca_project, svd
 from .net import Mlp, cross_entropy, forward
 from .seeds import rng_for
@@ -114,11 +114,11 @@ def weight_feedback_distance(mlp: Mlp, layer: int) -> float:
 def effective_rank(m) -> float:
     """Exponential of the Shannon entropy of the normalized singular values:
     ``exp(-sum sbar_i ln sbar_i)`` with ``sbar = s / sum(s)`` and
-    ``0 * ln 0 := 0``.  Raises ``ValueError`` on an all-zero matrix."""
+    ``0 * ln 0 := 0``.  Raises :class:`NumericError` on an all-zero matrix."""
     s, _, _ = svd(m)
     total = s.sum()
     if total == 0.0:
-        raise ValueError("effective rank of an all-zero matrix is undefined")
+        raise NumericError("effective rank of an all-zero matrix is undefined")
     sbar = s / total
     entropy = -np.sum(np.where(sbar > 0, sbar * np.log(np.maximum(sbar, 1e-300)), 0.0))
     return float(np.exp(entropy))
@@ -230,9 +230,7 @@ def meta_loss(mlp: Mlp, cfg: MetaConfig) -> tuple[float, list[float]]:
         adam = AdamState.for_mlp(clone)
         x_s, y_s = task.images[support], task.labels[support]
         for _ in range(cfg.inner_steps):
-            trace = forward(clone, x_s)
-            grads = backward_fa(clone, trace, y_s)
-            adam_step(clone, adam, grads, cfg.inner_lr)
+            step(clone, adam, x_s, y_s, "FA", cfg.inner_lr)
         trace = forward(clone, task.images[query])
         per_task.append(cross_entropy(trace.probabilities, task.labels[query]))
     return float(sum(per_task)), per_task

@@ -6,6 +6,12 @@ apply ReLU and the final layer a row-wise softmax.  Alongside each forward
 matrix ``W_l`` the network carries a fixed random feedback matrix ``B_l`` of
 the transposed shape, used only by the feedback-alignment backward pass and
 never updated by training.
+
+The trainable parameters live in one contiguous float64 vector, laid out
+``W_0, b_0, W_1, b_1, ...`` with each matrix row-major; ``weights`` and
+``biases`` are views into it, so the optimizer can update every parameter
+with a handful of whole-vector operations.  Gradients and optimizer state
+use the same layout.
 """
 
 from __future__ import annotations
@@ -33,26 +39,57 @@ _MAGIC = b"PRLN1"
 _LOG_CLAMP = 1e-12
 
 
+def _split_params(flat: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of a vector in the parameter layout."""
+    weights, biases = [], []
+    off = 0
+    for n_in, n_out in zip(dims, dims[1:]):
+        weights.append(flat[off : off + n_out * n_in].reshape(n_out, n_in))
+        off += n_out * n_in
+        biases.append(flat[off : off + n_out])
+        off += n_out
+    return weights, biases
+
+
 @dataclass
 class Mlp:
     """Network parameters.  ``weights[l]`` has shape ``(dims[l+1], dims[l])``,
     ``biases[l]`` shape ``(dims[l+1],)``, and ``feedback[l]`` the transposed
-    shape ``(dims[l], dims[l+1])``."""
+    shape ``(dims[l], dims[l+1])``.
+
+    Construction copies ``weights`` and ``biases`` into ``params``, the flat
+    parameter vector, and replaces them with views of it.  Write them in
+    place (``w[...] = ...``): an array put in their place is not part of
+    ``params``, which is what the optimizer updates.
+    """
 
     dims: tuple[int, ...]
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
     feedback: list[np.ndarray] = field(repr=False)
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        dims = self.dims = tuple(int(d) for d in self.dims)
+        self.params = np.empty(sum((a + 1) * b for a, b in zip(dims, dims[1:])))
+        weights, biases = _split_params(self.params, dims)
+        given = list(self.weights) + list(self.biases)
+        if [np.shape(a) for a in given] != [a.shape for a in weights + biases]:
+            raise ShapeError(f"weight and bias shapes do not match dims {dims}")
+        for dst, src in zip(weights + biases, given):
+            dst[...] = src
+        self.weights, self.biases = weights, biases
 
     @property
     def n_layers(self) -> int:
         return len(self.dims) - 1
 
     def copy(self) -> "Mlp":
+        # construction copies weights and biases into a new parameter vector
         return Mlp(
             dims=self.dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+            weights=self.weights,
+            biases=self.biases,
             feedback=[b.copy() for b in self.feedback],
         )
 
@@ -91,18 +128,25 @@ def init_mlp(dims, seed) -> Mlp:
     return Mlp(dims=dims, weights=weights, biases=biases, feedback=feedback)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max subtraction for overflow safety, written
+    into ``out`` when given."""
     # infinite logits yield NaN rows here; forward() turns that into
     # NumericError rather than a runtime warning
     with np.errstate(invalid="ignore"):
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+        np.exp(e, out=e)
+        e /= e.sum(axis=1, keepdims=True)
+        return e
 
 
-def forward(mlp: Mlp, batch) -> ForwardTrace:
-    """Run a 2-D batch (rows are samples) through the network."""
+def forward(mlp: Mlp, batch, out: ForwardTrace | None = None) -> ForwardTrace:
+    """Run a 2-D batch (rows are samples) through the network.
+
+    ``out``, a trace with at least as many rows as the batch, supplies the
+    buffers to write (all but its ``activations[0]``); the returned trace
+    then holds views of their leading rows.
+    """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got ndim={x.ndim}")
@@ -110,26 +154,38 @@ def forward(mlp: Mlp, batch) -> ForwardTrace:
         raise ShapeError(
             f"batch has {x.shape[1]} features, network expects {mlp.dims[0]}"
         )
-    activations = [x]
-    pre_activations = []
-    h = x
+    n = x.shape[0]
+    if out is None:
+        out = _empty_trace(mlp.dims, n)
+    pre_activations = [o[:n] for o in out.pre_activations]
+    activations = [x] + [h[:n] for h in out.activations[1:]]
+    probabilities = out.probabilities[:n]
     last = mlp.n_layers - 1
     # overflow here surfaces as NumericError below, not a runtime warning
     with np.errstate(over="ignore"):
         for l in range(mlp.n_layers):
-            o = h @ mlp.weights[l].T + mlp.biases[l]
-            pre_activations.append(o)
+            o = np.matmul(activations[l], mlp.weights[l].T, out=pre_activations[l])
+            o += mlp.biases[l]
             if l == last:
-                probabilities = softmax(o)
+                softmax(o, out=probabilities)
             else:
-                h = np.maximum(o, 0.0)
-                activations.append(h)
+                np.maximum(o, 0.0, out=activations[l + 1])
     if not np.all(np.isfinite(probabilities)):
         raise NumericError("forward pass produced NaN or Inf probabilities")
     return ForwardTrace(
         activations=activations,
         pre_activations=pre_activations,
         probabilities=probabilities,
+    )
+
+
+def _empty_trace(dims, rows: int) -> ForwardTrace:
+    """Uninitialized forward buffers for ``rows`` samples; ``activations[0]``,
+    the batch itself, is left as ``None``."""
+    return ForwardTrace(
+        activations=[None] + [np.empty((rows, d)) for d in dims[1:-1]],
+        pre_activations=[np.empty((rows, d)) for d in dims[1:]],
+        probabilities=np.empty((rows, dims[-1])),
     )
 
 
@@ -206,15 +262,15 @@ def load_mlp(path) -> Mlp:
     for l in range(n_dims - 1):
         n_out, n_in = dims[l + 1], dims[l]
         w = np.frombuffer(take(8 * n_out * n_in), dtype="<f8").reshape(n_out, n_in)
-        b = np.frombuffer(take(8 * n_out), dtype="<f8").copy()
+        b = np.frombuffer(take(8 * n_out), dtype="<f8")
         bk = np.frombuffer(take(8 * n_in * n_out), dtype="<f8").reshape(n_in, n_out)
-        weights.append(w.astype(np.float64))
+        weights.append(w)
         biases.append(b)
         feedback.append(bk.astype(np.float64))
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes in checkpoint {path}")
-    for arrays in (weights, biases, feedback):
-        for a in arrays:
-            if not np.all(np.isfinite(a)):
-                raise NumericError(f"checkpoint {path} holds NaN or Inf values")
-    return Mlp(dims=dims, weights=weights, biases=biases, feedback=feedback)
+    mlp = Mlp(dims=dims, weights=weights, biases=biases, feedback=feedback)
+    for a in [mlp.params] + mlp.feedback:
+        if not np.all(np.isfinite(a)):
+            raise NumericError(f"checkpoint {path} holds NaN or Inf values")
+    return mlp

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .learn import AdamState, adam_step, backward_fa
-from .net import Mlp, accuracy, cross_entropy, forward
+from .learn import AdamState, step
+from .net import Mlp, accuracy, cross_entropy
 from .records import RunRecord
 from .seeds import rng_for
 
@@ -152,12 +152,10 @@ def pretrain_random_noise(
             epoch = batch_epoch
         x = sample_noise_batch(size, dim, config.distribution, rng)
         y = sample_random_labels(size, n_classes, rng)
-        trace = forward(mlp, x)
+        trace = step(mlp, adam, x, y, "FA", config.learning_rate)
         sum_loss += size * cross_entropy(trace.probabilities, y)
         sum_acc += size * accuracy(trace.probabilities, y)
         seen_in_epoch += size
-        grads = backward_fa(mlp, trace, y)
-        adam_step(mlp, adam, grads, config.learning_rate)
         start += size
     flush()
     return records

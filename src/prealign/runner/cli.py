@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     except (DataError, FormatError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NumericError, ValueError, FloatingPointError) as e:
+    except (NumericError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -146,6 +146,60 @@ def adam_sequence(gradients, lr, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
     return out
 
 
+def forward_unfused(weights, biases, x):
+    """The forward pass with a fresh array for every intermediate: returns
+    ``(activations, pre_activations, probabilities)``."""
+    activations = [x]
+    pre_activations = []
+    h = x
+    for l in range(len(weights)):
+        o = h @ weights[l].T + biases[l]
+        pre_activations.append(o)
+        if l == len(weights) - 1:
+            z = o - o.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            probabilities = e / e.sum(axis=1, keepdims=True)
+        else:
+            h = np.maximum(o, 0.0)
+            activations.append(h)
+    return activations, pre_activations, probabilities
+
+
+def backward_unfused(weights, feedback, activations, pre_activations,
+                     probabilities, labels, use_feedback):
+    """BP or FA gradients with a fresh array for every intermediate:
+    returns ``(d_weights, d_biases)``."""
+    n = probabilities.shape[0]
+    delta = probabilities.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    d_w = [None] * len(weights)
+    d_b = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        d_w[l] = delta.T @ activations[l]
+        d_b[l] = delta.sum(axis=0)
+        if l > 0:
+            if use_feedback:
+                carried = delta @ feedback[l].T
+            else:
+                carried = delta @ weights[l]
+            delta = carried * (pre_activations[l - 1] > 0)
+    return d_w, d_b
+
+
+def adam_unfused(params, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam update ``t`` of each tensor in ``params`` in place, one tensor at
+    a time with a fresh array for every intermediate."""
+    scale_m = 1.0 / (1.0 - beta1**t)
+    scale_v = 1.0 / (1.0 - beta2**t)
+    for p, g, m, v in zip(params, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        p -= lr * (m * scale_m) / (np.sqrt(v * scale_v) + eps)
+
+
 def softmax_cross_entropy_reference(logits, labels):
     """Mean cross-entropy through softmax, per-sample with explicit sums."""
     total = 0.0

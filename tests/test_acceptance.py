@@ -39,7 +39,7 @@ from prealign.runner.experiment import load_named_dataset, run_experiment
 from prealign.runner.presets import reproduce
 from prealign.seeds import derive_entropy, derive_trial_seed, rng_for
 
-from conftest import require_dataset
+from realdata import require_dataset
 from oracles import finite_difference_gradients, max_relative_error
 
 MASTER = 0

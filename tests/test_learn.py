@@ -12,13 +12,17 @@ from prealign.learn import (
     backward_bp,
     backward_fa,
     evaluate,
+    step,
     train,
 )
 from prealign.net import cross_entropy, forward, init_mlp
 
 from oracles import (
     adam_sequence,
+    adam_unfused,
+    backward_unfused,
     fa_backward_reference,
+    forward_unfused,
     finite_difference_gradients,
     max_relative_error,
 )
@@ -156,6 +160,48 @@ class TestAdam:
         )
         with pytest.raises(NumericError):
             adam_step(tiny_mlp, state, grads, learning_rate=0.1)
+
+
+class TestStep:
+    @pytest.mark.parametrize("dims", [(784, 100, 10), (784, 100, 100, 100, 10)])
+    @pytest.mark.parametrize("rule", ["FA", "BP"])
+    def test_bitwise_equal_to_unfused_reference(self, dims, rule):
+        # a short first batch, full batches, then a short last batch
+        sizes = [40] + [64] * 48 + [23]
+        rng = np.random.default_rng(17)
+        mlp = init_mlp(dims, seed=3)
+        adam = AdamState.for_mlp(mlp)
+        weights = [w.copy() for w in mlp.weights]
+        biases = [b.copy() for b in mlp.biases]
+        ms = [np.zeros_like(p) for p in weights + biases]
+        vs = [np.zeros_like(p) for p in weights + biases]
+        for t, size in enumerate(sizes, start=1):
+            x = rng.normal(size=(size, dims[0]))
+            y = rng.integers(0, dims[-1], size=size)
+            trace = step(mlp, adam, x, y, rule, 1e-3)
+            acts, pre, probs = forward_unfused(weights, biases, x)
+            np.testing.assert_array_equal(trace.probabilities, probs)
+            d_w, d_b = backward_unfused(weights, mlp.feedback, acts, pre, probs, y,
+                                        use_feedback=rule == "FA")
+            adam_unfused(weights + biases, d_w + d_b, ms, vs, t, 1e-3)
+        assert adam.step == len(sizes)
+        for got, want in zip(mlp.weights + mlp.biases, weights + biases):
+            np.testing.assert_array_equal(got, want)
+        n = len(weights)
+
+        def layout(per_tensor):
+            # the flat parameter layout: W_0, b_0, W_1, b_1, ...
+            return np.concatenate([a.ravel() for l in range(n)
+                                   for a in (per_tensor[l], per_tensor[n + l])])
+
+        np.testing.assert_array_equal(adam.m, layout(ms))
+        np.testing.assert_array_equal(adam.v, layout(vs))
+        np.testing.assert_array_equal(mlp.params, layout(weights + biases))
+
+    def test_unknown_rule_rejected(self, tiny_mlp, rng):
+        with pytest.raises(ConfigError):
+            step(tiny_mlp, AdamState.for_mlp(tiny_mlp), rng.normal(size=(2, 5)),
+                 np.array([0, 1]), "DFA", 0.1)
 
 
 def _blob_split(rng, n, dim=8, classes=3, spread=0.4):

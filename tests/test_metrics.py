@@ -6,6 +6,7 @@ import pytest
 from prealign import (
     ConfigError,
     MetaConfig,
+    NumericError,
     Dataset,
     ShapeError,
     accuracy_auc,
@@ -138,8 +139,8 @@ class TestEffectiveRank:
                 rtol=1e-8,
             )
 
-    def test_all_zero_raises_value_error(self):
-        with pytest.raises(ValueError):
+    def test_all_zero_raises_numeric_error(self):
+        with pytest.raises(NumericError):
             effective_rank(np.zeros((3, 3)))
 
 

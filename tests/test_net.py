@@ -15,6 +15,8 @@ from prealign.net import (
     softmax,
 )
 
+from prealign.learn import AdamState, step
+
 from oracles import softmax_cross_entropy_reference
 
 
@@ -180,6 +182,26 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             load_mlp(path)
+
+    def test_training_a_copy_leaves_the_source_untouched(self, tmp_path, rng):
+        source = init_mlp((12, 8, 4), seed=3)
+        arrays = source.weights + source.biases + source.feedback + [source.params]
+        before = [a.copy() for a in arrays]
+        save_mlp(source, tmp_path / "model.bin")
+        clones = [
+            source.copy(),
+            load_mlp(tmp_path / "model.bin"),
+            Mlp(dims=source.dims, weights=source.weights, biases=source.biases,
+                feedback=source.feedback),
+        ]
+        for clone in clones:
+            adam = AdamState.for_mlp(clone)
+            for _ in range(5):
+                step(clone, adam, rng.normal(size=(16, 12)),
+                     rng.integers(0, 4, size=16), "FA", 1e-2)
+            assert not np.array_equal(clone.params, source.params)
+        for got, want in zip(arrays, before):
+            np.testing.assert_array_equal(got, want)
 
     def test_nan_payload_rejected(self, tmp_path):
         mlp = init_mlp((3, 2), seed=0)

@@ -493,6 +493,25 @@ class TestRunExperiment:
         rows = (tmp_path / "out" / "records.csv").read_text().splitlines()[1:]
         assert {r.split(",")[0] for r in rows} == {"0", "2"}
 
+    def test_dead_layer_rank_recorded_as_failure(self, tmp_path, monkeypatch):
+        original = experiment_mod.init_mlp
+        made = []
+
+        def second_dead(dims, seed):
+            mlp = original(dims, seed)
+            made.append(mlp)
+            if len(made) == 2:  # trial 1 of a serial run
+                mlp.weights[1][...] = 0.0
+            return mlp
+
+        monkeypatch.setattr(experiment_mod, "init_mlp", second_dead)
+        manifest = run_experiment(smoke_config(tmp_path, capture=("eff_rank",)))
+        assert [(f["trial"], f["error"]) for f in manifest["failures"]] == [
+            (1, "NumericError")
+        ]
+        rows = (tmp_path / "out" / "records.csv").read_text().splitlines()[1:]
+        assert {r.split(",")[0] for r in rows} == {"0", "2"}
+
     def test_total_failure_raises(self, tmp_path, monkeypatch):
         def doomed(cfg, variant, trial, data, out_dir):
             raise NumericError("boom")
