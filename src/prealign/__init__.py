@@ -37,14 +37,13 @@ from .learn import (
     evaluate,
     train,
 )
-from .linalg import eig_sym, pca_fit, pca_project, svd
+from .linalg import pca_fit, pca_project, svd
 from .metrics import (
     AngleReport,
     MetaConfig,
     accuracy_auc,
     alignment_angles,
     effective_rank,
-    generalization_gap,
     gram_effective_dim,
     meta_loss,
     weight_feedback_distance,
@@ -97,7 +96,6 @@ __all__ = [
     "backward_fa",
     "evaluate",
     "train",
-    "eig_sym",
     "pca_fit",
     "pca_project",
     "svd",
@@ -106,7 +104,6 @@ __all__ = [
     "accuracy_auc",
     "alignment_angles",
     "effective_rank",
-    "generalization_gap",
     "gram_effective_dim",
     "meta_loss",
     "weight_feedback_distance",

@@ -39,18 +39,24 @@ __all__ = [
 ]
 
 _RULES = ("BP", "FA")
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
 @dataclass
 class Gradients:
-    """Loss gradients for every weight matrix and bias vector, in layer
-    order and with the parameter shapes.  Gradients a backward pass writes
-    also carry ``flat``, the vector in the parameter layout that the lists
-    are views of."""
+    """Loss gradients of a network with layer sizes ``dims``, held in
+    ``flat``, a vector in the parameter layout.  ``d_weights[l]`` and
+    ``d_biases[l]`` are views of it with the shapes of ``W_l`` and ``b_l``."""
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False)
+    dims: tuple[int, ...]
+    flat: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        self.dims = tuple(int(d) for d in self.dims)
+        self.d_weights, self.d_biases = _split_params(self.flat, self.dims)
 
 
 @dataclass
@@ -66,11 +72,10 @@ class _Buffers:
 
     @classmethod
     def allocate(cls, mlp: Mlp, rows: int) -> "_Buffers":
-        flat = np.empty_like(mlp.params)
         return cls(
             rows=rows,
             trace=_empty_trace(mlp.dims, rows),
-            grads=Gradients(*_split_params(flat, mlp.dims), flat=flat),
+            grads=Gradients(mlp.dims, np.empty_like(mlp.params)),
             deltas=[np.empty((rows, d)) for d in mlp.dims[1:]],
             masks=[np.empty((rows, d), dtype=bool) for d in mlp.dims[1:-1]],
         )
@@ -81,9 +86,6 @@ class AdamState:
     """Adam moment accumulators ``m`` and ``v`` in the flat parameter
     layout, and the work buffers the update and :func:`step` reuse."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
@@ -91,13 +93,8 @@ class AdamState:
     buffers: _Buffers | None = field(default=None, repr=False)
 
     @classmethod
-    def for_mlp(cls, mlp: Mlp, beta1: float = 0.9, beta2: float = 0.999,
-                epsilon: float = 1e-8) -> "AdamState":
+    def for_mlp(cls, mlp: Mlp) -> "AdamState":
         return cls(
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-            step=0,
             m=np.zeros_like(mlp.params),
             v=np.zeros_like(mlp.params),
             temps=np.empty((2, mlp.params.size)),
@@ -181,58 +178,36 @@ def backward_fa(mlp: Mlp, trace: ForwardTrace, labels, buffers=None) -> Gradient
     return _backward(mlp, trace, labels, True, buffers)
 
 
-def _flat_gradients(mlp: Mlp, grads: Gradients) -> np.ndarray:
-    """Check gradients from outside :func:`step` against the network and
-    return them in the flat parameter layout."""
-    if len(grads.d_weights) != len(mlp.weights):
-        raise ShapeError(
-            f"gradients cover {len(grads.d_weights)} layers, network has "
-            f"{len(mlp.weights)}"
-        )
-    for g, w in zip(grads.d_weights, mlp.weights):
-        if g.shape != w.shape:
-            raise ShapeError(f"gradient shape {g.shape} != weight shape {w.shape}")
-    for g, b in zip(grads.d_biases, mlp.biases):
-        if g.shape != b.shape:
-            raise ShapeError(f"gradient shape {g.shape} != bias shape {b.shape}")
-    return np.concatenate([a.ravel() for pair in zip(grads.d_weights, grads.d_biases)
-                           for a in pair])
-
-
 def adam_step(mlp: Mlp, state: AdamState, grads: Gradients, learning_rate: float) -> None:
     """One bias-corrected Adam update, applied in place to ``mlp`` and
     ``state``.  Touches weights and biases only; feedback matrices stay
     fixed for the life of the network.
 
-    Shapes are checked unless ``grads`` are the ones :func:`step` wrote into
-    this state's buffers, which were allocated for the network.  Results are
-    bitwise those of the per-element formula
+    Results are bitwise those of the per-element formula
     ``p -= lr * (m * s_m) / (sqrt(v * s_v) + eps)`` evaluated in that order,
     so every operation below keeps its operands where the formula puts them.
     """
     if learning_rate <= 0:
         raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
-    if state.buffers is not None and grads is state.buffers.grads:
-        g = grads.flat
-    else:
-        g = _flat_gradients(mlp, grads)
+    if grads.dims != mlp.dims:
+        raise ShapeError(f"gradients for dims {grads.dims}, network has {mlp.dims}")
     state.step += 1
     t = state.step
-    scale_m = 1.0 / (1.0 - state.beta1**t)
-    scale_v = 1.0 / (1.0 - state.beta2**t)
-    m, v, p = state.m, state.v, mlp.params
+    scale_m = 1.0 / (1.0 - _BETA1**t)
+    scale_v = 1.0 / (1.0 - _BETA2**t)
+    g, m, v, p = grads.flat, state.m, state.v, mlp.params
     a, b = state.temps
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=a)
-    v *= state.beta2
-    v += np.multiply(np.square(g, out=a), 1.0 - state.beta2, out=a)
+    m *= _BETA1
+    m += np.multiply(g, 1.0 - _BETA1, out=a)
+    v *= _BETA2
+    v += np.multiply(np.square(g, out=a), 1.0 - _BETA2, out=a)
     # a blown-up gradient surfaces as NumericError, not a runtime warning
     with np.errstate(invalid="ignore", over="ignore"):
         np.multiply(m, scale_m, out=a)
         a *= learning_rate
         np.multiply(v, scale_v, out=b)
         np.sqrt(b, out=b)
-        b += state.epsilon
+        b += _EPSILON
         a /= b
         p -= a
     if not np.all(np.isfinite(p)):

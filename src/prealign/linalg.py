@@ -12,9 +12,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-__all__ = ["svd", "eig_sym", "pca_fit", "pca_project"]
-
-_SYMMETRY_TOL = 1e-10
+__all__ = ["svd", "pca_fit", "pca_project"]
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -56,26 +54,6 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # numpy can return tiny negative zeros in s; clamp for the >= 0 contract
     s = np.maximum(s, 0.0)
     return s, u, v
-
-
-def eig_sym(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues descending and
-    eigenvectors as orthonormal columns satisfying ``m @ v_i = lam_i * v_i``.
-    The input must be square and symmetric within 1e-10.
-    """
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"matrix must be square, got {a.shape}")
-    if not np.allclose(a, a.T, atol=_SYMMETRY_TOL, rtol=0.0):
-        raise ShapeError("matrix is not symmetric within 1e-10")
-    vals, vecs = np.linalg.eigh(a)
-    order = np.arange(vals.size)[::-1]  # eigh is ascending; reverse
-    vals = vals[order]
-    vecs = vecs[:, order].copy()
-    _fix_column_signs(vecs)
-    return vals, vecs
 
 
 def pca_fit(points, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,7 +26,6 @@ __all__ = [
     "effective_rank",
     "gram_effective_dim",
     "accuracy_auc",
-    "generalization_gap",
     "weight_trajectory_pca",
     "meta_loss",
 ]
@@ -159,11 +158,6 @@ def accuracy_auc(per_epoch_accuracy) -> float:
     if a.size == 1:
         return float(a[0])
     return float(np.trapezoid(a) / (a.size - 1))
-
-
-def generalization_gap(train_loss: float, test_loss: float) -> float:
-    """Test loss minus train loss."""
-    return float(test_loss) - float(train_loss)
 
 
 def weight_trajectory_pca(snapshots, feedback_point, k: int = 2):

@@ -41,6 +41,8 @@ _LOG_CLAMP = 1e-12
 
 def _split_params(flat: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weight and bias views of a vector in the parameter layout."""
+    if flat.shape != (sum((a + 1) * b for a, b in zip(dims, dims[1:])),):
+        raise ShapeError(f"parameter vector {flat.shape} does not fit dims {dims}")
     weights, biases = [], []
     off = 0
     for n_in, n_out in zip(dims, dims[1:]):
@@ -71,9 +73,9 @@ class Mlp:
 
     def __post_init__(self) -> None:
         dims = self.dims = tuple(int(d) for d in self.dims)
-        self.params = np.empty(sum((a + 1) * b for a, b in zip(dims, dims[1:])))
-        weights, biases = _split_params(self.params, dims)
         given = list(self.weights) + list(self.biases)
+        self.params = np.empty(sum(np.size(a) for a in given))
+        weights, biases = _split_params(self.params, dims)
         if [np.shape(a) for a in given] != [a.shape for a in weights + biases]:
             raise ShapeError(f"weight and bias shapes do not match dims {dims}")
         for dst, src in zip(weights + biases, given):

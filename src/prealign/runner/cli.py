@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from ..errors import (
     ConfigError,
     DataError,
@@ -57,15 +55,20 @@ def _dims(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _add_data_dir(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data-dir", default=None,
+                   help="dataset root (default: $PREALIGN_DATA_DIR or ./data)")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """Flags of the verbs that run an experiment."""
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--scale", type=float, default=None,
                    help="divide run durations by this factor")
     p.add_argument("--threads", type=int, default=1,
                    help="concurrent trials")
-    p.add_argument("--data-dir", default=None,
-                   help="dataset root (default: $PREALIGN_DATA_DIR or ./data)")
+    _add_data_dir(p)
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="dotted-path config override")
 
@@ -114,17 +117,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", default="mnist")
     p.add_argument("--split", choices=("train", "test"), default="test")
-    _add_common(p)
+    _add_data_dir(p)
 
     p = sub.add_parser("metrics", help="alignment/rank metrics of a checkpoint")
     p.add_argument("--model", required=True)
-    _add_common(p)
 
     p = sub.add_parser("reproduce", help="run a named result preset")
     p.add_argument("figure_id", help=f"one of: {', '.join(FIGURE_IDS)}")
     p.add_argument("--trials", type=int, default=None,
                    help="override the preset's trial count")
     _add_common(p)
+    p.set_defaults(scale=5.0)
 
     p = sub.add_parser("sweep", help="cartesian sweep from a config file")
     p.add_argument("--config", required=True, help="JSON config with a sweep section")
@@ -256,19 +259,9 @@ def _cmd_reproduce(args) -> int:
     cfg = reproduce(args.figure_id)
     if args.trials is not None:
         cfg.trials = args.trials
-    doc = config_to_dict(cfg)
-    doc = apply_overrides(doc, args.overrides)
-    cfg = config_from_dict(doc)
-    cfg.master_seed = args.seed
-    cfg.threads = args.threads
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.data_dir is not None:
-        cfg.data_dir = args.data_dir
-    scale = args.scale if args.scale is not None else 5.0
-    cfg = apply_scale(cfg, scale)
-    if scale != 1.0:
-        print(f"note: running at 1/{scale:g} duration; use --scale 1 for "
+    cfg = _finish_config(config_to_dict(cfg), args)
+    if args.scale != 1.0:
+        print(f"note: running at 1/{args.scale:g} duration; use --scale 1 for "
               "the full protocol")
     run_experiment(cfg)
     print(f"wrote {cfg.output_dir}")

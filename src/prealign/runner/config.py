@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 from ..errors import ConfigError
 from ..data import TransformSpec
@@ -152,22 +152,9 @@ def _dist_from_dict(d: dict):
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """JSON-compatible form of a config (tuples to lists, tagged dists)."""
-    out = asdict(cfg)
-    out["dims"] = list(cfg.dims)
-    out["capture"] = list(cfg.capture)
-    out["variants"] = [asdict(v) for v in cfg.variants]
+    out = json.loads(json.dumps(asdict(cfg)))
     if cfg.pretrain is not None:
         out["pretrain"]["distribution"] = _dist_to_dict(cfg.pretrain.distribution)
-    if cfg.eval_transform is not None:
-        t = cfg.eval_transform
-        out["eval_transform"] = {
-            "translate_frac": list(t.translate_frac),
-            "scale": list(t.scale),
-            "rotate_deg": list(t.rotate_deg),
-            "seed": t.seed,
-        }
-    if cfg.meta is not None:
-        out["meta"]["tasks"] = list(cfg.meta.tasks)
     return out
 
 

@@ -30,7 +30,6 @@ from ..metrics import (
     accuracy_auc,
     alignment_angles,
     effective_rank,
-    generalization_gap,
     gram_effective_dim,
     meta_loss,
     weight_feedback_distance,
@@ -265,8 +264,8 @@ def _run_single(cfg: ExperimentConfig, variant, trial: int,
         summary["final_test_acc"] = train_records[-1].test_acc
         summary["best_test_acc"] = max(accs)
         summary["auc_test_acc"] = accuracy_auc(accs)
-        summary["final_generalization_gap"] = generalization_gap(
-            train_records[-1].train_loss, train_records[-1].test_loss
+        summary["final_generalization_gap"] = (
+            train_records[-1].test_loss - train_records[-1].train_loss
         )
         summary["epochs_ran"] = len(train_records)
     if records and records[-1].metrics:

@@ -83,53 +83,6 @@ def jacobi_singular_values(matrix):
     return np.sqrt(np.maximum(vals, 0.0))
 
 
-def charpoly_coefficients(matrix):
-    """Characteristic polynomial coefficients by the Faddeev-LeVerrier
-    recurrence: p(x) = x^n + c[1] x^(n-1) + ... + c[n]."""
-    a = np.asarray(matrix, dtype=np.float64)
-    n = a.shape[0]
-    coeffs = [1.0]
-    m = np.zeros_like(a)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[-1] * np.eye(n)
-        coeffs.append(-np.trace(a @ m) / k)
-    return np.array(coeffs)
-
-
-def charpoly_eigenvalues(matrix, samples=4000):
-    """Real eigenvalues of a symmetric matrix by sign-change bisection of
-    the characteristic polynomial over the Gershgorin interval."""
-    a = np.asarray(matrix, dtype=np.float64)
-    coeffs = charpoly_coefficients(a)
-
-    def p(x):
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    radius = np.max(np.abs(a).sum(axis=1))
-    lo, hi = -radius - 1.0, radius + 1.0
-    xs = np.linspace(lo, hi, samples)
-    values = np.array([p(x) for x in xs])
-    roots = []
-    for i in range(samples - 1):
-        left, right = values[i], values[i + 1]
-        if left == 0.0:
-            roots.append(xs[i])
-            continue
-        if left * right < 0:
-            a_x, b_x = xs[i], xs[i + 1]
-            for _ in range(200):
-                mid = (a_x + b_x) / 2
-                if p(a_x) * p(mid) <= 0:
-                    b_x = mid
-                else:
-                    a_x = mid
-            roots.append((a_x + b_x) / 2)
-    return np.array(sorted(roots, reverse=True))
-
-
 def adam_sequence(gradients, lr, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
     """Parameter values of a scalar Adam run, unrolled step by step."""
     x = x0

@@ -152,6 +152,16 @@ class TestCheckpointVerbs:
             assert 0.0 <= layer["mean_angle_deg"] <= 180.0
             assert layer["effective_rank"] >= 1.0
 
+    def test_metrics_rejects_run_flags(self, model_path, capsys):
+        code, _, _ = run(capsys, "metrics", "--model", str(model_path),
+                         "--set", "x=1")
+        assert code == 1
+
+    def test_eval_rejects_run_flags(self, model_path, capsys):
+        code, _, _ = run(capsys, "eval", "--model", str(model_path),
+                         "--dataset", "blobs", "--threads", "2")
+        assert code == 1
+
     def test_missing_model_exits_two(self, tmp_path, capsys):
         code, _, err = run(capsys, "metrics", "--model",
                            str(tmp_path / "nope.bin"))

@@ -112,10 +112,7 @@ class TestAdam:
         start = mlp.weights[0].copy()
         observed = []
         for g in grad_values:
-            grads = Gradients(
-                d_weights=[np.full_like(mlp.weights[0], g)],
-                d_biases=[np.full_like(mlp.biases[0], g)],
-            )
+            grads = Gradients(mlp.dims, np.full_like(mlp.params, g))
             adam_step(mlp, state, grads, learning_rate=0.01)
             observed.append(mlp.weights[0][0, 0] - start[0, 0])
         expected = adam_sequence(grad_values, lr=0.01)
@@ -135,29 +132,25 @@ class TestAdam:
 
     def test_step_counter_increments(self, tiny_mlp):
         state = AdamState.for_mlp(tiny_mlp)
-        grads = Gradients(
-            d_weights=[np.zeros_like(w) for w in tiny_mlp.weights],
-            d_biases=[np.zeros_like(b) for b in tiny_mlp.biases],
-        )
+        grads = Gradients(tiny_mlp.dims, np.zeros_like(tiny_mlp.params))
         adam_step(tiny_mlp, state, grads, learning_rate=0.1)
         adam_step(tiny_mlp, state, grads, learning_rate=0.1)
         assert state.step == 2
 
     def test_shape_mismatch_rejected(self, tiny_mlp):
         state = AdamState.for_mlp(tiny_mlp)
-        grads = Gradients(
-            d_weights=[np.zeros((2, 2)) for _ in tiny_mlp.weights],
-            d_biases=[np.zeros_like(b) for b in tiny_mlp.biases],
-        )
+        other = init_mlp((5, 2, 3), seed=0)
+        grads = Gradients(other.dims, np.zeros_like(other.params))
         with pytest.raises(ShapeError):
             adam_step(tiny_mlp, state, grads, learning_rate=0.1)
+        with pytest.raises(ShapeError):
+            Gradients(tiny_mlp.dims, np.zeros(tiny_mlp.params.size + 1))
 
     def test_nonfinite_update_rejected(self, tiny_mlp):
         state = AdamState.for_mlp(tiny_mlp)
-        grads = Gradients(
-            d_weights=[np.full_like(w, np.inf) for w in tiny_mlp.weights],
-            d_biases=[np.zeros_like(b) for b in tiny_mlp.biases],
-        )
+        grads = Gradients(tiny_mlp.dims, np.zeros_like(tiny_mlp.params))
+        for w in grads.d_weights:
+            w[...] = np.inf
         with pytest.raises(NumericError):
             adam_step(tiny_mlp, state, grads, learning_rate=0.1)
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prealign.errors import NumericError, ShapeError
-from prealign.linalg import eig_sym, pca_fit, pca_project, svd
+from prealign.linalg import pca_fit, pca_project, svd
 
-from oracles import charpoly_eigenvalues, jacobi_eigh, jacobi_singular_values
+from oracles import jacobi_eigh, jacobi_singular_values
 
 
 class TestSvd:
@@ -60,46 +60,6 @@ class TestSvd:
         m = np.random.default_rng(seed).normal(size=(rows, cols))
         s, u, v = svd(m)
         np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-9)
-
-
-class TestEigSym:
-    def test_eigenpairs(self, rng):
-        a = rng.normal(size=(6, 6))
-        m = (a + a.T) / 2
-        vals, vecs = eig_sym(m)
-        for i in range(6):
-            np.testing.assert_allclose(m @ vecs[:, i], vals[i] * vecs[:, i],
-                                       atol=1e-8)
-
-    def test_descending(self, rng):
-        a = rng.normal(size=(7, 7))
-        vals, _ = eig_sym((a + a.T) / 2)
-        assert np.all(np.diff(vals) <= 0)
-
-    def test_matches_jacobi(self, rng):
-        a = rng.normal(size=(5, 5))
-        m = (a + a.T) / 2
-        vals, _ = eig_sym(m)
-        jvals, _ = jacobi_eigh(m)
-        np.testing.assert_allclose(vals, jvals, atol=1e-9)
-
-    def test_matches_charpoly_bisection(self, rng):
-        a = rng.normal(size=(4, 4))
-        m = (a + a.T) / 2
-        vals, _ = eig_sym(m)
-        np.testing.assert_allclose(vals, charpoly_eigenvalues(m), atol=1e-6)
-
-    def test_identity(self):
-        vals, _ = eig_sym(np.eye(2))
-        np.testing.assert_allclose(vals, [1.0, 1.0])
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ShapeError):
-            eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            eig_sym(np.zeros((2, 3)))
 
 
 class TestPca:

@@ -12,7 +12,6 @@ from prealign import (
     accuracy_auc,
     alignment_angles,
     effective_rank,
-    generalization_gap,
     gram_effective_dim,
     init_mlp,
     meta_loss,
@@ -203,14 +202,6 @@ class TestAccuracyAuc:
             accuracy_auc([])
         with pytest.raises(ConfigError):
             accuracy_auc(np.ones((3, 2)))
-
-
-class TestGeneralizationGap:
-    def test_basic(self):
-        np.testing.assert_allclose(generalization_gap(0.5, 0.7), 0.2)
-
-    def test_can_be_negative(self):
-        assert generalization_gap(1.0, 0.4) == pytest.approx(-0.6)
 
 
 class TestWeightTrajectoryPca:

@@ -1,5 +1,6 @@
 """Tests for experiment configuration, presets, and the run orchestrator."""
 
+import csv
 import dataclasses
 import json
 
@@ -413,13 +414,18 @@ class TestRunExperiment:
         assert len(set(manifest["trial_seeds"])) == 3
         assert manifest["data"]["train"]["n"] == 256
         assert manifest["failures"] == []
+        rows = list(csv.DictReader((out / "records.csv").read_text().splitlines()))
         for t in ("0", "1", "2"):
             summary = manifest["summary"]["fa_pre"][t]
             assert summary["phases"] == ["pretrain", "train"]
             assert summary["epochs_ran"] == 2
             assert 0.0 <= summary["final_test_acc"] <= 1.0
             assert "auc_test_acc" in summary
-            assert "final_generalization_gap" in summary
+            last = [r for r in rows if r["trial"] == t and r["phase"] == "train"][-1]
+            # records.csv keeps 9 significant digits of each loss
+            assert summary["final_generalization_gap"] == pytest.approx(
+                float(last["test_loss"]) - float(last["train_loss"]), abs=1e-8
+            )
             init = manifest["initial_metrics"]["fa_pre"][t]
             assert "test_acc" in init and "angle_mean_l0" in init
 
