@@ -67,7 +67,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=float, default=None,
                    help="divide run durations by this factor")
     p.add_argument("--threads", type=int, default=1,
-                   help="concurrent trials")
+                   help="concurrent (trial, variant) runs, one BLAS thread each")
     _add_data_dir(p)
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="dotted-path config override")

@@ -142,11 +142,14 @@ def _dist_to_dict(d) -> dict:
 
 
 def _dist_from_dict(d: dict):
-    kind = d.get("kind")
+    if not isinstance(d, dict):
+        raise ConfigError(f"distribution must be a JSON object, got {d!r}")
+    d = dict(d)
+    kind = d.pop("kind", None)
     if kind == "gaussian":
-        return Gaussian(mean=d.get("mean", 0.0), std=d.get("std", 1.0))
+        return Gaussian(**d)
     if kind == "uniform":
-        return Uniform(low=d.get("low", -1.0), high=d.get("high", 1.0))
+        return Uniform(**d)
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
@@ -176,12 +179,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             train = TrainConfig(**train)
         transform = d.pop("eval_transform", None)
         if transform is not None:
-            transform = TransformSpec(
-                translate_frac=tuple(transform.get("translate_frac", (0.0, 0.0))),
-                scale=tuple(transform.get("scale", (1.0, 1.0))),
-                rotate_deg=tuple(transform.get("rotate_deg", (0.0, 0.0))),
-                seed=transform.get("seed", 0),
-            )
+            if not isinstance(transform, dict):
+                raise ConfigError(
+                    f"eval_transform must be a JSON object, got {transform!r}"
+                )
+            transform = TransformSpec(**{
+                k: tuple(v) if isinstance(v, list) else v
+                for k, v in transform.items()
+            })
         meta = d.pop("meta", None)
         if meta is not None:
             meta = dict(meta)

@@ -12,9 +12,12 @@ seeds, initial-state metrics, and per-trial summaries.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,6 +56,13 @@ DATASET_NAMES = (
     "stl10",
     "usps",
     "blobs",
+)
+
+# (setter, getter) of the BLAS thread count, in the naming of the OpenBLAS
+# numpy bundles: scipy-openblas (numpy >= 2.0), OpenBLAS 64-bit (1.24-1.26).
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
 )
 
 _IDX_FILES = {
@@ -121,6 +131,45 @@ def load_named_dataset(
             load_usps_libsvm(_find(root, "usps.t")),
         )
     raise ConfigError(f"unknown dataset {name!r}; valid: {DATASET_NAMES}")
+
+
+@functools.cache
+def _openblas_threads():
+    """``(set, get)`` for the thread count of the OpenBLAS bundled with
+    numpy (``numpy.libs``), or None when there is no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread and restore the previous
+    count after it.  Concurrent runs that each let BLAS start its own
+    threads make those threads spin-wait against each other.  The setting
+    is process-wide.  Yields the count the body runs with (None when it
+    cannot be read; the count is then left as it is)."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield None
+        return
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield 1
+    finally:
+        set_threads(before)
 
 
 class _ResolvedData:
@@ -340,49 +389,49 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     failures: list[dict] = []
     first_error: PrealignError | None = None
 
-    def run_trial(trial: int):
-        results = []
-        for v in cfg.variants:
-            try:
-                results.append(
-                    (v.name, _run_single(cfg, v, trial, data, variant_dirs[v.name]))
-                )
-            except PrealignError as e:
-                results.append((v.name, e))
-        return results
+    pairs = [(t, v) for t in range(cfg.trials) for v in cfg.variants]
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            per_trial = list(pool.map(run_trial, range(cfg.trials)))
+    def run_pair(pair):
+        trial, v = pair
+        try:
+            return _run_single(cfg, v, trial, data, variant_dirs[v.name])
+        except PrealignError as e:
+            return e
+
+    workers = min(cfg.threads, len(pairs))
+    if workers > 1:
+        with (_one_blas_thread() as blas_threads,
+              ThreadPoolExecutor(max_workers=workers) as pool):
+            outcomes = list(pool.map(run_pair, pairs))
     else:
-        per_trial = [run_trial(t) for t in range(cfg.trials)]
+        blas = _openblas_threads()
+        blas_threads = None if blas is None else blas[1]()
+        outcomes = [run_pair(p) for p in pairs]
 
     any_ok = False
-    for trial, results in enumerate(per_trial):
-        for name, outcome in results:
-            if isinstance(outcome, PrealignError):
-                failures.append(
-                    {
-                        "trial": trial,
-                        "variant": name,
-                        "error": type(outcome).__name__,
-                        "message": str(outcome),
-                    }
-                )
-                if first_error is None:
-                    first_error = outcome
-                continue
-            any_ok = True
-            records, initial, summary = outcome
-            by_variant[name].extend(records)
-            initial_metrics[name][str(trial)] = initial
-            summaries[name][str(trial)] = summary
+    for (trial, v), outcome in zip(pairs, outcomes):
+        if isinstance(outcome, PrealignError):
+            failures.append(
+                {
+                    "trial": trial,
+                    "variant": v.name,
+                    "error": type(outcome).__name__,
+                    "message": str(outcome),
+                }
+            )
+            if first_error is None:
+                first_error = outcome
+            continue
+        any_ok = True
+        records, initial, summary = outcome
+        by_variant[v.name].extend(records)
+        initial_metrics[v.name][str(trial)] = initial
+        summaries[v.name][str(trial)] = summary
     if not any_ok and first_error is not None:
         raise first_error
 
     for name, records in by_variant.items():
         if records:
-            records.sort(key=lambda r: r.trial)
             emit_csv(records, variant_dirs[name] / "records.csv")
     series = _plot_series(cfg, by_variant)
     if series:
@@ -398,6 +447,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "library_version": __version__,
         "numpy_version": np.__version__,
+        "blas_threads": blas_threads,
         "scale": cfg.scale,
         "config": config_to_dict(cfg),
         "trial_seeds": [derive_trial_seed(cfg.master_seed, t)

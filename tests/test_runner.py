@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -175,6 +176,27 @@ class TestOverrides:
         doc = config_to_dict(full_config())
         with pytest.raises(ConfigError):
             apply_overrides(doc, ["experiment_id.x=1"])
+
+    @pytest.mark.parametrize("preset, item", [
+        ("fig1e", "pretrain.distribution.sdt=3"),
+        ("fig1e", 'pretrain.distribution={"kind":"uniform","std":1}'),
+        ("fig1e", "pretrain.distribution=gaussian"),
+        ("fig4d", "eval_transform.rotate=[-30,30]"),
+        ("fig4d", "eval_transform=5"),
+    ])
+    def test_unknown_or_malformed_section_rejected(self, preset, item):
+        doc = apply_overrides(config_to_dict(reproduce(preset)), [item])
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_known_keys_fill_null_and_tagged_sections(self):
+        doc = apply_overrides(config_to_dict(reproduce("fig4d")), [
+            "eval_transform.rotate_deg=[-30,30]",
+            "pretrain.distribution.std=3",
+        ])
+        cfg = config_from_dict(doc)
+        assert cfg.eval_transform == TransformSpec(rotate_deg=(-30.0, 30.0))
+        assert cfg.pretrain.distribution == Gaussian(0.0, 3.0)
 
 
 class TestApplyScale:
@@ -464,6 +486,88 @@ class TestRunExperiment:
         a = (tmp_path / "a" / "records.csv").read_bytes()
         assert a == (tmp_path / "b" / "records.csv").read_bytes()
         assert a == (tmp_path / "c" / "records.csv").read_bytes()
+
+    def test_pool_runs_variants_of_one_trial_concurrently(self, tmp_path,
+                                                          monkeypatch):
+        original = experiment_mod._run_single
+        both_started = threading.Barrier(2, timeout=10)
+
+        def rendezvous(*args):
+            both_started.wait()
+            return original(*args)
+
+        monkeypatch.setattr(experiment_mod, "_run_single", rendezvous)
+        cfg = smoke_config(tmp_path, trials=1, threads=2,
+                           variants=[VariantSpec(name="fa"),
+                                     VariantSpec(name="fa_pre", pretrain=True)])
+        manifest = run_experiment(cfg)
+        assert manifest["failures"] == []
+        assert set(manifest["summary"]["fa"]) == {"0"}
+        assert set(manifest["summary"]["fa_pre"]) == {"0"}
+
+    def test_pool_matches_serial_at_blas_threaded_size(self, tmp_path):
+        # 784-100-10 is large enough that OpenBLAS threads its gemm, which
+        # the pool pins to one thread; four workers oversubscribe the cores.
+        def run(threads):
+            out = tmp_path / f"threads{threads}"
+            manifest = run_experiment(smoke_config(
+                tmp_path, dims=(784, 100, 10), trials=4, threads=threads,
+                pretrain=NoiseConfig(total_samples=3_200, samples_per_epoch=1_600,
+                                     batch_size=64, learning_rate=1e-4),
+                train=None, dataset=None, train_size=None, test_size=None,
+                output_dir=str(out),
+            ))
+            return out, manifest
+
+        (pooled, pooled_manifest), (serial, serial_manifest) = run(4), run(1)
+        # The serial run's BLAS thread count follows the host's cores, so the
+        # 9th significant digit of a metric may differ; compare numerically.
+        rows = {}
+        for out in (pooled, serial):
+            with open(out / "records.csv", newline="") as f:
+                rows[out] = list(csv.reader(f))
+        assert rows[pooled][0] == rows[serial][0]
+        assert len(rows[pooled]) == len(rows[serial])
+        for a, b in zip(rows[pooled][1:], rows[serial][1:]):
+            assert a[:3] == b[:3]  # trial, phase, epoch
+            np.testing.assert_allclose(
+                [float(x or "nan") for x in a[3:]],
+                [float(x or "nan") for x in b[3:]], rtol=1e-7, atol=1e-12,
+            )
+        for trial in range(4):
+            a = load_mlp(pooled / f"model_{trial}_pretrain.bin")
+            b = load_mlp(serial / f"model_{trial}_pretrain.bin")
+            for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+                np.testing.assert_allclose(wa, wb, rtol=0, atol=1e-12)
+        blas = experiment_mod._openblas_threads()
+        count = None if blas is None else blas[1]()
+        assert serial_manifest["blas_threads"] == count
+        assert pooled_manifest["blas_threads"] == (None if count is None else 1)
+
+    def test_pool_restores_blas_threads(self, tmp_path, monkeypatch):
+        blas = experiment_mod._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+        set_threads, get_threads = blas
+        original_count = get_threads()
+        original = experiment_mod._run_single
+
+        def fails_on_trial_1(cfg, variant, trial, data, out_dir):
+            if trial == 1:
+                raise RuntimeError("boom")
+            return original(cfg, variant, trial, data, out_dir)
+
+        set_threads(2)  # differs from the pool's 1 even on a one-core host
+        try:
+            manifest = run_experiment(smoke_config(tmp_path, threads=2))
+            assert manifest["blas_threads"] == 1
+            assert get_threads() == 2
+            monkeypatch.setattr(experiment_mod, "_run_single", fails_on_trial_1)
+            with pytest.raises(RuntimeError, match="boom"):
+                run_experiment(smoke_config(tmp_path, threads=2))
+            assert get_threads() == 2
+        finally:
+            set_threads(original_count)
 
     def test_multi_variant_shares_initialization(self, tmp_path):
         cfg = smoke_config(
