@@ -116,7 +116,6 @@ class TrainConfig:
     epochs: int = 100
     patience: int | None = None
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.rule not in _RULES:
@@ -246,6 +245,15 @@ def evaluate(mlp: Mlp, inputs, labels) -> tuple[float, float]:
     )
 
 
+def _snapshot_metrics(snapshot_hook, epoch: int, mlp: Mlp, metrics: dict) -> dict:
+    """``metrics`` with the scalars ``snapshot_hook(epoch, mlp)`` returns, if
+    a hook is given, merged in as floats."""
+    if snapshot_hook is not None:
+        extra = snapshot_hook(epoch, mlp) or {}
+        metrics.update({k: float(v) for k, v in extra.items()})
+    return metrics
+
+
 def _check_split(name: str, x: np.ndarray, y: np.ndarray, mlp: Mlp) -> None:
     if x.ndim != 2 or x.shape[0] == 0:
         raise ConfigError(f"{name} inputs must be a nonempty 2-D array")
@@ -267,7 +275,6 @@ def train(
     test_labels,
     config: TrainConfig,
     trial: int = 0,
-    phase: str = "train",
     snapshot_hook=None,
 ) -> list[RunRecord]:
     """Minibatch training with Adam, updating ``mlp`` in place.
@@ -296,7 +303,7 @@ def train(
     best_acc = -np.inf
     stalled = 0
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             # indices come from a permutation of range(n), so "clip" never
@@ -311,15 +318,12 @@ def train(
             stalled = 0
         else:
             stalled += 1
-        metrics = {"best_test_acc": best_acc}
-        if snapshot_hook is not None:
-            extra = snapshot_hook(epoch, mlp)
-            if extra:
-                metrics.update({k: float(v) for k, v in extra.items()})
+        metrics = _snapshot_metrics(snapshot_hook, epoch, mlp,
+                                    {"best_test_acc": best_acc})
         records.append(
             RunRecord(
                 trial=trial,
-                phase=phase,
+                phase="train",
                 epoch=epoch,
                 train_loss=train_loss,
                 test_loss=test_loss,

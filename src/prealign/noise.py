@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .learn import AdamState, step
+from .learn import AdamState, _snapshot_metrics, step
 from .net import Mlp, accuracy, cross_entropy
 from .records import RunRecord
 from .seeds import rng_for
@@ -122,11 +122,7 @@ def pretrain_random_noise(
     epoch = 1
 
     def flush() -> None:
-        metrics = {}
-        if snapshot_hook is not None:
-            extra = snapshot_hook(epoch, mlp)
-            if extra:
-                metrics.update({k: float(v) for k, v in extra.items()})
+        metrics = _snapshot_metrics(snapshot_hook, epoch, mlp, {})
         records.append(
             RunRecord(
                 trial=trial,

@@ -3,6 +3,14 @@
 Verbs: ``pretrain``, ``train``, ``eval``, ``metrics``, ``reproduce``,
 ``sweep``.  Exit codes: 0 success, 1 usage or configuration error, 2 data
 or file-format error, 3 numeric failure (NaN/Inf detected).
+
+The four run verbs build their config in :func:`_build_config`, in one
+order: the base document (``reproduce``'s preset, the ``--config`` file, or
+the verb's default experiment), then each run flag that was given, as an
+override of its config path, then ``--set``, then ``--scale``, which
+composes with the scale the document already has.  A flag that is not
+given changes nothing.  ``--dist``, ``--rule`` and ``--pretrain`` pick the
+shape of the default experiment and are refused with ``--config``.
 """
 
 from __future__ import annotations
@@ -18,12 +26,10 @@ from ..errors import (
     NumericError,
     ShapeError,
 )
-from ..learn import TrainConfig, evaluate
+from ..learn import evaluate
 from ..metrics import alignment_angles, effective_rank, weight_feedback_distance
 from ..net import load_mlp
-from ..noise import Gaussian, NoiseConfig, Uniform
 from .config import (
-    VariantSpec,
     ExperimentConfig,
     apply_overrides,
     apply_scale,
@@ -46,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _Path(argparse.Action):
+    """A run flag: its value, when given, overrides the config path ``dest``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.paths = {**getattr(namespace, "paths", {}), self.dest: values}
+
+
+def _flag(p: argparse.ArgumentParser, flag: str, path: str, **kwargs) -> None:
+    p.add_argument(flag, dest=path, action=_Path, default=argparse.SUPPRESS, **kwargs)
+
+
 def _dims(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -55,77 +72,82 @@ def _dims(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _add_data_dir(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data-dir", default=None,
-                   help="dataset root (default: $PREALIGN_DATA_DIR or ./data)")
+def _capture(text: str) -> list[str]:
+    return [] if text == "none" else text.split(",")
+
+
+_DATA_DIR_HELP = "dataset root (default: $PREALIGN_DATA_DIR or ./data)"
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     """Flags of the verbs that run an experiment."""
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--scale", type=float, default=None,
-                   help="divide run durations by this factor")
-    p.add_argument("--threads", type=int, default=1,
-                   help="concurrent (trial, variant) runs, one BLAS thread each")
-    _add_data_dir(p)
+    _flag(p, "--seed", "master_seed", type=int, help="master seed")
+    _flag(p, "--out", "output_dir", help="output directory")
+    _flag(p, "--threads", "threads", type=int,
+          help="concurrent (trial, variant) runs, one BLAS thread each")
+    _flag(p, "--data-dir", "data_dir", help=_DATA_DIR_HELP)
     p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="dotted-path config override")
+                   metavar="KEY=VALUE",
+                   help="dotted-path config override, applied after the flags")
+    p.add_argument("--scale", type=float, default=None,
+                   help="divide run durations by this factor, applied last")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="prealign",
                      description="random-noise pretraining for feedback alignment")
     sub = parser.add_subparsers(dest="verb", required=True)
+    config_help = "JSON config file; the flags given override it"
 
-    p = sub.add_parser("pretrain", parents=[], help="train on random noise only")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--dims", type=_dims, default=(784, 100, 10))
-    p.add_argument("--samples", type=int, default=500_000)
-    p.add_argument("--samples-per-epoch", type=int, default=5_000)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--dist", choices=("gaussian", "uniform"), default="gaussian")
-    p.add_argument("--std", type=float, default=1.0,
-                   help="gaussian standard deviation")
-    p.add_argument("--low", type=float, default=-1.0, help="uniform low")
-    p.add_argument("--high", type=float, default=1.0, help="uniform high")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--capture", default="angles",
-                   help="comma-separated metric flags, or 'none'")
+    p = sub.add_parser("pretrain", help="train on random noise only")
+    p.add_argument("--config", default=None, help=config_help)
+    p.add_argument("--dist", choices=("gaussian", "uniform"), default=argparse.SUPPRESS,
+                   help="noise distribution of the default experiment (gaussian)")
+    _flag(p, "--dims", "dims", type=_dims)
+    _flag(p, "--samples", "pretrain.total_samples", type=int)
+    _flag(p, "--samples-per-epoch", "pretrain.samples_per_epoch", type=int)
+    _flag(p, "--batch", "pretrain.batch_size", type=int)
+    _flag(p, "--lr", "pretrain.learning_rate", type=float)
+    _flag(p, "--std", "pretrain.distribution.std", type=float,
+          help="gaussian standard deviation")
+    _flag(p, "--low", "pretrain.distribution.low", type=float, help="uniform low")
+    _flag(p, "--high", "pretrain.distribution.high", type=float, help="uniform high")
+    _flag(p, "--trials", "trials", type=int)
+    _flag(p, "--capture", "capture", type=_capture,
+          help="comma-separated metric flags, or 'none'")
     _add_common(p)
 
     p = sub.add_parser("train", help="supervised training, optionally pre-noised")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--dataset", default="mnist")
-    p.add_argument("--dims", type=_dims, default=(784, 100, 10))
-    p.add_argument("--rule", choices=("FA", "BP"), default="FA")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--train-size", type=int, default=None)
-    p.add_argument("--test-size", type=int, default=None)
-    p.add_argument("--pretrain", action="store_true",
-                   help="run the noise phase first")
-    p.add_argument("--samples", type=int, default=500_000,
-                   help="noise samples when --pretrain is set")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--config", default=None, help=config_help)
+    p.add_argument("--rule", choices=("FA", "BP"), default=argparse.SUPPRESS,
+                   help="backward rule of the default experiment (FA)")
+    p.add_argument("--pretrain", action="store_true", default=argparse.SUPPRESS,
+                   help="give the default experiment a noise phase first")
+    _flag(p, "--dataset", "dataset")
+    _flag(p, "--dims", "dims", type=_dims)
+    _flag(p, "--epochs", "train.epochs", type=int)
+    _flag(p, "--batch", "train.batch_size", type=int)
+    _flag(p, "--lr", "train.learning_rate", type=float)
+    _flag(p, "--patience", "train.patience", type=int)
+    _flag(p, "--train-size", "train_size", type=int)
+    _flag(p, "--test-size", "test_size", type=int)
+    _flag(p, "--samples", "pretrain.total_samples", type=int,
+          help="noise samples of the noise phase")
+    _flag(p, "--trials", "trials", type=int)
     _add_common(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", default="mnist")
     p.add_argument("--split", choices=("train", "test"), default="test")
-    _add_data_dir(p)
+    p.add_argument("--data-dir", default=None, help=_DATA_DIR_HELP)
 
     p = sub.add_parser("metrics", help="alignment/rank metrics of a checkpoint")
     p.add_argument("--model", required=True)
 
     p = sub.add_parser("reproduce", help="run a named result preset")
     p.add_argument("figure_id", help=f"one of: {', '.join(FIGURE_IDS)}")
-    p.add_argument("--trials", type=int, default=None,
-                   help="override the preset's trial count")
+    _flag(p, "--trials", "trials", type=int, help="override the preset's trial count")
     _add_common(p)
     p.set_defaults(scale=5.0)
 
@@ -136,81 +158,45 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _finish_config(doc: dict, args) -> ExperimentConfig:
-    """Apply common flags and --set overrides to the dict form, then parse."""
-    doc = apply_overrides(doc, args.overrides)
-    cfg = config_from_dict(doc)
-    cfg.master_seed = args.seed
-    cfg.threads = args.threads
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.data_dir is not None:
-        cfg.data_dir = args.data_dir
-    if args.scale is not None:
-        cfg = apply_scale(cfg, args.scale)
-    return cfg
+def _default_document(verb: str, dist: str = "gaussian", rule: str = "FA",
+                      pretrain: bool = False) -> dict:
+    """The config document ``pretrain`` or ``train`` runs without
+    ``--config``, in the shape ``--dist``, ``--rule`` and ``--pretrain``
+    pick; every setting it leaves out takes its dataclass default."""
+    doc = {"experiment_id": verb, "dims": [784, 100, 10], "output_dir": f"out/{verb}"}
+    if verb == "pretrain":
+        return {**doc, "variants": [{"name": "fa_pre", "pretrain": True}],
+                "pretrain": {"distribution": {"kind": dist}}, "capture": ["angles"]}
+    name = "fa_pre" if pretrain else rule.lower()
+    return {**doc, "variants": [{"name": name, "rule": rule, "pretrain": pretrain}],
+            "pretrain": {} if pretrain else None, "train": {"rule": rule},
+            "dataset": "mnist"}
 
 
-def _cmd_pretrain(args) -> int:
-    if args.config is not None:
+def _build_config(args) -> ExperimentConfig:
+    """The config of a run verb: the base document, then the run flags that
+    were given, then ``--set``, then ``--scale``."""
+    shape = {k: v for k, v in vars(args).items() if k in ("dist", "rule", "pretrain")}
+    if args.verb == "reproduce":
+        doc = config_to_dict(reproduce(args.figure_id))
+    elif args.config is not None:
+        if shape:
+            raise ConfigError(
+                f"--{next(iter(shape))} shapes the default experiment and cannot "
+                "be combined with --config; use --set on the config's paths"
+            )
         doc = load_config_file(args.config)
     else:
-        if args.dist == "gaussian":
-            dist = Gaussian(0.0, args.std)
-        else:
-            dist = Uniform(args.low, args.high)
-        capture = () if args.capture == "none" else tuple(args.capture.split(","))
-        cfg = ExperimentConfig(
-            experiment_id="pretrain",
-            dims=args.dims,
-            variants=[VariantSpec(name="fa_pre", rule="FA", pretrain=True)],
-            trials=args.trials,
-            pretrain=NoiseConfig(
-                distribution=dist,
-                total_samples=args.samples,
-                samples_per_epoch=args.samples_per_epoch,
-                batch_size=args.batch,
-                learning_rate=args.lr,
-            ),
-            capture=capture,
-            output_dir="out/pretrain",
-        )
-        doc = config_to_dict(cfg)
-    cfg = _finish_config(doc, args)
-    run_experiment(cfg)
-    print(f"wrote {cfg.output_dir}")
-    return 0
+        doc = _default_document(args.verb, **shape)
+    flags = [f"{path}={json.dumps(value)}"
+             for path, value in getattr(args, "paths", {}).items()]
+    cfg = config_from_dict(apply_overrides(doc, flags + args.overrides))
+    return cfg if args.scale is None else apply_scale(cfg, args.scale)
 
 
-def _cmd_train(args) -> int:
-    if args.config is not None:
-        doc = load_config_file(args.config)
-    else:
-        variant = VariantSpec(
-            name="fa_pre" if args.pretrain else args.rule.lower(),
-            rule=args.rule,
-            pretrain=args.pretrain,
-        )
-        cfg = ExperimentConfig(
-            experiment_id="train",
-            dims=args.dims,
-            variants=[variant],
-            trials=args.trials,
-            pretrain=NoiseConfig(total_samples=args.samples) if args.pretrain else None,
-            train=TrainConfig(
-                rule=args.rule,
-                learning_rate=args.lr,
-                batch_size=args.batch,
-                epochs=args.epochs,
-                patience=args.patience,
-            ),
-            dataset=args.dataset,
-            train_size=args.train_size,
-            test_size=args.test_size,
-            output_dir="out/train",
-        )
-        doc = config_to_dict(cfg)
-    cfg = _finish_config(doc, args)
+def _cmd_run(args) -> int:
+    """``pretrain`` and ``train``."""
+    cfg = _build_config(args)
     manifest = run_experiment(cfg)
     for name, trials in manifest.get("summary", {}).items():
         for trial, s in sorted(trials.items()):
@@ -256,10 +242,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = reproduce(args.figure_id)
-    if args.trials is not None:
-        cfg.trials = args.trials
-    cfg = _finish_config(config_to_dict(cfg), args)
+    cfg = _build_config(args)
     if args.scale != 1.0:
         print(f"note: running at 1/{args.scale:g} duration; use --scale 1 for "
               "the full protocol")
@@ -269,10 +252,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = load_config_file(args.config)
-    if not doc.get("sweep"):
+    cfg = _build_config(args)
+    if not cfg.sweep:
         raise ConfigError(f"config {args.config} has no sweep section")
-    cfg = _finish_config(doc, args)
     manifest = run_experiment(cfg)
     print(f"wrote {len(manifest.get('points', []))} sweep points under "
           f"{cfg.output_dir}")
@@ -280,8 +262,8 @@ def _cmd_sweep(args) -> int:
 
 
 _COMMANDS = {
-    "pretrain": _cmd_pretrain,
-    "train": _cmd_train,
+    "pretrain": _cmd_run,
+    "train": _cmd_run,
     "eval": _cmd_eval,
     "metrics": _cmd_metrics,
     "reproduce": _cmd_reproduce,

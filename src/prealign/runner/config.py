@@ -210,11 +210,16 @@ def load_config_file(path) -> dict:
     """Read a JSON config document (the dict form, pre-validation)."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(
+            f"config {path} must be a JSON object, got {type(doc).__name__}"
+        )
+    return doc
 
 
 def _parse_override_value(text: str):
@@ -253,13 +258,13 @@ def apply_scale(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
 
     Shrinks pretraining total samples and training epochs (never below one
     batch or one epoch); everything else, including trial counts, stays at
-    the preset's values.  The factor itself is recorded on the config and
-    ends up in the manifest, so scaled runs are never mistaken for
-    full-duration ones.
+    the preset's values.  The factor composes with the one already on the
+    config: ``cfg.scale * scale`` is recorded and ends up in the manifest,
+    so scaled runs are never mistaken for full-duration ones.
     """
     if scale <= 0:
         raise ConfigError(f"scale must be > 0, got {scale}")
-    cfg = replace(cfg, scale=scale)
+    cfg = replace(cfg, scale=cfg.scale * scale)
     if scale == 1.0:
         return cfg
     if cfg.pretrain is not None:

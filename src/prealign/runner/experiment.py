@@ -294,7 +294,6 @@ def _run_single(cfg: ExperimentConfig, variant, trial: int,
                 data.eval_test.labels,
                 train_cfg,
                 trial=trial,
-                phase="train",
                 snapshot_hook=hook,
             )
         save_mlp(mlp, out_dir / f"model_{trial}_{phase}.bin")

@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import argparse
 import json
 
 import pytest
 
-from prealign.runner.cli import main
+from prealign.runner.cli import _build_parser, _Path, main
 
 
 def run(capsys, *argv):
@@ -226,3 +227,194 @@ class TestSweepVerb:
         code, _, _ = run(capsys, "sweep", "--config",
                          str(tmp_path / "absent.json"))
         assert code == 1
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 1
+        assert "JSON object" in err
+        code, _, err = run(capsys, "pretrain", "--config", str(cfg_path),
+                           "--set", "trials=2")
+        assert code == 1
+        assert "JSON object" in err
+
+
+def at(doc, path):
+    """The value at a dotted path, or None where the path is absent."""
+    for key in path.split("."):
+        doc = (doc or {}).get(key)
+    return doc
+
+
+def manifest_config(out_dir):
+    return json.loads((out_dir / "manifest.json").read_text())["config"]
+
+
+# Config documents for --config; each holds a value different from the
+# flag's at every path the flags below set.
+NOISE_DOC = {
+    "experiment_id": "file",
+    "dims": [16, 8, 4],
+    "variants": [{"name": "fa_pre", "rule": "FA", "pretrain": True}],
+    "pretrain": {"total_samples": 100, "samples_per_epoch": 100,
+                 "batch_size": 50, "learning_rate": 0.001,
+                 "distribution": {"kind": "gaussian", "mean": 0.0, "std": 1.0}},
+    "capture": ["angles"],
+}
+UNIFORM_DOC = {**NOISE_DOC, "pretrain": {
+    **NOISE_DOC["pretrain"],
+    "distribution": {"kind": "uniform", "low": -1.0, "high": 1.0},
+}}
+TRAIN_DOC = {
+    **NOISE_DOC,
+    "pretrain": {"total_samples": 100},
+    "train": {"rule": "FA", "learning_rate": 0.001, "batch_size": 64,
+              "epochs": 1},
+    "dataset": "mnist",
+    "train_size": 128,
+    "test_size": 64,
+    "capture": [],
+}
+SWEEP_DOC = {**TRAIN_DOC, "dataset": "blobs", "sweep": {"train_size": [64]}}
+
+# (flag, argument, config path, the value the manifest records there)
+COMMON_FLAGS = [
+    ("--seed", "5", "master_seed", 5),
+    ("--threads", "2", "threads", 2),
+    ("--data-dir", "elsewhere", "data_dir", "elsewhere"),
+]
+NOISE_FLAGS = COMMON_FLAGS + [
+    ("--dims", "12,6,3", "dims", [12, 6, 3]),
+    ("--samples", "90", "pretrain.total_samples", 90),
+    ("--samples-per-epoch", "45", "pretrain.samples_per_epoch", 45),
+    ("--batch", "30", "pretrain.batch_size", 30),
+    ("--lr", "0.002", "pretrain.learning_rate", 0.002),
+    ("--trials", "2", "trials", 2),
+    ("--capture", "distance,eff_rank", "capture", ["distance", "eff_rank"]),
+]
+TRAIN_FLAGS = COMMON_FLAGS + [
+    ("--dataset", "blobs", "dataset", "blobs"),
+    ("--dims", "12,6,3", "dims", [12, 6, 3]),
+    ("--epochs", "2", "train.epochs", 2),
+    ("--batch", "32", "train.batch_size", 32),
+    ("--lr", "0.002", "train.learning_rate", 0.002),
+    ("--patience", "3", "train.patience", 3),
+    ("--train-size", "96", "train_size", 96),
+    ("--test-size", "48", "test_size", 48),
+    ("--samples", "90", "pretrain.total_samples", 90),
+    ("--trials", "2", "trials", 2),
+]
+# case: (verb, its arguments without --config or None if it needs one,
+#        config document or None if the verb takes none, run flags)
+FLAG_CASES = {
+    "pretrain": ("pretrain", [], NOISE_DOC, NOISE_FLAGS + [
+        ("--std", "0.5", "pretrain.distribution.std", 0.5),
+    ]),
+    "pretrain-uniform": ("pretrain", ["--dist", "uniform"], UNIFORM_DOC, NOISE_FLAGS + [
+        ("--low", "-0.5", "pretrain.distribution.low", -0.5),
+        ("--high", "0.25", "pretrain.distribution.high", 0.25),
+    ]),
+    "train": ("train", ["--pretrain"], TRAIN_DOC, TRAIN_FLAGS),
+    "reproduce": ("reproduce", ["fig1e", "--scale", "20000"], None, COMMON_FLAGS + [
+        ("--trials", "2", "trials", 2),
+    ]),
+    "sweep": ("sweep", None, SWEEP_DOC, COMMON_FLAGS),
+}
+FLAG_RUNS = [
+    pytest.param(case, with_config, id=f"{case}-{'config' if with_config else 'flags'}")
+    for case, (_, args, doc, _) in FLAG_CASES.items()
+    for with_config, base in ((False, args), (True, doc))
+    if base is not None
+]
+
+
+class TestRunFlagsOverrideConfigPaths:
+    @pytest.mark.parametrize("case, with_config", FLAG_RUNS)
+    def test_every_run_flag_reaches_its_path(self, case, with_config, tmp_path,
+                                             capsys):
+        verb, args, doc, flags = FLAG_CASES[case]
+        if with_config:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(doc))
+            for _, _, path, value in flags:
+                assert at(doc, path) != value, path
+            args = ["--config", str(cfg_path)]
+        out_dir = tmp_path / "out"
+        argv = [verb, *args, *(a for flag, arg, _, _ in flags for a in (flag, arg))]
+        code, _, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 0, err
+        if verb == "sweep":
+            out_dir = out_dir / "train_size=64"
+        config = manifest_config(out_dir)
+        assert config["output_dir"] == str(out_dir)
+        for flag, _, path, value in flags:
+            assert at(config, path) == value, flag
+
+    def test_table_lists_every_run_flag(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for verb, parser in sub.choices.items():
+            declared = {opt for a in parser._actions if isinstance(a, _Path)
+                        for opt in a.option_strings}
+            listed = {flag for v, _, _, flags in FLAG_CASES.values() if v == verb
+                      for flag, _, _, _ in flags}
+            if listed:  # the run tests read the manifest from --out
+                listed.add("--out")
+            assert declared == listed, verb
+
+    def test_config_seed_and_threads_survive_absent_flags(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**NOISE_DOC, "master_seed": 7,
+                                        "threads": 2, "trials": 2}))
+        code, _, err = run(capsys, "pretrain", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "p"))
+        assert code == 0, err
+        config = manifest_config(tmp_path / "p")
+        assert (config["master_seed"], config["threads"]) == (7, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--dist", "gaussian"],
+        ["train", "--rule", "BP"],
+        ["train", "--pretrain"],
+    ], ids=["dist", "rule", "pretrain"])
+    def test_shape_flags_refused_with_config(self, argv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(TRAIN_DOC))
+        code, _, err = run(capsys, *argv, "--config", str(cfg_path),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert "--config" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--dist", "uniform", "--std", "3"],
+        ["--low", "-0.5"],
+    ], ids=["std-on-uniform", "low-on-gaussian"])
+    def test_parameter_of_the_other_distribution_refused(self, argv, tmp_path,
+                                                         capsys):
+        code, _, _ = run(capsys, *PRETRAIN_TINY, *argv,
+                         "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_set_applies_after_the_flags(self, tmp_path, capsys):
+        code, _, err = run(capsys, "reproduce", "fig1e", "--scale", "20000",
+                           "--trials", "1", "--set", "trials=2",
+                           "--seed", "3", "--set", "master_seed=4",
+                           "--out", str(tmp_path / "r"))
+        assert code == 0, err
+        config = manifest_config(tmp_path / "r")
+        assert (config["trials"], config["master_seed"]) == (2, 4)
+
+    def test_scale_composes_with_the_config_scale(self, tmp_path, capsys):
+        assert main(["reproduce", "fig1e", "--scale", "20000", "--trials", "1",
+                     "--out", str(tmp_path / "r")]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(manifest_config(tmp_path / "r")))
+        code, _, err = run(capsys, "pretrain", "--config", str(cfg_path),
+                           "--scale", "5", "--out", str(tmp_path / "p"))
+        assert code == 0, err
+        config = manifest_config(tmp_path / "p")
+        assert config["scale"] == 100_000
+        assert config["pretrain"]["total_samples"] == 5

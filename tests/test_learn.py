@@ -210,7 +210,7 @@ class TestTrainLoop:
         xt, yt = _blob_split(rng, 60)
         mlp = init_mlp((8, 6, 3), seed=0)
         cfg = TrainConfig(rule="FA", learning_rate=1e-3, batch_size=32, epochs=4)
-        records = train(mlp, x, y, xt, yt, cfg, trial=2, phase="train")
+        records = train(mlp, x, y, xt, yt, cfg, trial=2)
         assert len(records) == 4
         assert [r.epoch for r in records] == [1, 2, 3, 4]
         for r in records:

@@ -106,6 +106,13 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             load_config_file(tmp_path / "absent.json")
 
+    def test_load_config_file_refuses_non_object(self, tmp_path):
+        for text in ("[1, 2]", "3", "null", '"fig1e"'):
+            p = tmp_path / "cfg.json"
+            p.write_text(text)
+            with pytest.raises(ConfigError, match="JSON object"):
+                load_config_file(p)
+
 
 class TestValidation:
     def test_duplicate_variant_names(self):
@@ -226,6 +233,11 @@ class TestApplyScale:
     def test_invalid_scale(self):
         with pytest.raises(ConfigError):
             apply_scale(reproduce("fig1e"), 0.0)
+
+    def test_rescaling_composes(self):
+        cfg = apply_scale(apply_scale(reproduce("fig1e"), 5.0), 4.0)
+        assert cfg.scale == 20.0
+        assert cfg.pretrain.total_samples == 25_000
 
 
 class TestExpandSweep:
