@@ -13,7 +13,6 @@ from .data import (
     TransformSpec,
     load_cifar,
     load_idx,
-    load_stl10,
     load_usps_libsvm,
     subset,
     synthetic_blobs,
@@ -77,7 +76,6 @@ __all__ = [
     "TransformSpec",
     "load_cifar",
     "load_idx",
-    "load_stl10",
     "load_usps_libsvm",
     "subset",
     "synthetic_blobs",

@@ -1,7 +1,7 @@
 """Dataset ingestion, subsetting, and affine image transforms.
 
-Loaders parse the distribution formats directly (big-endian IDX, CIFAR
-binary records, libsvm text, STL-10 binary), accept gzip-compressed files
+Loaders parse the distribution formats directly (big-endian IDX, CIFAR-10
+binary records, libsvm text), accept gzip-compressed files
 transparently, and normalize pixels to [0, 1].  Transformed variants of a
 dataset, used for evaluation on shifted inputs, are produced by per-image
 random affine resampling.  No loader touches the network; everything here is
@@ -24,7 +24,6 @@ __all__ = [
     "TransformSpec",
     "load_idx",
     "load_cifar",
-    "load_stl10",
     "load_usps_libsvm",
     "subset",
     "transform_affine",
@@ -158,71 +157,25 @@ def load_idx(images_path, labels_path) -> Dataset:
     )
 
 
-def load_cifar(path_set, variant: str) -> Dataset:
-    """Parse CIFAR binary batch files.  ``variant`` is ``"C10"`` (3073-byte
-    records: label + 3072 pixels) or ``"C100"`` (3074-byte records: coarse +
-    fine label + 3072 pixels; the fine label is used)."""
-    if variant not in ("C10", "C100"):
-        raise ConfigError(f"variant must be 'C10' or 'C100', got {variant!r}")
+def load_cifar(path_set) -> Dataset:
+    """Parse CIFAR-10 binary batch files: 3073-byte records, a label byte
+    followed by 3072 pixels."""
     if isinstance(path_set, (str, Path)):
         path_set = [path_set]
-    record = 3073 if variant == "C10" else 3074
     all_images, all_labels = [], []
     for path in path_set:
         raw = _read_bytes(path)
-        if len(raw) == 0 or len(raw) % record != 0:
+        if len(raw) == 0 or len(raw) % 3073 != 0:
             raise FormatError(
                 f"{path}: size {len(raw)} is not a positive multiple of "
-                f"{record}-byte records"
+                "3073-byte records"
             )
-        recs = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
-        if variant == "C10":
-            all_labels.append(recs[:, 0].astype(np.int64))
-            all_images.append(recs[:, 1:])
-        else:
-            all_labels.append(recs[:, 1].astype(np.int64))
-            all_images.append(recs[:, 2:])
+        recs = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3073)
+        all_labels.append(recs[:, 0].astype(np.int64))
+        all_images.append(recs[:, 1:])
     images = np.concatenate(all_images, axis=0).astype(np.float64) / 255.0
     labels = np.concatenate(all_labels, axis=0)
-    return Dataset(
-        images=images,
-        labels=labels,
-        class_count=10 if variant == "C10" else 100,
-        name=f"cifar-{variant.lower()}",
-    )
-
-
-def load_stl10(images_path, labels_path) -> Dataset:
-    """Parse STL-10 binary files: u8 images of 3x96x96 stored column-major
-    within each channel, labels 1-10 in a separate u8 file.  Images are box
-    downsampled 3x to 32x32 per channel, giving input dimension 3072."""
-    raw = _read_bytes(images_path)
-    per_image = 3 * 96 * 96
-    if len(raw) == 0 or len(raw) % per_image != 0:
-        raise FormatError(
-            f"{images_path}: size {len(raw)} is not a positive multiple of "
-            f"{per_image} bytes per image"
-        )
-    n = len(raw) // per_image
-    # column-major within channel: stored axis order is (n, channel, col, row)
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(n, 3, 96, 96)
-    arr = arr.transpose(0, 1, 3, 2).astype(np.float64) / 255.0
-    small = arr.reshape(n, 3, 32, 3, 32, 3).mean(axis=(3, 5))
-    lab_raw = _read_bytes(labels_path)
-    if len(lab_raw) != n:
-        raise DataError(
-            f"{images_path} holds {n} images but {labels_path} holds "
-            f"{len(lab_raw)} labels"
-        )
-    labels = np.frombuffer(lab_raw, dtype=np.uint8).astype(np.int64)
-    if labels.min() < 1 or labels.max() > 10:
-        raise FormatError(f"{labels_path}: labels outside 1-10")
-    return Dataset(
-        images=small.reshape(n, 3072),
-        labels=labels - 1,
-        class_count=10,
-        name="stl10",
-    )
+    return Dataset(images=images, labels=labels, class_count=10, name="cifar-c10")
 
 
 def _resize_bilinear(image: np.ndarray, out_side: int) -> np.ndarray:

@@ -9,7 +9,8 @@ order: the base document (``reproduce``'s preset, the ``--config`` file, or
 the verb's default experiment), then each run flag that was given, as an
 override of its config path, then ``--set``, then ``--scale``, which
 composes with the scale the document already has.  A flag that is not
-given changes nothing.  ``--dist``, ``--rule`` and ``--pretrain`` pick the
+given changes nothing.  ``--set scale=...`` is refused: ``scale`` records
+what ``--scale`` did.  ``--dist``, ``--rule`` and ``--pretrain`` pick the
 shape of the default experiment and are refused with ``--config``.
 """
 
@@ -188,6 +189,8 @@ def _build_config(args) -> ExperimentConfig:
         doc = load_config_file(args.config)
     else:
         doc = _default_document(args.verb, **shape)
+    if any(item.partition("=")[0] == "scale" for item in args.overrides):
+        raise ConfigError("scale records what --scale did; use --scale to shrink a run")
     flags = [f"{path}={json.dumps(value)}"
              for path, value in getattr(args, "paths", {}).items()]
     cfg = config_from_dict(apply_overrides(doc, flags + args.overrides))

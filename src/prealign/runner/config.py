@@ -129,8 +129,11 @@ class ExperimentConfig:
             raise ConfigError("this configuration needs a dataset name")
         if self.pretrain is None and not self.train:
             raise ConfigError("experiment has neither a pretrain nor a train phase")
-        if any(v.pretrain for v in self.variants) and self.pretrain is None:
+        pretrains = any(v.pretrain for v in self.variants)
+        if pretrains and self.pretrain is None:
             raise ConfigError("a variant requests pretraining but no noise settings given")
+        if self.pretrain is not None and not pretrains:
+            raise ConfigError("noise settings are given but no variant pretrains")
 
 
 def _dist_to_dict(d) -> dict:
@@ -257,22 +260,33 @@ def apply_scale(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
     """Divide the run durations by ``scale`` for desk-scale execution.
 
     Shrinks pretraining total samples and training epochs (never below one
-    batch or one epoch); everything else, including trial counts, stays at
-    the preset's values.  The factor composes with the one already on the
-    config: ``cfg.scale * scale`` is recorded and ends up in the manifest,
-    so scaled runs are never mistaken for full-duration ones.
+    batch or one epoch), the configured ones and the swept ones alike;
+    everything else, including trial counts, stays at the preset's values.
+    The factor composes with the one already on the config:
+    ``cfg.scale * scale`` is recorded and ends up in the manifest, so scaled
+    runs are never mistaken for full-duration ones.
     """
     if scale <= 0:
         raise ConfigError(f"scale must be > 0, got {scale}")
     cfg = replace(cfg, scale=cfg.scale * scale)
     if scale == 1.0:
         return cfg
+
+    def shrink(duration):
+        return max(1, round(duration / scale))
+
     if cfg.pretrain is not None:
-        total = max(1, round(cfg.pretrain.total_samples / scale))
-        cfg.pretrain = replace(cfg.pretrain, total_samples=total)
+        cfg.pretrain = replace(cfg.pretrain,
+                               total_samples=shrink(cfg.pretrain.total_samples))
     if cfg.train is not None:
-        epochs = max(1, round(cfg.train.epochs / scale))
-        cfg.train = replace(cfg.train, epochs=epochs)
+        cfg.train = replace(cfg.train, epochs=shrink(cfg.train.epochs))
+    if cfg.sweep:
+        swept_durations = ("pretrain.total_samples", "train.epochs")
+        cfg.sweep = {
+            key: [shrink(v) for v in values]
+            if key in swept_durations and isinstance(values, list) else values
+            for key, values in cfg.sweep.items()
+        }
     return cfg
 
 
@@ -307,4 +321,7 @@ def expand_sweep(doc: dict) -> list[tuple[str, dict]]:
         name = "_".join(_point_name(k, v) for k, v in zip(keys, combo))
         point["output_dir"] = str(point.get("output_dir", "out")) + "/" + name
         points.append((name, point))
+    names = [name for name, _ in points]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"sweep points would share an output directory: {names}")
     return points

@@ -1,13 +1,20 @@
 """Experiment execution: dataset resolution, trials, phases, outputs.
 
-A run resolves its datasets up front (so missing files fail before any
-compute), then executes ``trials x variants`` independent training runs.
-Every variant of a trial starts from identical initial weights; every
-random stream is derived from the trial's seed with a distinct label, so
-adding a metric never perturbs training randomness.  Outputs per run:
-``records.csv`` (per variant), ``model_<trial>_<phase>.bin`` checkpoints,
-``curves.svg``, and a ``manifest.json`` embedding the resolved config,
-seeds, initial-state metrics, and per-trial summaries.
+A run is one list of ``(point, trial, variant)`` items: a config with a
+sweep expands into its points, and a config without one is one point.  Every
+point's datasets are resolved before any item runs, once per distinct data
+spec, so missing files fail before any compute.  The items then run on one
+pool (or serially).  Every variant of a trial starts from identical initial
+weights; every random stream is derived from the trial's seed with a
+distinct label, so adding a metric never perturbs training randomness.
+Outputs per point: ``records.csv`` (per variant),
+``model_<trial>_<phase>.bin`` checkpoints, ``curves.svg``, and a
+``manifest.json`` embedding the resolved config, seeds, initial-state
+metrics, per-trial summaries and failures; a sweep adds an index manifest
+above its points.  Errors are written, then raised: a failing pair is
+recorded in its point's manifest, and only after every point's outputs are
+on disk is the first error of the first point in which no pair succeeded
+raised.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..data import Dataset, load_cifar, load_idx, load_stl10, load_usps_libsvm, \
-    subset, synthetic_blobs, transform_affine
+from ..data import Dataset, load_cifar, load_idx, load_usps_libsvm, subset, \
+    synthetic_blobs, transform_affine
 from ..errors import ConfigError, DataError, PrealignError
 from ..learn import evaluate, train
 from ..metrics import (
@@ -52,8 +59,6 @@ DATASET_NAMES = (
     "fashion-mnist",
     "kmnist",
     "cifar10",
-    "cifar100",
-    "stl10",
     "usps",
     "blobs",
 )
@@ -111,20 +116,7 @@ def load_named_dataset(
         )
     if name == "cifar10":
         batches = [_find(root, f"data_batch_{i}.bin") for i in range(1, 6)]
-        return (
-            load_cifar(batches, "C10"),
-            load_cifar([_find(root, "test_batch.bin")], "C10"),
-        )
-    if name == "cifar100":
-        return (
-            load_cifar([_find(root, "train.bin")], "C100"),
-            load_cifar([_find(root, "test.bin")], "C100"),
-        )
-    if name == "stl10":
-        return (
-            load_stl10(_find(root, "train_X.bin"), _find(root, "train_y.bin")),
-            load_stl10(_find(root, "test_X.bin"), _find(root, "test_y.bin")),
-        )
+        return load_cifar(batches), load_cifar(_find(root, "test_batch.bin"))
     if name == "usps":
         return (
             load_usps_libsvm(_find(root, "usps")),
@@ -170,6 +162,14 @@ def _one_blas_thread():
         yield 1
     finally:
         set_threads(before)
+
+
+def _data_key(cfg: ExperimentConfig) -> tuple:
+    """The fields :class:`_ResolvedData` reads; points with equal keys share
+    one resolved object, which is safe because dataset arrays are read-only."""
+    return (default_data_dir(cfg.data_dir), cfg.dataset, cfg.dims[0], cfg.dims[-1],
+            cfg.master_seed, cfg.train_size, cfg.test_size, cfg.eval_dataset,
+            cfg.eval_transform, cfg.meta and cfg.meta.tasks)
 
 
 class _ResolvedData:
@@ -352,114 +352,119 @@ def _plot_series(cfg: ExperimentConfig,
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Execute a config (expanding its sweep if present); returns the
-    manifest payload of the run (or the sweep index)."""
+    """Execute a config; returns the manifest payload of the run, or the
+    sweep index of a config with a sweep."""
+    named = expand_sweep(config_to_dict(cfg)) if cfg.sweep else []
+    points = [config_from_dict(doc) for _, doc in named] or [cfg]
+    resolved: dict[tuple, _ResolvedData] = {}
+    data = []
+    for point in points:
+        key = _data_key(point)
+        if key not in resolved:
+            resolved[key] = _ResolvedData(point)
+        data.append(resolved[key])
+    variant_dirs = []
+    for point in points:
+        out_root = Path(point.output_dir)
+        single = len(point.variants) == 1
+        dirs = {v.name: out_root if single else out_root / v.name
+                for v in point.variants}
+        for vdir in dirs.values():
+            vdir.mkdir(parents=True, exist_ok=True)
+        variant_dirs.append(dirs)
     if cfg.sweep:
-        doc = config_to_dict(cfg)
-        points = expand_sweep(doc)
-        out_root = Path(cfg.output_dir)
-        out_root.mkdir(parents=True, exist_ok=True)
         index = {
             "experiment_id": cfg.experiment_id,
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "library_version": __version__,
             "sweep": cfg.sweep,
             "scale": cfg.scale,
-            "points": [name for name, _ in points],
+            "points": [name for name, _ in named],
         }
-        write_manifest(index, out_root / "manifest.json")
-        for _, point_doc in points:
-            run_experiment(config_from_dict(point_doc))
-        return index
+        write_manifest(index, Path(cfg.output_dir) / "manifest.json")
 
-    data = _ResolvedData(cfg)
-    out_root = Path(cfg.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    single = len(cfg.variants) == 1
-    variant_dirs = {}
-    for v in cfg.variants:
-        vdir = out_root if single else out_root / v.name
-        vdir.mkdir(parents=True, exist_ok=True)
-        variant_dirs[v.name] = vdir
+    items = [(i, t, v) for i, point in enumerate(points)
+             for t in range(point.trials) for v in point.variants]
 
-    by_variant: dict[str, list[RunRecord]] = {v.name: [] for v in cfg.variants}
-    initial_metrics: dict[str, dict] = {v.name: {} for v in cfg.variants}
-    summaries: dict[str, dict] = {v.name: {} for v in cfg.variants}
-    failures: list[dict] = []
-    first_error: PrealignError | None = None
-
-    pairs = [(t, v) for t in range(cfg.trials) for v in cfg.variants]
-
-    def run_pair(pair):
-        trial, v = pair
+    def run_item(item):
+        i, trial, v = item
         try:
-            return _run_single(cfg, v, trial, data, variant_dirs[v.name])
+            return _run_single(points[i], v, trial, data[i], variant_dirs[i][v.name])
         except PrealignError as e:
             return e
 
-    workers = min(cfg.threads, len(pairs))
+    workers = min(cfg.threads, len(items))
     if workers > 1:
         with (_one_blas_thread() as blas_threads,
               ThreadPoolExecutor(max_workers=workers) as pool):
-            outcomes = list(pool.map(run_pair, pairs))
+            outcomes = list(pool.map(run_item, items))
     else:
         blas = _openblas_threads()
         blas_threads = None if blas is None else blas[1]()
-        outcomes = [run_pair(p) for p in pairs]
+        outcomes = [run_item(item) for item in items]
 
-    any_ok = False
-    for (trial, v), outcome in zip(pairs, outcomes):
-        if isinstance(outcome, PrealignError):
-            failures.append(
-                {
-                    "trial": trial,
-                    "variant": v.name,
-                    "error": type(outcome).__name__,
-                    "message": str(outcome),
-                }
+    first_error: PrealignError | None = None
+    for i, point in enumerate(points):
+        by_variant: dict[str, list[RunRecord]] = {v.name: [] for v in point.variants}
+        initial_metrics: dict[str, dict] = {v.name: {} for v in point.variants}
+        summaries: dict[str, dict] = {v.name: {} for v in point.variants}
+        failures: list[dict] = []
+        errors = []
+        for (j, trial, v), outcome in zip(items, outcomes):
+            if j != i:
+                continue
+            if isinstance(outcome, PrealignError):
+                failures.append(
+                    {
+                        "trial": trial,
+                        "variant": v.name,
+                        "error": type(outcome).__name__,
+                        "message": str(outcome),
+                    }
+                )
+                errors.append(outcome)
+                continue
+            records, initial, summary = outcome
+            by_variant[v.name].extend(records)
+            initial_metrics[v.name][str(trial)] = initial
+            summaries[v.name][str(trial)] = summary
+        if first_error is None and len(errors) == point.trials * len(point.variants):
+            first_error = errors[0]
+
+        for name, records in by_variant.items():
+            if records:
+                emit_csv(records, variant_dirs[i][name] / "records.csv")
+        out_root = Path(point.output_dir)
+        series = _plot_series(point, by_variant)
+        if series:
+            has_train = any(r.phase == "train" for rs in by_variant.values() for r in rs)
+            emit_plot(
+                series,
+                out_root / "curves.svg",
+                title=point.experiment_id,
+                ylabel="test accuracy" if has_train else "captured metric",
             )
-            if first_error is None:
-                first_error = outcome
-            continue
-        any_ok = True
-        records, initial, summary = outcome
-        by_variant[v.name].extend(records)
-        initial_metrics[v.name][str(trial)] = initial
-        summaries[v.name][str(trial)] = summary
-    if not any_ok and first_error is not None:
+        manifest = {
+            "experiment_id": point.experiment_id,
+            "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "library_version": __version__,
+            "numpy_version": np.__version__,
+            "blas_threads": blas_threads,
+            "scale": point.scale,
+            "config": config_to_dict(point),
+            "trial_seeds": [derive_trial_seed(point.master_seed, t)
+                            for t in range(point.trials)],
+            "data": {
+                "train": None if data[i].train is None
+                else {"name": data[i].train.name, "n": data[i].train.n},
+                "eval_test": None if data[i].eval_test is None
+                else {"name": data[i].eval_test.name, "n": data[i].eval_test.n},
+            },
+            "initial_metrics": initial_metrics,
+            "summary": summaries,
+            "failures": failures,
+        }
+        write_manifest(manifest, out_root / "manifest.json")
+    if first_error is not None:
         raise first_error
-
-    for name, records in by_variant.items():
-        if records:
-            emit_csv(records, variant_dirs[name] / "records.csv")
-    series = _plot_series(cfg, by_variant)
-    if series:
-        has_train = any(r.phase == "train" for rs in by_variant.values() for r in rs)
-        emit_plot(
-            series,
-            out_root / "curves.svg",
-            title=cfg.experiment_id,
-            ylabel="test accuracy" if has_train else "captured metric",
-        )
-    manifest = {
-        "experiment_id": cfg.experiment_id,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "library_version": __version__,
-        "numpy_version": np.__version__,
-        "blas_threads": blas_threads,
-        "scale": cfg.scale,
-        "config": config_to_dict(cfg),
-        "trial_seeds": [derive_trial_seed(cfg.master_seed, t)
-                        for t in range(cfg.trials)],
-        "data": {
-            "train": None if data.train is None
-            else {"name": data.train.name, "n": data.train.n},
-            "eval_test": None if data.eval_test is None
-            else {"name": data.eval_test.name, "n": data.eval_test.n},
-        },
-        "initial_metrics": initial_metrics,
-        "summary": summaries,
-        "failures": failures,
-    }
-    write_manifest(manifest, out_root / "manifest.json")
-    return manifest
+    return index if cfg.sweep else manifest

@@ -2,15 +2,19 @@
 
 Each check prints one report line, ``criterion NN PASS|FAIL|SKIP  <summary>``,
 so a full run doubles as a checklist.  Checks 1-7 and 10 are self-contained
-and run everywhere; 8, 9, 11, 12, and 13 train on real datasets and skip
+and run everywhere (7 and 10 run their presets through ``run_experiment`` on
+two workers); 8, 9, 11, 12, and 13 train on real datasets and skip
 with a reason when ``PREALIGN_DATA_DIR`` does not provide them; 14 is the
 multi-hour full-duration tier and additionally needs
 ``PREALIGN_RUN_FULL_SCALE=1``.
 """
 
 import contextlib
+import csv
+import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,7 +176,7 @@ def test_loaders_and_identity_transform_are_exact(criterion, tmp_path):
         cpath.write_bytes(
             b"".join(bytes([lab]) + row.tobytes() for lab, row in zip((1, 8), pixels))
         )
-        cds = load_cifar(cpath, "C10")
+        cds = load_cifar(cpath)
         assert np.array_equal(cds.images, pixels / 255.0)
         assert np.array_equal(cds.labels, np.array([1, 8]))
 
@@ -210,21 +214,27 @@ def test_preset_rerun_is_byte_identical(criterion, tmp_path):
     "bound and the loss decrease both hold)",
     strict=False,
 )
-def test_noise_training_aligns_the_last_layer(criterion):
+def test_noise_training_aligns_the_last_layer(criterion, tmp_path):
     with criterion(7, "noise training lowers loss and aligns the last layer"):
         # 3 trials per duration: the margins dwarf the ~2 deg trial spread
-        fifth_angles, full_angles, loss_drops = [], [], []
-        for trial in range(3):
-            seed_t = derive_trial_seed(MASTER, trial)
-            mlp = init_mlp(FIG_DIMS, rng_for(seed_t, "init"))
-            records = pretrain_random_noise(mlp, _noise_cfg(seed_t, total=100_000))
-            fifth_angles.append(alignment_angles(mlp, 1).mean_deg)
-            loss_drops.append(records[-1].train_loss < records[0].train_loss)
-            mlp = init_mlp(FIG_DIMS, rng_for(seed_t, "init"))
-            pretrain_random_noise(mlp, _noise_cfg(seed_t, total=500_000))
-            full_angles.append(alignment_angles(mlp, 1).mean_deg)
-        fifth = float(np.mean(fifth_angles))
-        full = float(np.mean(full_angles))
+        durations = (100_000, 500_000)
+        run_experiment(replace(
+            reproduce("fig1e"), master_seed=MASTER, trials=3, threads=2,
+            output_dir=str(tmp_path), sweep={"pretrain.total_samples": list(durations)},
+        ))
+        angles, loss_drops = {}, []
+        for samples in durations:
+            point = tmp_path / f"total_samples={samples}"
+            summary = json.loads((point / "manifest.json").read_text())["summary"]
+            angles[samples] = float(np.mean([
+                s["final_metrics"]["angle_mean_l1"] for s in summary["fa_pre"].values()
+            ]))
+            with open(point / "records.csv", newline="") as f:
+                rows = list(csv.DictReader(f))
+            for trial in summary["fa_pre"]:
+                losses = [float(r["train_loss"]) for r in rows if r["trial"] == trial]
+                loss_drops.append(losses[-1] < losses[0])
+        fifth, full = angles[100_000], angles[500_000]
         detail = (
             f"loss drops {loss_drops}, mean angle {fifth:.2f} deg at 1e5 "
             f"samples, {full:.2f} deg at 5e5"
@@ -308,15 +318,17 @@ def test_training_order_controls_feedback_approach(criterion):
         assert wins >= 4, f"noise-first closer in {wins}/5 trials: {dists}"
 
 
-def test_noise_training_contracts_first_layer_rank(criterion):
+def test_noise_training_contracts_first_layer_rank(criterion, tmp_path):
     with criterion(10, "noise training shrinks the first-layer effective rank"):
-        ranks = []
-        for trial in range(5):
-            seed_t = derive_trial_seed(MASTER, trial)
-            mlp = init_mlp(DEEP_DIMS, rng_for(seed_t, "init"))
-            before = effective_rank(mlp.weights[0])
-            pretrain_random_noise(mlp, _noise_cfg(seed_t))
-            ranks.append((before, effective_rank(mlp.weights[0])))
+        manifest = run_experiment(replace(
+            reproduce("fig4d"), master_seed=MASTER, trials=5, threads=2,
+            output_dir=str(tmp_path),
+        ))
+        ranks = [
+            (manifest["initial_metrics"]["fa_pre"][t]["eff_rank_l0"],
+             manifest["summary"]["fa_pre"][t]["final_metrics"]["eff_rank_l0"])
+            for t in map(str, range(5))
+        ]
         assert all(after < before for before, after in ranks), (
             f"rank before/after: {ranks}"
         )

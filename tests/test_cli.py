@@ -112,6 +112,14 @@ class TestTrainVerb:
             "pretrain", "train"
         ]
 
+    def test_noise_settings_without_noise_phase_refused(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--dataset", "blobs", "--dims", "16,8,4",
+                           "--epochs", "1", "--samples", "90",
+                           "--out", str(tmp_path / "t"))
+        assert code == 1
+        assert "no variant pretrains" in err
+        assert not (tmp_path / "t").exists()
+
     def test_numeric_blowup_exits_three(self, tmp_path, capsys):
         # a step of ~1e200 overflows the next forward pass to inf - inf
         code, _, err = run(capsys, *TRAIN_TINY, "--lr", "1e200",
@@ -222,6 +230,20 @@ class TestSweepVerb:
         code, _, err = run(capsys, "sweep", "--config", str(cfg_path))
         assert code == 1
         assert "sweep" in err
+
+    def test_scale_reaches_swept_durations(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(
+            {**NOISE_DOC, "sweep": {"pretrain.total_samples": [400, 800]}}
+        ))
+        out_dir = tmp_path / "s"
+        code, _, err = run(capsys, "sweep", "--config", str(cfg_path),
+                           "--scale", "10", "--out", str(out_dir))
+        assert code == 0, err
+        for samples in (40, 80):
+            config = manifest_config(out_dir / f"total_samples={samples}")
+            assert config["pretrain"]["total_samples"] == samples
+            assert config["scale"] == 10
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep", "--config",
@@ -418,3 +440,20 @@ class TestRunFlagsOverrideConfigPaths:
         config = manifest_config(tmp_path / "p")
         assert config["scale"] == 100_000
         assert config["pretrain"]["total_samples"] == 5
+
+    def test_scale_refused_by_set_but_loaded_from_a_config(self, tmp_path, capsys):
+        code, _, err = run(capsys, *PRETRAIN_TINY, "--set", "scale=2",
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert "--scale" in err
+        assert not (tmp_path / "x").exists()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**NOISE_DOC, "scale": 4.0}))
+        for extra, scale, samples in (([], 4, 100), (["--scale", "2"], 8, 50)):
+            out_dir = tmp_path / f"p{scale}"
+            code, _, err = run(capsys, "pretrain", "--config", str(cfg_path),
+                               *extra, "--out", str(out_dir))
+            assert code == 0, err
+            config = manifest_config(out_dir)
+            assert (config["scale"], config["pretrain"]["total_samples"]) == (
+                scale, samples)

@@ -15,7 +15,6 @@ from prealign import (
     TransformSpec,
     load_cifar,
     load_idx,
-    load_stl10,
     load_usps_libsvm,
     subset,
     synthetic_blobs,
@@ -105,79 +104,27 @@ class TestLoadCifar:
     def test_c10_parsing_and_order(self, tmp_path):
         a = self._c10_file(tmp_path, "a.bin", [3, 7], [10, 20])
         b = self._c10_file(tmp_path, "b.bin", [1], [30])
-        ds = load_cifar([a, b], "C10")
+        ds = load_cifar([a, b])
         assert ds.n == 3 and ds.input_dim == 3072
         np.testing.assert_array_equal(ds.labels, [3, 7, 1])
         np.testing.assert_allclose(ds.images[:, 0], [10 / 255, 20 / 255, 30 / 255])
         assert ds.class_count == 10
         assert ds.name == "cifar-c10"
 
-    def test_c100_uses_fine_label(self, tmp_path):
-        rec = bytes([7, 42]) + bytes([5]) * 3072
-        p = write(tmp_path / "train.bin", rec)
-        ds = load_cifar(p, "C100")
-        np.testing.assert_array_equal(ds.labels, [42])
-        assert ds.class_count == 100
-        assert ds.name == "cifar-c100"
-
     def test_single_path_accepted(self, tmp_path):
         p = self._c10_file(tmp_path, "one.bin", [2], [9])
-        ds = load_cifar(p, "C10")
+        ds = load_cifar(p)
         assert ds.n == 1
 
     def test_wrong_record_size(self, tmp_path):
         p = write(tmp_path / "bad.bin", b"\x00" * 3072)
         with pytest.raises(FormatError):
-            load_cifar(p, "C10")
+            load_cifar(p)
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path / "empty.bin", b"")
         with pytest.raises(FormatError):
-            load_cifar(p, "C10")
-
-    def test_unknown_variant(self, tmp_path):
-        p = self._c10_file(tmp_path, "x.bin", [0], [0])
-        with pytest.raises(ConfigError):
-            load_cifar(p, "C20")
-
-
-class TestLoadStl10:
-    def test_column_major_orientation_and_downsample(self, tmp_path):
-        # stored value = row index (constant along the stored fast axis), so a
-        # correct transpose gives rows of constant value; 3x box means over
-        # rows {3r, 3r+1, 3r+2} average to 3r + 1
-        raw = np.zeros((2, 3, 96, 96), dtype=np.uint8)
-        raw[:, :, :, :] = np.arange(96, dtype=np.uint8)
-        ip = write(tmp_path / "train_X.bin", raw.tobytes())
-        lp = write(tmp_path / "train_y.bin", bytes([5, 10]))
-        ds = load_stl10(ip, lp)
-        assert ds.n == 2 and ds.input_dim == 3072
-        np.testing.assert_array_equal(ds.labels, [4, 9])
-        grid = ds.images[0].reshape(3, 32, 32)
-        for ch in (0, 2):
-            for r in (0, 13, 31):
-                np.testing.assert_allclose(grid[ch, r], (3 * r + 1) / 255.0)
-        assert ds.name == "stl10"
-
-    def test_label_range_enforced(self, tmp_path):
-        raw = np.zeros((1, 3, 96, 96), dtype=np.uint8)
-        ip = write(tmp_path / "X.bin", raw.tobytes())
-        lp = write(tmp_path / "y.bin", bytes([0]))
-        with pytest.raises(FormatError):
-            load_stl10(ip, lp)
-
-    def test_label_count_mismatch(self, tmp_path):
-        raw = np.zeros((1, 3, 96, 96), dtype=np.uint8)
-        ip = write(tmp_path / "X.bin", raw.tobytes())
-        lp = write(tmp_path / "y.bin", bytes([1, 2]))
-        with pytest.raises(DataError):
-            load_stl10(ip, lp)
-
-    def test_bad_image_size(self, tmp_path):
-        ip = write(tmp_path / "X.bin", b"\x00" * 100)
-        lp = write(tmp_path / "y.bin", bytes([1]))
-        with pytest.raises(FormatError):
-            load_stl10(ip, lp)
+            load_cifar(p)
 
 
 class TestLoadUsps:

@@ -143,6 +143,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             VariantSpec(name="x", order="sideways")
 
+    def test_noise_settings_need_a_pretraining_variant(self):
+        with pytest.raises(ConfigError, match="no variant pretrains"):
+            full_config(variants=[VariantSpec(name="fa")])
+
     def test_needs_some_phase(self):
         with pytest.raises(ConfigError):
             full_config(pretrain=None, train=None, dataset=None,
@@ -240,6 +244,16 @@ class TestApplyScale:
         assert cfg.pretrain.total_samples == 25_000
 
 
+    def test_swept_durations_divided(self):
+        cfg = apply_scale(full_config(sweep={
+            "pretrain.total_samples": [400, 800],
+            "train.epochs": [1, 30],
+            "train_size": [64],
+        }), 10.0)
+        assert cfg.sweep == {"pretrain.total_samples": [40, 80],
+                             "train.epochs": [1, 3], "train_size": [64]}
+
+
 class TestExpandSweep:
     def test_cartesian_product_and_names(self):
         doc = config_to_dict(full_config(sweep={"train_size": [64, 128],
@@ -261,6 +275,12 @@ class TestExpandSweep:
         doc = config_to_dict(full_config(sweep={"dims": [[16, 8, 4], [16, 6, 4]]}))
         names = [n for n, _ in expand_sweep(doc)]
         assert names == ["dims=16x8x4", "dims=16x6x4"]
+
+    def test_points_scaled_to_one_name_rejected(self):
+        cfg = apply_scale(full_config(sweep={"pretrain.total_samples": [1000, 1500]}),
+                          5000.0)
+        with pytest.raises(ConfigError, match="share an output directory"):
+            expand_sweep(config_to_dict(cfg))
 
     def test_missing_or_empty_sweep(self):
         with pytest.raises(ConfigError):
@@ -707,3 +727,57 @@ class TestRunExperiment:
         assert json.loads(
             (out / "train_size=64" / "manifest.json").read_text()
         )["data"]["train"]["n"] == 64
+
+    def test_pool_spans_sweep_points(self, tmp_path, monkeypatch):
+        original_run = experiment_mod._run_single
+        original_data = experiment_mod._ResolvedData
+        both_started = threading.Barrier(2, timeout=10)
+        resolutions = []
+
+        def rendezvous(*args):
+            both_started.wait()
+            return original_run(*args)
+
+        def counted(cfg):
+            resolutions.append(cfg)
+            return original_data(cfg)
+
+        monkeypatch.setattr(experiment_mod, "_run_single", rendezvous)
+        monkeypatch.setattr(experiment_mod, "_ResolvedData", counted)
+        index = run_experiment(smoke_config(
+            tmp_path, trials=1, threads=2,
+            sweep={"pretrain.distribution.std": [0.5, 1.0]},
+        ))
+        # the points differ only in the noise, so they share one data object
+        assert len(resolutions) == 1
+        for name in index["points"]:
+            manifest = json.loads((tmp_path / "out" / name / "manifest.json").read_text())
+            assert manifest["failures"] == []
+            assert set(manifest["summary"]["fa_pre"]) == {"0"}
+
+    def test_sweep_resolves_every_point_before_any_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment_mod, "_run_single",
+                            lambda *args: calls.append(args))
+        cfg = smoke_config(tmp_path, data_dir=str(tmp_path / "empty"),
+                           sweep={"dataset": ["blobs", "mnist"]})
+        with pytest.raises(DataError):
+            run_experiment(cfg)
+        assert calls == []
+
+    def test_failed_point_does_not_stop_the_others(self, tmp_path, monkeypatch):
+        original = experiment_mod._run_single
+
+        def first_point_fails(cfg, variant, trial, data, out_dir):
+            if cfg.train_size == 64:
+                raise NumericError("boom")
+            return original(cfg, variant, trial, data, out_dir)
+
+        monkeypatch.setattr(experiment_mod, "_run_single", first_point_fails)
+        with pytest.raises(NumericError, match="boom"):
+            run_experiment(smoke_config(tmp_path, sweep={"train_size": [64, 128]}))
+        out = tmp_path / "out"
+        assert (out / "train_size=128" / "records.csv").exists()
+        assert not (out / "train_size=64" / "records.csv").exists()
+        failed = json.loads((out / "train_size=64" / "manifest.json").read_text())
+        assert [f["trial"] for f in failed["failures"]] == [0, 1, 2]
