@@ -16,7 +16,11 @@ the tests assert.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +47,53 @@ _RULES = ("BP", "FA")
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPSILON = 1e-8
+
+# (setter, getter) of the BLAS thread count, in the naming of the OpenBLAS
+# numpy bundles: scipy-openblas (numpy >= 2.0), OpenBLAS 64-bit (1.24-1.26).
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(set, get)`` for the thread count of the OpenBLAS bundled with
+    numpy (``numpy.libs``), or None when there is no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread and restore the previous
+    count after it.  Concurrent runs that each let BLAS start its own
+    threads make those threads spin-wait against each other, and so does
+    the noise loop's sampler thread against a two-thread gemm.  The setting
+    is process-wide.  Yields the count the body runs with (None when it
+    cannot be read; the count is then left as it is)."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield None
+        return
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield 1
+    finally:
+        set_threads(before)
 
 
 @dataclass

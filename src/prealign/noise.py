@@ -10,16 +10,28 @@ Sample counts are bookkept in epochs of ``samples_per_epoch`` draws purely
 for logging; batches run back to back across epoch boundaries (a total of
 ``ceil(total_samples / batch_size)`` optimizer steps) and each batch is
 attributed to the epoch containing its first sample.
+
+Noise steps run on one thread of the OpenBLAS that numpy bundles.  Where
+BLAS runs on more, each logging epoch's steps run with it pinned to one
+thread while a helper thread draws the next batch, from the same generator
+in the same order, as the current one steps; the snapshot hook then runs at
+the original count.  Where BLAS already runs on one thread (as inside the
+runner's pool), batches are drawn and stepped in turn on the calling
+thread, and so they are where its count cannot be read (then at whatever
+count BLAS runs with).  The draws are the same on every path, and the
+trained weights bitwise the same on the two one-thread paths.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .learn import AdamState, _snapshot_metrics, step
+from .learn import AdamState, _one_blas_thread, _openblas_threads, _snapshot_metrics, step
 from .net import Mlp, accuracy, cross_entropy
 from .records import RunRecord
 from .seeds import rng_for
@@ -100,6 +112,44 @@ def sample_random_labels(n: int, n_classes: int, rng: np.random.Generator) -> np
     return rng.integers(0, n_classes, size=n)
 
 
+def _draw_ahead(draw, sizes, consume) -> None:
+    """Call ``consume(*draw(size))`` for each of ``sizes`` in order, making
+    every ``draw`` call on one helper thread that draws the next batch while
+    ``consume`` works on the current one.  An exception ``draw`` raises is
+    raised again here; the helper has ended by the time this returns or
+    raises."""
+    drawn = []
+    ready, free = threading.Semaphore(0), threading.Semaphore(1)
+    stop = False
+
+    def sample() -> None:
+        try:
+            for size in sizes:
+                free.acquire()  # at most one batch waits for ``consume``
+                if stop:
+                    return
+                drawn.append(draw(size))
+                ready.release()
+        except Exception as error:  # handed to the calling thread
+            drawn.append(error)
+            ready.release()
+
+    helper = threading.Thread(target=sample, name="noise-sampler", daemon=True)
+    helper.start()
+    try:
+        for _ in sizes:
+            ready.acquire()
+            batch = drawn.pop(0)
+            if isinstance(batch, Exception):
+                raise batch
+            free.release()
+            consume(*batch)
+    finally:
+        stop = True
+        free.release()
+        helper.join()
+
+
 def pretrain_random_noise(
     mlp: Mlp,
     config: NoiseConfig,
@@ -111,47 +161,51 @@ def pretrain_random_noise(
     Returns one :class:`RunRecord` per logging epoch with the sample-weighted
     mean batch loss and accuracy of the noise stream itself (test fields stay
     ``None``; there is no held-out split of noise).  ``snapshot_hook(epoch,
-    mlp)`` may return extra scalars for that epoch's metrics.
+    mlp)`` may return extra scalars for that epoch's metrics; it runs at the
+    BLAS thread count the call started with.
     """
     rng = rng_for(config.seed, "noise")
     adam = AdamState.for_mlp(mlp)
     dim, n_classes = mlp.dims[0], mlp.dims[-1]
+    blas = _openblas_threads()
+    draw_ahead = blas is not None and blas[1]() > 1
+    total, batch_size = config.total_samples, config.batch_size
     records: list[RunRecord] = []
     sum_loss = sum_acc = 0.0
-    seen_in_epoch = 0
-    epoch = 1
 
-    def flush() -> None:
-        metrics = _snapshot_metrics(snapshot_hook, epoch, mlp, {})
+    def draw(size: int):
+        x = sample_noise_batch(size, dim, config.distribution, rng)
+        return x, sample_random_labels(size, n_classes, rng)
+
+    def train_step(x: np.ndarray, y: np.ndarray) -> None:
+        nonlocal sum_loss, sum_acc
+        trace = step(mlp, adam, x, y, "FA", config.learning_rate)
+        sum_loss += len(y) * cross_entropy(trace.probabilities, y)
+        sum_acc += len(y) * accuracy(trace.probabilities, y)
+
+    batches = itertools.groupby(range(0, total, batch_size),
+                                key=lambda start: start // config.samples_per_epoch + 1)
+    for epoch, starts in batches:
+        sizes = [min(batch_size, total - start) for start in starts]
+        sum_loss = sum_acc = 0.0
+        if draw_ahead:
+            with _one_blas_thread():
+                _draw_ahead(draw, sizes, train_step)
+        else:
+            for size in sizes:
+                train_step(*draw(size))
+        seen = sum(sizes)
         records.append(
             RunRecord(
                 trial=trial,
                 phase="pretrain",
                 epoch=epoch,
-                train_loss=sum_loss / seen_in_epoch,
+                train_loss=sum_loss / seen,
                 test_loss=None,
-                train_acc=sum_acc / seen_in_epoch,
+                train_acc=sum_acc / seen,
                 test_acc=None,
                 seed=config.seed,
-                metrics=metrics,
+                metrics=_snapshot_metrics(snapshot_hook, epoch, mlp, {}),
             )
         )
-
-    start = 0
-    while start < config.total_samples:
-        size = min(config.batch_size, config.total_samples - start)
-        batch_epoch = start // config.samples_per_epoch + 1
-        if batch_epoch != epoch:
-            flush()
-            sum_loss = sum_acc = 0.0
-            seen_in_epoch = 0
-            epoch = batch_epoch
-        x = sample_noise_batch(size, dim, config.distribution, rng)
-        y = sample_random_labels(size, n_classes, rng)
-        trace = step(mlp, adam, x, y, "FA", config.learning_rate)
-        sum_loss += size * cross_entropy(trace.probabilities, y)
-        sum_acc += size * accuracy(trace.probabilities, y)
-        seen_in_epoch += size
-        start += size
-    flush()
     return records

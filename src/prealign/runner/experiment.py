@@ -4,9 +4,10 @@ A run is one list of ``(point, trial, variant)`` items: a config with a
 sweep expands into its points, and a config without one is one point.  Every
 point's datasets are resolved before any item runs, once per distinct data
 spec, so missing files fail before any compute.  The items then run on one
-pool (or serially).  Every variant of a trial starts from identical initial
-weights; every random stream is derived from the trial's seed with a
-distinct label, so adding a metric never perturbs training randomness.
+pool, longest first, or serially in list order.  Every variant of a trial
+starts from identical initial weights; every random stream is derived from
+the trial's seed with a distinct label, so adding a metric never perturbs
+training randomness.
 Outputs per point: ``records.csv`` (per variant),
 ``model_<trial>_<phase>.bin`` checkpoints, ``curves.svg``, and a
 ``manifest.json`` embedding the resolved config, seeds, initial-state
@@ -19,12 +20,9 @@ raised.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +32,7 @@ from .. import __version__
 from ..data import Dataset, load_cifar, load_idx, load_usps_libsvm, subset, \
     synthetic_blobs, transform_affine
 from ..errors import ConfigError, DataError, PrealignError
-from ..learn import evaluate, train
+from ..learn import _one_blas_thread, _openblas_threads, evaluate, train
 from ..metrics import (
     MetaConfig,
     accuracy_auc,
@@ -61,13 +59,6 @@ DATASET_NAMES = (
     "cifar10",
     "usps",
     "blobs",
-)
-
-# (setter, getter) of the BLAS thread count, in the naming of the OpenBLAS
-# numpy bundles: scipy-openblas (numpy >= 2.0), OpenBLAS 64-bit (1.24-1.26).
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
 )
 
 _IDX_FILES = {
@@ -123,45 +114,6 @@ def load_named_dataset(
             load_usps_libsvm(_find(root, "usps.t")),
         )
     raise ConfigError(f"unknown dataset {name!r}; valid: {DATASET_NAMES}")
-
-
-@functools.cache
-def _openblas_threads():
-    """``(set, get)`` for the thread count of the OpenBLAS bundled with
-    numpy (``numpy.libs``), or None when there is no such library."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with OpenBLAS on one thread and restore the previous
-    count after it.  Concurrent runs that each let BLAS start its own
-    threads make those threads spin-wait against each other.  The setting
-    is process-wide.  Yields the count the body runs with (None when it
-    cannot be read; the count is then left as it is)."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield None
-        return
-    set_threads, get_threads = blas
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield 1
-    finally:
-        set_threads(before)
 
 
 def _data_key(cfg: ExperimentConfig) -> tuple:
@@ -393,11 +345,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         except PrealignError as e:
             return e
 
+    def work(item) -> int:
+        """Noise samples plus train sample-epochs that ``item`` runs."""
+        i, _, v = item
+        point = points[i]
+        noise = point.pretrain.total_samples if v.pretrain and point.pretrain else 0
+        if point.train is None or data[i].train is None:
+            return noise
+        return noise + point.train.epochs * data[i].train.n
+
     workers = min(cfg.threads, len(items))
     if workers > 1:
+        # longest first, so that no worker is left alone with a long item at
+        # the end; the outcomes go back into list order
+        order = sorted(range(len(items)), key=lambda k: work(items[k]), reverse=True)
         with (_one_blas_thread() as blas_threads,
               ThreadPoolExecutor(max_workers=workers) as pool):
-            outcomes = list(pool.map(run_item, items))
+            ranked = pool.map(run_item, [items[k] for k in order])
+            outcomes = [outcome for _, outcome in sorted(zip(order, ranked))]
     else:
         blas = _openblas_threads()
         blas_threads = None if blas is None else blas[1]()

@@ -208,10 +208,12 @@ def test_preset_rerun_is_byte_identical(criterion, tmp_path):
 
 
 @pytest.mark.xfail(
-    reason="the one-fifth-duration angle bound is not reached: the per-neuron "
-    "last-layer angle needs roughly 2.5e5 noise samples to cross 80 deg in "
-    "this implementation and sits near 87 deg at 1e5 (the full-duration "
-    "bound and the loss decrease both hold)",
+    reason="the one-fifth-duration angle bound is not reached: the last-layer "
+    "angle at 1e5 noise samples is set by how far Adam has moved the weights, "
+    "not by the samples seen, and 80 deg needs at least about 4x the Adam "
+    "steps that batch 64 at lr 1e-4 gives (trials 0-2 at 1e5: 86.6 deg as "
+    "configured, 81.5 deg at batch 16, 76.8 deg at lr 3e-4); the "
+    "full-duration bound and the loss decrease both hold",
     strict=False,
 )
 def test_noise_training_aligns_the_last_layer(criterion, tmp_path):

@@ -1,5 +1,6 @@
-"""The two quick demo scripts run to completion against the package's
-current API, each in a fresh interpreter."""
+"""The quick demo scripts run to completion against the package's current
+API, each in a fresh interpreter.  Demo 02 also runs the noise loop the
+way a direct, serial call does."""
 
 import os
 import subprocess
@@ -13,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script", [
     "01_two_backward_rules.py",
+    "02_alignment_from_noise.py",
     "05_runner_end_to_end.py",
 ])
 def test_demo_exits_zero(script, tmp_path):

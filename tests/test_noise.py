@@ -2,15 +2,19 @@
 
 import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import prealign.noise as noise_mod
 from prealign import (
     AdamState,
     ConfigError,
     Gaussian,
     NoiseConfig,
+    NumericError,
     Uniform,
     adam_step,
     backward_fa,
@@ -21,6 +25,7 @@ from prealign import (
     sample_noise_batch,
     sample_random_labels,
 )
+from prealign.learn import _openblas_threads
 
 
 class TestDistributions:
@@ -229,3 +234,107 @@ class TestPretrain:
                           samples_per_epoch=64)
         records = pretrain_random_noise(mlp, cfg)
         assert len(records) == 1
+
+
+@pytest.fixture
+def blas_threads():
+    """``(set, get)`` of the BLAS thread count, restored after the test."""
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    set_threads, get_threads = blas
+    original = get_threads()
+    yield blas
+    set_threads(original)
+
+
+class TestSamplerThread:
+    """With BLAS on more than one thread, the loop steps on one BLAS thread
+    while a helper thread draws the next batch."""
+
+    @pytest.mark.parametrize("cfg", [
+        # batches of 64, 64, 2: a short last batch, and batches straddling
+        # the epoch-2 and epoch-3 boundaries
+        NoiseConfig(total_samples=130, samples_per_epoch=50, batch_size=64, seed=3),
+        NoiseConfig(total_samples=40, samples_per_epoch=100, batch_size=64, seed=4),
+        NoiseConfig(distribution=Uniform(-0.5, 0.5), total_samples=448,
+                    samples_per_epoch=128, batch_size=64, seed=5),
+    ], ids=["short-last-batch", "total-below-batch", "uniform"])
+    def test_bitwise_equal_to_one_blas_thread(self, blas_threads, monkeypatch, cfg):
+        set_threads, _ = blas_threads
+        drawn_on = []
+
+        def recorded(*args):
+            drawn_on.append(threading.current_thread() is threading.main_thread())
+            return sample_noise_batch(*args)
+
+        monkeypatch.setattr(noise_mod, "sample_noise_batch", recorded)
+        runs = []
+        for count in (2, 1):
+            set_threads(count)
+            drawn_on.clear()
+            mlp = init_mlp((784, 100, 10), seed=1)
+            records = pretrain_random_noise(mlp, cfg)
+            runs.append((mlp, records, set(drawn_on)))
+        (helped, helped_records, helped_on), (pinned, pinned_records, pinned_on) = runs
+        assert helped_on == {False} and pinned_on == {True}
+        np.testing.assert_array_equal(helped.params, pinned.params)
+        assert helped_records == pinned_records
+
+    @pytest.mark.parametrize("failure", [None, NumericError, ConfigError],
+                             ids=["returns", "step-raises", "sampler-raises"])
+    def test_count_restored_and_helper_ended(self, blas_threads, monkeypatch, failure):
+        set_threads, get_threads = blas_threads
+        set_threads(2)
+        cfg = NoiseConfig(total_samples=640, samples_per_epoch=320, batch_size=64)
+        if failure is ConfigError:
+            cfg = dataclasses.replace(cfg, distribution="not a distribution")
+        drawing_4 = threading.Event()
+        draws, steps = [], []
+
+        def slow_draw_4(*args):
+            draws.append(None)
+            if len(draws) == 4:
+                drawing_4.set()
+                time.sleep(0.2)  # still drawing when step 3 raises
+            return sample_noise_batch(*args)
+
+        original_step = noise_mod.step
+
+        def raises_on_step_3(*args):
+            steps.append(None)
+            if failure is NumericError and len(steps) == 3:
+                assert drawing_4.wait(10)
+                raise NumericError("boom")
+            return original_step(*args)
+
+        monkeypatch.setattr(noise_mod, "sample_noise_batch", slow_draw_4)
+        monkeypatch.setattr(noise_mod, "step", raises_on_step_3)
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(pretrain_random_noise(init_mlp((784, 100, 10), seed=0), cfg))
+            except Exception as error:
+                outcome.append(error)
+
+        threads_before = threading.active_count()
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(30)
+        assert not caller.is_alive(), "pretrain_random_noise did not return"
+        if failure is None:
+            assert len(outcome[0]) == 2
+        else:
+            assert type(outcome[0]) is failure
+        assert get_threads() == 2
+        assert threading.active_count() == threads_before
+
+    def test_hook_runs_at_the_starting_count(self, blas_threads):
+        set_threads, get_threads = blas_threads
+        set_threads(2)
+        seen = []
+        cfg = NoiseConfig(total_samples=192, samples_per_epoch=64, batch_size=64)
+        pretrain_random_noise(init_mlp((784, 100, 10), seed=0), cfg,
+                              snapshot_hook=lambda epoch, net: seen.append(get_threads()))
+        assert seen == [2, 2, 2]

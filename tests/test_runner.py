@@ -35,6 +35,7 @@ from prealign.runner.config import (
     expand_sweep,
     load_config_file,
 )
+import prealign.learn as learn_mod
 import prealign.runner.experiment as experiment_mod
 
 
@@ -571,13 +572,58 @@ class TestRunExperiment:
             b = load_mlp(serial / f"model_{trial}_pretrain.bin")
             for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
                 np.testing.assert_allclose(wa, wb, rtol=0, atol=1e-12)
-        blas = experiment_mod._openblas_threads()
+        blas = learn_mod._openblas_threads()
         count = None if blas is None else blas[1]()
         assert serial_manifest["blas_threads"] == count
         assert pooled_manifest["blas_threads"] == (None if count is None else 1)
 
+    def test_serial_noise_checkpoints_equal_pooled_bytes(self, tmp_path):
+        # noise steps run on one BLAS thread whether the run is serial or
+        # pooled, so even the last bits of the weights agree
+        if learn_mod._openblas_threads() is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+
+        def run(threads):
+            out = tmp_path / f"threads{threads}"
+            run_experiment(smoke_config(
+                tmp_path, dims=(784, 100, 10), trials=2, threads=threads,
+                pretrain=NoiseConfig(total_samples=1_000, samples_per_epoch=500,
+                                     batch_size=64, learning_rate=1e-4),
+                train=None, dataset=None, train_size=None, test_size=None,
+                output_dir=str(out),
+            ))
+            return out
+
+        serial, pooled = run(1), run(2)
+        for name in ("model_0_pretrain.bin", "model_1_pretrain.bin", "records.csv"):
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+    def test_pool_starts_the_longest_items_first(self, tmp_path, monkeypatch):
+        original = experiment_mod._run_single
+        lock = threading.Lock()
+        started = []
+
+        def recorded(cfg, variant, trial, data, out_dir):
+            with lock:
+                started.append(cfg.pretrain.total_samples)
+            return original(cfg, variant, trial, data, out_dir)
+
+        monkeypatch.setattr(experiment_mod, "_run_single", recorded)
+        index = run_experiment(smoke_config(
+            tmp_path, trials=2, threads=2, train=None, dataset=None,
+            train_size=None, test_size=None,
+            sweep={"pretrain.total_samples": [100, 400]},
+        ))
+        # two workers take the first two items of the queue before either
+        # of them can finish one
+        assert sorted(started[:2]) == [400, 400]
+        assert sorted(started) == [100, 100, 400, 400]
+        for name in index["points"]:
+            manifest = json.loads((tmp_path / "out" / name / "manifest.json").read_text())
+            assert set(manifest["summary"]["fa_pre"]) == {"0", "1"}
+
     def test_pool_restores_blas_threads(self, tmp_path, monkeypatch):
-        blas = experiment_mod._openblas_threads()
+        blas = learn_mod._openblas_threads()
         if blas is None:
             pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
         set_threads, get_threads = blas
