@@ -48,11 +48,10 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPSILON = 1e-8
 
-# (setter, getter) of the BLAS thread count, in the naming of the OpenBLAS
-# numpy bundles: scipy-openblas (numpy >= 2.0), OpenBLAS 64-bit (1.24-1.26).
+# (setter, getter) of the BLAS thread count in the scipy-openblas that
+# numpy (>= 2.0) bundles
 _OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"
 )
 
 
@@ -66,12 +65,12 @@ def _openblas_threads():
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
+        set_name, get_name = _OPENBLAS_THREAD_SYMBOLS
+        if hasattr(lib, set_name) and hasattr(lib, get_name):
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
     return None
 
 

@@ -13,19 +13,18 @@ attributed to the epoch containing its first sample.
 
 Noise steps run on one thread of the OpenBLAS that numpy bundles.  Where
 BLAS runs on more, each logging epoch's steps run with it pinned to one
-thread while a helper thread draws the next batch, from the same generator
-in the same order, as the current one steps; the snapshot hook then runs at
-the original count.  Where BLAS already runs on one thread (as inside the
-runner's pool), batches are drawn and stepped in turn on the calling
-thread, and so they are where its count cannot be read (then at whatever
-count BLAS runs with).  The draws are the same on every path, and the
-trained weights bitwise the same on the two one-thread paths.
+thread while a one-worker executor draws the next batch, from the same
+generator in the same order, as the current one steps; the snapshot hook
+then runs at the original count.  Where BLAS already runs on one thread (as
+inside the runner's pool), batches are drawn and stepped in turn on the
+calling thread, and so they are where its count cannot be read (then at
+whatever count BLAS runs with).  The draws are the same on every path, and
+the trained weights bitwise the same on the two one-thread paths.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,44 +111,6 @@ def sample_random_labels(n: int, n_classes: int, rng: np.random.Generator) -> np
     return rng.integers(0, n_classes, size=n)
 
 
-def _draw_ahead(draw, sizes, consume) -> None:
-    """Call ``consume(*draw(size))`` for each of ``sizes`` in order, making
-    every ``draw`` call on one helper thread that draws the next batch while
-    ``consume`` works on the current one.  An exception ``draw`` raises is
-    raised again here; the helper has ended by the time this returns or
-    raises."""
-    drawn = []
-    ready, free = threading.Semaphore(0), threading.Semaphore(1)
-    stop = False
-
-    def sample() -> None:
-        try:
-            for size in sizes:
-                free.acquire()  # at most one batch waits for ``consume``
-                if stop:
-                    return
-                drawn.append(draw(size))
-                ready.release()
-        except Exception as error:  # handed to the calling thread
-            drawn.append(error)
-            ready.release()
-
-    helper = threading.Thread(target=sample, name="noise-sampler", daemon=True)
-    helper.start()
-    try:
-        for _ in sizes:
-            ready.acquire()
-            batch = drawn.pop(0)
-            if isinstance(batch, Exception):
-                raise batch
-            free.release()
-            consume(*batch)
-    finally:
-        stop = True
-        free.release()
-        helper.join()
-
-
 def pretrain_random_noise(
     mlp: Mlp,
     config: NoiseConfig,
@@ -189,8 +150,18 @@ def pretrain_random_noise(
         sizes = [min(batch_size, total - start) for start in starts]
         sum_loss = sum_acc = 0.0
         if draw_ahead:
-            with _one_blas_thread():
-                _draw_ahead(draw, sizes, train_step)
+            # imported here, not at the top: it adds about 6 ms to ``import prealign``
+            from concurrent.futures import ThreadPoolExecutor
+
+            # one batch is drawn while the one before it steps; leaving the
+            # block joins the worker, and result() raises what draw raised
+            with _one_blas_thread(), ThreadPoolExecutor(1, "noise-sampler") as sampler:
+                pending = sampler.submit(draw, sizes[0])
+                for size in sizes[1:]:
+                    batch = pending.result()
+                    pending = sampler.submit(draw, size)
+                    train_step(*batch)
+                train_step(*pending.result())
         else:
             for size in sizes:
                 train_step(*draw(size))

@@ -193,7 +193,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         meta = d.pop("meta", None)
         if meta is not None:
             meta = dict(meta)
-            meta["tasks"] = tuple(meta.get("tasks", ()))
+            if "tasks" in meta:
+                meta["tasks"] = tuple(meta["tasks"])
             meta = MetaSettings(**meta)
         capture = tuple(d.pop("capture", ()))
         return ExperimentConfig(

@@ -84,7 +84,9 @@ def jacobi_singular_values(matrix):
 
 
 def adam_sequence(gradients, lr, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
-    """Parameter values of a scalar Adam run, unrolled step by step."""
+    """Parameter values of a scalar Adam run, unrolled step by step: Algorithm
+    1 of Kingma & Ba (2015), "Adam: A Method for Stochastic Optimization",
+    line for line, with eps added to the bias-corrected root."""
     x = x0
     m = 0.0
     v = 0.0

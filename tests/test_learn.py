@@ -106,17 +106,20 @@ class TestBackwardFa:
 
 class TestAdam:
     def test_matches_scalar_unroll(self):
-        mlp = init_mlp((3, 2), seed=0)
-        state = AdamState.for_mlp(mlp)
-        grad_values = [0.5, -0.3, 0.8, 0.1, -0.9]
-        start = mlp.weights[0].copy()
-        observed = []
-        for g in grad_values:
-            grads = Gradients(mlp.dims, np.full_like(mlp.params, g))
-            adam_step(mlp, state, grads, learning_rate=0.01)
-            observed.append(mlp.weights[0][0, 0] - start[0, 0])
-        expected = adam_sequence(grad_values, lr=0.01)
-        np.testing.assert_allclose(observed, expected, atol=1e-14)
+        # the second run's gradients are the size of eps, so that where eps
+        # sits in the denominator, and whether v is bias-corrected, shows
+        for grad_values in ([0.5, -0.3, 0.8, 0.1, -0.9],
+                            [5e-9, -3e-9, 8e-9, 1e-9, -9e-9]):
+            mlp = init_mlp((3, 2), seed=0)
+            state = AdamState.for_mlp(mlp)
+            start = mlp.weights[0].copy()
+            observed = []
+            for g in grad_values:
+                grads = Gradients(mlp.dims, np.full_like(mlp.params, g))
+                adam_step(mlp, state, grads, learning_rate=0.01)
+                observed.append(mlp.weights[0][0, 0] - start[0, 0])
+            expected = adam_sequence(grad_values, lr=0.01)
+            np.testing.assert_allclose(observed, expected, atol=1e-14)
 
     def test_feedback_never_updated(self, rng):
         mlp = init_mlp((5, 4, 3), seed=1)

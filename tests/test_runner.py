@@ -205,10 +205,12 @@ class TestOverrides:
         doc = apply_overrides(config_to_dict(reproduce("fig4d")), [
             "eval_transform.rotate_deg=[-30,30]",
             "pretrain.distribution.std=3",
+            "meta.shots_per_class=5",
         ])
         cfg = config_from_dict(doc)
         assert cfg.eval_transform == TransformSpec(rotate_deg=(-30.0, 30.0))
         assert cfg.pretrain.distribution == Gaussian(0.0, 3.0)
+        assert cfg.meta == MetaSettings(shots_per_class=5)
 
 
 class TestApplyScale:
