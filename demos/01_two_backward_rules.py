@@ -37,10 +37,8 @@ def main():
     curves = {}
     for rule in ("BP", "FA"):
         net = clone(base)
-        cfg = TrainConfig(
-            rule=rule, learning_rate=1e-3, batch_size=32, epochs=15, seed=5
-        )
-        curves[rule] = train(net, x_tr, y_tr, x_te, y_te, cfg)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=15)
+        curves[rule] = train(net, x_tr, y_tr, x_te, y_te, cfg, rule=rule, seed=5)
 
     print("epoch   BP test acc   FA test acc")
     for bp_rec, fa_rec in zip(curves["BP"], curves["FA"]):

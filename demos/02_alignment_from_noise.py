@@ -35,9 +35,8 @@ def main():
         samples_per_epoch=5_000,
         batch_size=64,
         learning_rate=1e-4,
-        seed=0,
     )
-    records = pretrain_random_noise(mlp, cfg, snapshot_hook=snap)
+    records = pretrain_random_noise(mlp, cfg, snapshot_hook=snap, seed=0)
 
     print(
         f"noise loss: epoch 1 at {records[0].train_loss:.3f}, "

@@ -59,16 +59,15 @@ def main():
         net = clone(base)
         if with_noise:
             before = alignment_angles(net, 1).mean_deg
-            pretrain_random_noise(net, NoiseConfig(total_samples=100_000, seed=4))
+            pretrain_random_noise(net, NoiseConfig(total_samples=100_000), seed=4)
             after = alignment_angles(net, 1).mean_deg
             print(
                 f"noise phase moved the mean last-layer angle from "
                 f"{before:.1f} to {after:.1f} deg"
             )
-        cfg = TrainConfig(
-            rule="FA", learning_rate=1e-4, batch_size=64, epochs=30, seed=4
-        )
-        curves[label] = train(net, tr.images, tr.labels, te.images, te.labels, cfg)
+        cfg = TrainConfig(learning_rate=1e-4, batch_size=64, epochs=30)
+        curves[label] = train(net, tr.images, tr.labels, te.images, te.labels, cfg,
+                              seed=4)
 
     print("\nepoch   plain FA   pretrained FA   (test accuracy)")
     for plain, pre in zip(*curves.values()):

@@ -45,7 +45,8 @@ def main():
     print(f"  fresh network   gram effective dim {gram_effective_dim(hidden):.2f}")
     train(
         net, x_tr, y_tr, x_te, y_te,
-        TrainConfig(rule="FA", learning_rate=1e-3, batch_size=32, epochs=10, seed=1),
+        TrainConfig(learning_rate=1e-3, batch_size=32, epochs=10),
+        seed=1,
     )
     hidden = forward(net, x_te).activations[-1]
     print(f"  after training  gram effective dim {gram_effective_dim(hidden):.2f}")
@@ -63,8 +64,9 @@ def main():
     print(f"  distance |W - B^T| before: {weight_feedback_distance(net, 1):.3f}")
     pretrain_random_noise(
         net,
-        NoiseConfig(total_samples=200_000, seed=2),
+        NoiseConfig(total_samples=200_000),
         snapshot_hook=snap,
+        seed=2,
     )
     print(f"  distance |W - B^T| after:  {weight_feedback_distance(net, 1):.3f}")
 

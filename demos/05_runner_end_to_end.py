@@ -35,7 +35,7 @@ def main():
             batch_size=64,
             learning_rate=1e-3,
         ),
-        train=TrainConfig(rule="FA", learning_rate=1e-3, batch_size=32, epochs=5),
+        train=TrainConfig(learning_rate=1e-3, batch_size=32, epochs=5),
         dataset="blobs",
         capture=("angles",),
         output_dir=str(out),

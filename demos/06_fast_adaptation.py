@@ -40,8 +40,9 @@ def main():
 
     pretrain_random_noise(
         net,
-        NoiseConfig(total_samples=400_000, samples_per_epoch=2_500, seed=6),
+        NoiseConfig(total_samples=400_000, samples_per_epoch=2_500),
         snapshot_hook=snap,
+        seed=6,
     )
     total_after, per_task_after = meta_loss(net, meta_cfg)
 

@@ -155,21 +155,16 @@ class AdamState:
 class TrainConfig:
     """Settings for the supervised loop.
 
-    ``rule`` picks the backward pass (``"BP"`` or ``"FA"``).  ``patience``,
-    when set, stops training after that many consecutive epochs without an
-    improvement in test accuracy.
+    ``patience``, when set, stops training after that many consecutive
+    epochs without an improvement in test accuracy.
     """
 
-    rule: str = "FA"
     learning_rate: float = 1e-4
     batch_size: int = 64
     epochs: int = 100
     patience: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rule not in _RULES:
-            raise ConfigError(f"rule must be one of {_RULES}, got {self.rule!r}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -326,16 +321,20 @@ def train(
     config: TrainConfig,
     trial: int = 0,
     snapshot_hook=None,
+    *,
+    rule: str = "FA",
+    seed: int = 0,
 ) -> list[RunRecord]:
     """Minibatch training with Adam, updating ``mlp`` in place.
 
-    Each epoch visits every training sample once in a freshly shuffled order
-    (the last batch may be short), then evaluates both splits and appends one
-    :class:`RunRecord`.  ``snapshot_hook(epoch, mlp)`` may return extra
-    scalars to merge into that epoch's metrics.  Early stopping, when
-    ``config.patience`` is set, triggers after ``patience`` consecutive
-    epochs without a new best test accuracy; the best value seen is logged
-    in each record under ``best_test_acc``.
+    ``rule`` picks the backward pass (``"BP"`` or ``"FA"``) and ``seed`` the
+    shuffling stream.  Each epoch visits every training sample once in a
+    freshly shuffled order (the last batch may be short), then evaluates
+    both splits and appends one :class:`RunRecord`.  ``snapshot_hook(epoch,
+    mlp)`` may return extra scalars to merge into that epoch's metrics.
+    Early stopping, when ``config.patience`` is set, triggers after
+    ``patience`` consecutive epochs without a new best test accuracy; the
+    best value seen is logged in each record under ``best_test_acc``.
     """
     x_train = np.asarray(train_inputs, dtype=np.float64)
     y_train = np.asarray(train_labels)
@@ -343,7 +342,7 @@ def train(
     y_test = np.asarray(test_labels)
     _check_split("train", x_train, y_train, mlp)
     _check_split("test", x_test, y_test, mlp)
-    rng = rng_for(config.seed, "shuffle")
+    rng = rng_for(seed, "shuffle")
     adam = AdamState.for_mlp(mlp)
     records: list[RunRecord] = []
     n = x_train.shape[0]
@@ -360,7 +359,7 @@ def train(
             # clips; it spares the copy "raise" makes when writing to out
             x = np.take(x_train, idx, axis=0, out=x_batch[: len(idx)], mode="clip")
             y = np.take(y_train, idx, out=y_batch[: len(idx)], mode="clip")
-            step(mlp, adam, x, y, config.rule, config.learning_rate)
+            step(mlp, adam, x, y, rule, config.learning_rate)
         train_loss, train_acc = evaluate(mlp, x_train, y_train)
         test_loss, test_acc = evaluate(mlp, x_test, y_test)
         if test_acc > best_acc:
@@ -379,7 +378,6 @@ def train(
                 test_loss=test_loss,
                 train_acc=train_acc,
                 test_acc=test_acc,
-                seed=config.seed,
                 metrics=metrics,
             )
         )

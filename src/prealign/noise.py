@@ -78,7 +78,6 @@ class NoiseConfig:
     samples_per_epoch: int = 5_000
     batch_size: int = 64
     learning_rate: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.total_samples < 1:
@@ -116,8 +115,11 @@ def pretrain_random_noise(
     config: NoiseConfig,
     trial: int = 0,
     snapshot_hook=None,
+    *,
+    seed: int = 0,
 ) -> list[RunRecord]:
-    """Train ``mlp`` in place on fresh noise with random labels.
+    """Train ``mlp`` in place on fresh noise with random labels, drawn from
+    the stream that ``seed`` picks.
 
     Returns one :class:`RunRecord` per logging epoch with the sample-weighted
     mean batch loss and accuracy of the noise stream itself (test fields stay
@@ -125,7 +127,7 @@ def pretrain_random_noise(
     mlp)`` may return extra scalars for that epoch's metrics; it runs at the
     BLAS thread count the call started with.
     """
-    rng = rng_for(config.seed, "noise")
+    rng = rng_for(seed, "noise")
     adam = AdamState.for_mlp(mlp)
     dim, n_classes = mlp.dims[0], mlp.dims[-1]
     blas = _openblas_threads()
@@ -175,7 +177,6 @@ def pretrain_random_noise(
                 test_loss=None,
                 train_acc=sum_acc / seen,
                 test_acc=None,
-                seed=config.seed,
                 metrics=_snapshot_metrics(snapshot_hook, epoch, mlp, {}),
             )
         )

@@ -15,7 +15,6 @@ class RunRecord:
     ``pretrain`` or ``train``).  Loss and accuracy fields are ``None`` when
     the phase has no matching split; ``metrics`` carries any extra per-epoch
     scalars (alignment angles, effective ranks, ...) keyed by name.
-    ``seed`` is the trial's derived seed, logged for reproducibility.
     """
 
     trial: int
@@ -25,5 +24,4 @@ class RunRecord:
     test_loss: float | None
     train_acc: float | None
     test_acc: float | None
-    seed: int
     metrics: dict[str, float] = field(default_factory=dict)

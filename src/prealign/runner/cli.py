@@ -170,7 +170,7 @@ def _default_document(verb: str, dist: str = "gaussian", rule: str = "FA",
                 "pretrain": {"distribution": {"kind": dist}}, "capture": ["angles"]}
     name = "fa_pre" if pretrain else rule.lower()
     return {**doc, "variants": [{"name": name, "rule": rule, "pretrain": pretrain}],
-            "pretrain": {} if pretrain else None, "train": {"rule": rule},
+            "pretrain": {} if pretrain else None, "train": {},
             "dataset": "mnist"}
 
 

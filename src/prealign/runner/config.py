@@ -2,9 +2,12 @@
 
 A config document is plain JSON mirroring :class:`ExperimentConfig`; the
 manifest written by every run embeds the fully resolved form, so a run can
-always be repeated from its manifest alone.  Dotted-path overrides
-(``train.epochs=5``) and the sweep mechanism both edit the JSON form before
-it is parsed back into dataclasses, so one code path validates everything.
+always be repeated from its manifest alone.  Each arm's backward rule is
+its variant's ``rule`` and each trial's seed derives from ``master_seed``,
+so the ``train`` and ``pretrain`` sections carry neither, and a document
+whose sections do is refused.  Dotted-path overrides (``train.epochs=5``)
+and the sweep mechanism both edit the JSON form before it is parsed back
+into dataclasses, so one code path validates everything.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ class MetaSettings:
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ConfigError("meta tasks must be nonempty")
+        if len(set(self.tasks)) != len(self.tasks):
+            raise ConfigError(f"meta tasks must be distinct, got {list(self.tasks)}")
 
 
 @dataclass
@@ -122,6 +127,11 @@ class ExperimentConfig:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
         if "meta" in self.capture and self.meta is None:
             raise ConfigError("capture flag 'meta' requires meta settings")
+        if self.meta is not None and "meta" not in self.capture:
+            raise ConfigError("meta settings are given but capture has no 'meta' flag")
+        if self.eval_dataset is not None and self.eval_transform is not None:
+            raise ConfigError("eval_dataset and eval_transform each replace the "
+                              "evaluation split; set at most one")
         needs_data = self.train is not None or any(
             f in self.capture for f in ("gram", "clean_test")
         )

@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,17 +120,18 @@ def _data_key(cfg: ExperimentConfig) -> tuple:
     one resolved object, which is safe because dataset arrays are read-only."""
     return (default_data_dir(cfg.data_dir), cfg.dataset, cfg.dims[0], cfg.dims[-1],
             cfg.master_seed, cfg.train_size, cfg.test_size, cfg.eval_dataset,
-            cfg.eval_transform, cfg.meta and cfg.meta.tasks)
+            cfg.eval_transform, cfg.meta)
 
 
 class _ResolvedData:
-    """Splits an experiment actually trains and evaluates on."""
+    """Splits an experiment actually trains and evaluates on, and the
+    few-shot tasks of its ``meta`` capture."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.train = None
         self.eval_test = None
         self.clean_test = None
-        self.meta_tasks = None
+        self.meta = None
         data_dir = default_data_dir(cfg.data_dir)
         if cfg.dataset is not None:
             train_ds, test_ds = load_named_dataset(
@@ -154,17 +154,18 @@ class _ResolvedData:
                 side = int(round(np.sqrt(cfg.dims[0])))
                 self.eval_test = transform_affine(test_ds, cfg.eval_transform, side)
         if cfg.meta is not None:
-            tasks = []
-            for t_name in cfg.meta.tasks:
-                _, task_test = load_named_dataset(
-                    t_name, data_dir, cfg.dims[0], cfg.dims[-1]
-                )
-                tasks.append(task_test)
-            self.meta_tasks = tasks
+            self.meta = MetaConfig(
+                tasks=[load_named_dataset(name, data_dir, cfg.dims[0], cfg.dims[-1])[1]
+                       for name in cfg.meta.tasks],
+                shots_per_class=cfg.meta.shots_per_class,
+                inner_steps=cfg.meta.inner_steps,
+                inner_lr=cfg.meta.inner_lr,
+                query_per_class=cfg.meta.query_per_class,
+                seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63,
+            )
 
 
-def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData,
-                     meta_cfg: MetaConfig | None) -> dict:
+def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
     out = {}
     n_layers = mlp.n_layers
     if "angles" in cfg.capture:
@@ -183,11 +184,11 @@ def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData,
         loss, acc = evaluate(mlp, data.clean_test.images, data.clean_test.labels)
         out["clean_test_loss"] = loss
         out["clean_test_acc"] = acc
-    if "meta" in cfg.capture and meta_cfg is not None:
-        total, per_task = meta_loss(mlp, meta_cfg)
+    if "meta" in cfg.capture:
+        total, per_task = meta_loss(mlp, data.meta)
         out["meta_loss"] = total
-        for task, value in zip(meta_cfg.tasks, per_task):
-            out[f"meta_loss_{task.name}"] = value
+        for name, value in zip(cfg.meta.tasks, per_task):
+            out[f"meta_loss_{name}"] = value
     return out
 
 
@@ -196,25 +197,15 @@ def _run_single(cfg: ExperimentConfig, variant, trial: int,
     """One (trial, variant) run.  Returns (records, initial, summary)."""
     seed_t = derive_trial_seed(cfg.master_seed, trial)
     mlp = init_mlp(cfg.dims, rng_for(seed_t, "init"))
-    meta_cfg = None
-    if "meta" in cfg.capture:
-        meta_cfg = MetaConfig(
-            tasks=data.meta_tasks,
-            shots_per_class=cfg.meta.shots_per_class,
-            inner_steps=cfg.meta.inner_steps,
-            inner_lr=cfg.meta.inner_lr,
-            query_per_class=cfg.meta.query_per_class,
-            seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63,
-        )
     trajectory: list[np.ndarray] = []
 
     def hook(epoch, net):
-        metrics = _capture_metrics(cfg, net, data, meta_cfg)
+        metrics = _capture_metrics(cfg, net, data)
         if "trajectory" in cfg.capture:
             trajectory.append(net.weights[cfg.traj_layer].ravel().copy())
         return metrics
 
-    initial = _capture_metrics(cfg, mlp, data, meta_cfg)
+    initial = _capture_metrics(cfg, mlp, data)
     if data.eval_test is not None:
         loss, acc = evaluate(mlp, data.eval_test.images, data.eval_test.labels)
         initial["test_loss"] = loss
@@ -234,19 +225,19 @@ def _run_single(cfg: ExperimentConfig, variant, trial: int,
     records: list[RunRecord] = []
     for phase in phases:
         if phase == "pretrain":
-            noise_cfg = replace(cfg.pretrain, seed=seed_t)
-            records += pretrain_random_noise(mlp, noise_cfg, trial, hook)
+            records += pretrain_random_noise(mlp, cfg.pretrain, trial, hook, seed=seed_t)
         else:
-            train_cfg = replace(cfg.train, rule=variant.rule, seed=seed_t)
             records += train(
                 mlp,
                 data.train.images,
                 data.train.labels,
                 data.eval_test.images,
                 data.eval_test.labels,
-                train_cfg,
+                cfg.train,
                 trial=trial,
                 snapshot_hook=hook,
+                rule=variant.rule,
+                seed=seed_t,
             )
         save_mlp(mlp, out_dir / f"model_{trial}_{phase}.bin")
     summary: dict = {"seed": seed_t, "phases": phases}

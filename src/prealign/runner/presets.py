@@ -60,7 +60,7 @@ def _fig2b() -> ExperimentConfig:
         variants=[_FA, _FA_PRE, _BP],
         trials=10,
         pretrain=_NOISE,
-        train=TrainConfig(rule="FA", learning_rate=1e-4, batch_size=64, epochs=100),
+        train=TrainConfig(learning_rate=1e-4, batch_size=64, epochs=100),
         dataset="mnist",
         train_size=5_000,
         test_size=5_000,
@@ -95,7 +95,7 @@ def _fig2g() -> ExperimentConfig:
         ],
         trials=10,
         pretrain=_NOISE,
-        train=TrainConfig(rule="FA", learning_rate=1e-4, batch_size=64, epochs=100),
+        train=TrainConfig(learning_rate=1e-4, batch_size=64, epochs=100),
         dataset="mnist",
         train_size=5_000,
         test_size=5_000,
@@ -112,8 +112,7 @@ def _fig3() -> ExperimentConfig:
         variants=[_FA, _FA_PRE, _BP],
         trials=3,
         pretrain=_NOISE,
-        train=TrainConfig(rule="FA", learning_rate=1e-4, batch_size=64,
-                          epochs=500, patience=10),
+        train=TrainConfig(learning_rate=1e-4, batch_size=64, epochs=500, patience=10),
         dataset="mnist",
         output_dir="out/fig3",
         notes="full-dataset convergence with patience-10 early stopping",
@@ -140,7 +139,7 @@ def _fig4ef() -> ExperimentConfig:
         variants=[_FA, _FA_PRE],
         trials=10,
         pretrain=_NOISE,
-        train=TrainConfig(rule="FA", learning_rate=1e-4, batch_size=64, epochs=500),
+        train=TrainConfig(learning_rate=1e-4, batch_size=64, epochs=500),
         dataset="mnist",
         train_size=1_600,
         test_size=1_000,
@@ -158,7 +157,7 @@ def _fig4gh() -> ExperimentConfig:
         variants=[_FA, _FA_PRE],
         trials=10,
         pretrain=_NOISE,
-        train=TrainConfig(rule="FA", learning_rate=1e-4, batch_size=64, epochs=500),
+        train=TrainConfig(learning_rate=1e-4, batch_size=64, epochs=500),
         dataset="mnist",
         train_size=1_600,
         test_size=1_000,
@@ -176,7 +175,7 @@ def _fig5b() -> ExperimentConfig:
         variants=[_FA, _FA_PRE],
         trials=10,
         pretrain=_NOISE,
-        train=TrainConfig(rule="FA", learning_rate=1e-4, batch_size=64, epochs=100),
+        train=TrainConfig(learning_rate=1e-4, batch_size=64, epochs=100),
         dataset="mnist",
         train_size=5_000,
         test_size=5_000,
@@ -229,7 +228,7 @@ def _fig6c() -> ExperimentConfig:
         variants=[_FA, _FA_PRE],
         trials=10,
         pretrain=_NOISE,
-        train=TrainConfig(rule="FA", learning_rate=1e-4, batch_size=64, epochs=100),
+        train=TrainConfig(learning_rate=1e-4, batch_size=64, epochs=100),
         dataset="mnist",
         train_size=5_000,
         test_size=5_000,

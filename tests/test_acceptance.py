@@ -36,7 +36,7 @@ from prealign.metrics import (
     meta_loss,
     weight_feedback_distance,
 )
-from prealign.net import Mlp, cross_entropy, forward, init_mlp
+from prealign.net import cross_entropy, forward, init_mlp
 from prealign.noise import Gaussian, NoiseConfig, pretrain_random_noise
 from prealign.runner.config import apply_scale
 from prealign.runner.experiment import load_named_dataset, run_experiment
@@ -71,30 +71,14 @@ def criterion(capsys):
     return _criterion
 
 
-def _noise_cfg(seed, total=500_000):
-    return NoiseConfig(
-        distribution=Gaussian(0.0, 1.0),
-        total_samples=total,
-        samples_per_epoch=5_000,
-        batch_size=64,
-        learning_rate=1e-4,
-        seed=seed,
-    )
-
-
-def _train_cfg(seed, rule="FA", epochs=100):
-    return TrainConfig(
-        rule=rule, learning_rate=1e-4, batch_size=64, epochs=epochs, seed=seed
-    )
-
-
-def _clone(mlp: Mlp) -> Mlp:
-    return Mlp(
-        dims=mlp.dims,
-        weights=[w.copy() for w in mlp.weights],
-        biases=[b.copy() for b in mlp.biases],
-        feedback=[f.copy() for f in mlp.feedback],
-    )
+_NOISE = NoiseConfig(
+    distribution=Gaussian(0.0, 1.0),
+    total_samples=500_000,
+    samples_per_epoch=5_000,
+    batch_size=64,
+    learning_rate=1e-4,
+)
+_TRAIN = TrainConfig(learning_rate=1e-4, batch_size=64, epochs=100)
 
 
 def test_backward_pass_matches_finite_differences(criterion):
@@ -193,7 +177,7 @@ def test_loaders_and_identity_transform_are_exact(criterion, tmp_path):
         rng = np.random.default_rng(505)
         plain = Dataset(rng.random((5, 64)), rng.integers(0, 3, 5), 3, "t")
         out = transform_affine(plain, TransformSpec(seed=9), side=8)
-        np.testing.assert_allclose(out.images, plain.images, atol=1e-12)
+        np.testing.assert_allclose(out.images, plain.images, atol=1e-12, rtol=0)
 
 
 def test_preset_rerun_is_byte_identical(criterion, tmp_path):
@@ -264,16 +248,16 @@ def _mnist_comparison_runs(root):
         seed_t = derive_trial_seed(MASTER, trial)
         base = init_mlp(FIG_DIMS, rng_for(seed_t, "init"))
         arms = {}
-        fa = _clone(base)
-        arms["fa"] = (fa, train(fa, *splits, _train_cfg(seed_t)))
-        pre = _clone(base)
-        pretrain_random_noise(pre, _noise_cfg(seed_t))
-        arms["fa_pre"] = (pre, train(pre, *splits, _train_cfg(seed_t)))
-        bp = _clone(base)
-        arms["bp"] = (bp, train(bp, *splits, _train_cfg(seed_t, rule="BP")))
-        rev = _clone(base)
-        train(rev, *splits, _train_cfg(seed_t))
-        pretrain_random_noise(rev, _noise_cfg(seed_t))
+        fa = base.copy()
+        arms["fa"] = (fa, train(fa, *splits, _TRAIN, seed=seed_t))
+        pre = base.copy()
+        pretrain_random_noise(pre, _NOISE, seed=seed_t)
+        arms["fa_pre"] = (pre, train(pre, *splits, _TRAIN, seed=seed_t))
+        bp = base.copy()
+        arms["bp"] = (bp, train(bp, *splits, _TRAIN, rule="BP", seed=seed_t))
+        rev = base.copy()
+        train(rev, *splits, _TRAIN, seed=seed_t)
+        pretrain_random_noise(rev, _NOISE, seed=seed_t)
         arms["data_then_noise"] = (rev, None)
         _MNIST_RUNS[trial] = arms
     return _MNIST_RUNS
@@ -344,16 +328,17 @@ def test_pretraining_shrinks_the_generalization_gap(criterion):
         train_ds = subset(train_full, 1_600, sub_seed)
         test_ds = subset(test_full, 1_000, sub_seed + 1)
         splits = (train_ds.images, train_ds.labels, test_ds.images, test_ds.labels)
+        # half-duration run (250 of 500 epochs) keeps this to minutes
+        half = replace(_TRAIN, epochs=250)
         gaps = []
         for trial in range(5):
             seed_t = derive_trial_seed(MASTER, trial)
             base = init_mlp(DEEP_DIMS, rng_for(seed_t, "init"))
-            # half-duration run (250 of 500 epochs) keeps this to minutes
-            plain = _clone(base)
-            r_plain = train(plain, *splits, _train_cfg(seed_t, epochs=250))
-            pre = _clone(base)
-            pretrain_random_noise(pre, _noise_cfg(seed_t))
-            r_pre = train(pre, *splits, _train_cfg(seed_t, epochs=250))
+            plain = base.copy()
+            r_plain = train(plain, *splits, half, seed=seed_t)
+            pre = base.copy()
+            pretrain_random_noise(pre, _NOISE, seed=seed_t)
+            r_pre = train(pre, *splits, half, seed=seed_t)
             gaps.append(
                 (
                     r_pre[-1].test_loss - r_pre[-1].train_loss,
@@ -390,10 +375,10 @@ def test_pretraining_helps_under_distribution_shift(criterion):
             )
             accs = {}
             for arm, with_noise in (("fa", False), ("fa_pre", True)):
-                mlp = _clone(base)
+                mlp = base.copy()
                 if with_noise:
-                    pretrain_random_noise(mlp, _noise_cfg(seed_t))
-                train(mlp, *splits, _train_cfg(seed_t))
+                    pretrain_random_noise(mlp, _NOISE, seed=seed_t)
+                train(mlp, *splits, _TRAIN, seed=seed_t)
                 accs[arm] = (
                     evaluate(mlp, shifted.images, shifted.labels)[1],
                     evaluate(mlp, usps_test.images, usps_test.labels)[1],
@@ -432,7 +417,7 @@ def test_noise_training_lowers_adaptation_loss(criterion):
                     losses[epoch] = meta_loss(net, meta_cfg)[0]
                 return {}
 
-            pretrain_random_noise(mlp, _noise_cfg(seed_t), snapshot_hook=snapshot)
+            pretrain_random_noise(mlp, _NOISE, snapshot_hook=snapshot, seed=seed_t)
             curves.append(losses)
         wins = sum(losses[100] < losses[0] for losses in curves)
         assert wins == 5, f"adaptation loss lower in {wins}/5 trials: {curves}"
@@ -454,20 +439,15 @@ def test_full_dataset_convergence_accuracies(criterion):
                 ("fa_pre", "FA", True),
                 ("bp", "BP", False),
             ):
-                mlp = _clone(base)
+                mlp = base.copy()
                 if with_noise:
-                    pretrain_random_noise(mlp, _noise_cfg(seed_t))
+                    pretrain_random_noise(mlp, _NOISE, seed=seed_t)
                 records = train(
                     mlp,
                     *splits,
-                    TrainConfig(
-                        rule=rule,
-                        learning_rate=1e-4,
-                        batch_size=64,
-                        epochs=500,
-                        patience=10,
-                        seed=seed_t,
-                    ),
+                    replace(_TRAIN, epochs=500, patience=10),
+                    rule=rule,
+                    seed=seed_t,
                 )
                 finals[arm].append(records[-1].metrics["best_test_acc"])
         bands = {"bp": 97.82, "fa": 97.26, "fa_pre": 97.76}

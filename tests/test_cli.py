@@ -203,8 +203,7 @@ class TestSweepVerb:
             "dims": [16, 8, 4],
             "variants": [{"name": "fa", "rule": "FA", "pretrain": False}],
             "trials": 1,
-            "train": {"rule": "FA", "learning_rate": 0.001, "batch_size": 64,
-                      "epochs": 1},
+            "train": {"learning_rate": 0.001, "batch_size": 64, "epochs": 1},
             "dataset": "blobs",
             "train_size": 128,
             "test_size": 64,
@@ -291,8 +290,7 @@ UNIFORM_DOC = {**NOISE_DOC, "pretrain": {
 TRAIN_DOC = {
     **NOISE_DOC,
     "pretrain": {"total_samples": 100},
-    "train": {"rule": "FA", "learning_rate": 0.001, "batch_size": 64,
-              "epochs": 1},
+    "train": {"learning_rate": 0.001, "batch_size": 64, "epochs": 1},
     "dataset": "mnist",
     "train_size": 128,
     "test_size": 64,
@@ -457,3 +455,39 @@ class TestRunFlagsOverrideConfigPaths:
             config = manifest_config(out_dir)
             assert (config["scale"], config["pretrain"]["total_samples"]) == (
                 scale, samples)
+
+
+class TestRefusedKeys:
+    """The variant picks the backward rule and ``master_seed`` the trial
+    seeds, so a document that sets either in a section is refused."""
+
+    @pytest.mark.parametrize("argv, item", [
+        (TRAIN_TINY, "train.rule=BP"),
+        (TRAIN_TINY, "train.seed=99"),
+        (PRETRAIN_TINY, "pretrain.seed=42"),
+    ], ids=["train.rule", "train.seed", "pretrain.seed"])
+    def test_item_key_refused(self, argv, item, tmp_path, capsys):
+        code, _, err = run(capsys, *argv, "--set", item, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert repr(item.partition("=")[0].split(".")[1]) in err
+        assert not (tmp_path / "x").exists()
+
+    def test_manifest_with_an_item_key_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(
+            {**NOISE_DOC, "pretrain": {**NOISE_DOC["pretrain"], "seed": 0}}
+        ))
+        code, _, err = run(capsys, "pretrain", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert "'seed'" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_meta_settings_without_the_meta_capture_refused(self, tmp_path, capsys):
+        code, _, err = run(capsys, "reproduce", "fig1e", "--scale", "20000",
+                           "--trials", "1", "--set", "meta.shots_per_class=5",
+                           "--data-dir", str(tmp_path / "empty"),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert "'meta' flag" in err
+        assert not (tmp_path / "x").exists()

@@ -260,7 +260,7 @@ class TestTransformAffine:
     def test_identity(self):
         ds = grid_dataset()
         out = transform_affine(ds, TransformSpec(), side=4)
-        np.testing.assert_allclose(out.images, ds.images, atol=1e-12)
+        np.testing.assert_allclose(out.images, ds.images, atol=1e-12, rtol=0)
         np.testing.assert_array_equal(out.labels, ds.labels)
         assert out.name == "grid-affine"
 
@@ -273,7 +273,7 @@ class TestTransformAffine:
         for r in range(4):
             for c in range(4):
                 expected[r, c] = src[3 - c, r]
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12, rtol=0)
 
     def test_integer_translation_zero_pads(self):
         # a quarter-side shift on a 4x4 image is exactly one pixel
@@ -281,9 +281,9 @@ class TestTransformAffine:
         spec = TransformSpec(translate_frac=(0.25, 0.25))
         out = transform_affine(ds, spec, side=4).images[0].reshape(4, 4)
         src = ds.images[0].reshape(4, 4)
-        np.testing.assert_allclose(out[0, :], 0.0, atol=1e-12)
-        np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-12)
-        np.testing.assert_allclose(out[1:, 1:], src[:-1, :-1], atol=1e-12)
+        np.testing.assert_allclose(out[0, :], 0.0, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(out[1:, 1:], src[:-1, :-1], atol=1e-12, rtol=0)
 
     def test_upscale_keeps_constant_interior(self):
         ones = Dataset(images=np.ones((1, 16)), labels=np.array([0]),

@@ -64,7 +64,7 @@ class TestBackwardFa:
             mlp.weights, mlp.biases, mlp.feedback, x, y
         )
         for got, want in zip(grads.d_weights + grads.d_biases, ref_w + ref_b):
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_equals_bp_when_feedback_is_transpose(self, rng):
         mlp = init_mlp((5, 4, 4, 3), seed=3)
@@ -119,7 +119,7 @@ class TestAdam:
                 adam_step(mlp, state, grads, learning_rate=0.01)
                 observed.append(mlp.weights[0][0, 0] - start[0, 0])
             expected = adam_sequence(grad_values, lr=0.01)
-            np.testing.assert_allclose(observed, expected, atol=1e-14)
+            np.testing.assert_allclose(observed, expected, atol=1e-14, rtol=0)
 
     def test_feedback_never_updated(self, rng):
         mlp = init_mlp((5, 4, 3), seed=1)
@@ -212,7 +212,7 @@ class TestTrainLoop:
         x, y = _blob_split(rng, 120)
         xt, yt = _blob_split(rng, 60)
         mlp = init_mlp((8, 6, 3), seed=0)
-        cfg = TrainConfig(rule="FA", learning_rate=1e-3, batch_size=32, epochs=4)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=4)
         records = train(mlp, x, y, xt, yt, cfg, trial=2)
         assert len(records) == 4
         assert [r.epoch for r in records] == [1, 2, 3, 4]
@@ -224,7 +224,7 @@ class TestTrainLoop:
     def test_learns_separable_blobs(self, rng):
         x, y = _blob_split(rng, 300, spread=0.2)
         mlp = init_mlp((8, 16, 3), seed=1)
-        cfg = TrainConfig(rule="FA", learning_rate=3e-3, batch_size=32, epochs=40)
+        cfg = TrainConfig(learning_rate=3e-3, batch_size=32, epochs=40)
         records = train(mlp, x, y, x, y, cfg)
         assert records[-1].train_acc > 0.9
 
@@ -235,35 +235,43 @@ class TestTrainLoop:
         fa_mlp = init_mlp((8, 6, 3), seed=7)
         fa_mlp.feedback = [w.T.copy() for w in fa_mlp.weights]
         bp_mlp = fa_mlp.copy()
-        cfg_fa = TrainConfig(rule="FA", learning_rate=1e-3, batch_size=100, epochs=1)
-        cfg_bp = TrainConfig(rule="BP", learning_rate=1e-3, batch_size=100, epochs=1)
-        rec_fa = train(fa_mlp, x, y, xt, yt, cfg_fa)
-        rec_bp = train(bp_mlp, x, y, xt, yt, cfg_bp)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=100, epochs=1)
+        rec_fa = train(fa_mlp, x, y, xt, yt, cfg, rule="FA")
+        rec_bp = train(bp_mlp, x, y, xt, yt, cfg, rule="BP")
         for a, b in zip(fa_mlp.weights, bp_mlp.weights):
             np.testing.assert_array_equal(a, b)
         assert rec_fa[-1].train_loss == rec_bp[-1].train_loss
 
     def test_determinism(self, rng):
         x, y = _blob_split(rng, 100)
-        cfg = TrainConfig(rule="FA", learning_rate=1e-3, batch_size=16, epochs=3,
-                          seed=5)
-        rec_a = train(init_mlp((8, 6, 3), seed=2), x, y, x, y, cfg)
-        rec_b = train(init_mlp((8, 6, 3), seed=2), x, y, x, y, cfg)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=3)
+        rec_a = train(init_mlp((8, 6, 3), seed=2), x, y, x, y, cfg, seed=5)
+        rec_b = train(init_mlp((8, 6, 3), seed=2), x, y, x, y, cfg, seed=5)
         assert [r.train_loss for r in rec_a] == [r.train_loss for r in rec_b]
+
+    def test_rule_and_seed_pick_the_backward_pass_and_the_order(self, rng):
+        x, y = _blob_split(rng, 100)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=2)
+        runs = {}
+        for rule, seed in (("FA", 5), ("BP", 5), ("FA", 6)):
+            mlp = init_mlp((8, 6, 3), seed=2)
+            train(mlp, x, y, x, y, cfg, rule=rule, seed=seed)
+            runs[rule, seed] = mlp.params
+        assert not np.array_equal(runs["FA", 5], runs["BP", 5])
+        assert not np.array_equal(runs["FA", 5], runs["FA", 6])
 
     def test_patience_stops_stalled_run(self, rng):
         x, y = _blob_split(rng, 60)
         mlp = init_mlp((8, 6, 3), seed=3)
         # learning rate so small that test accuracy never improves again
-        cfg = TrainConfig(rule="FA", learning_rate=1e-15, batch_size=32,
-                          epochs=50, patience=2)
+        cfg = TrainConfig(learning_rate=1e-15, batch_size=32, epochs=50, patience=2)
         records = train(mlp, x, y, x, y, cfg)
         assert len(records) == 3
 
     def test_best_test_acc_logged(self, rng):
         x, y = _blob_split(rng, 120)
         mlp = init_mlp((8, 6, 3), seed=4)
-        cfg = TrainConfig(rule="FA", learning_rate=2e-3, batch_size=32, epochs=5)
+        cfg = TrainConfig(learning_rate=2e-3, batch_size=32, epochs=5)
         records = train(mlp, x, y, x, y, cfg)
         running_best = max(r.test_acc for r in records)
         assert records[-1].metrics["best_test_acc"] == running_best
@@ -271,7 +279,7 @@ class TestTrainLoop:
     def test_snapshot_hook_metrics_merged(self, rng):
         x, y = _blob_split(rng, 60)
         mlp = init_mlp((8, 6, 3), seed=5)
-        cfg = TrainConfig(rule="FA", learning_rate=1e-3, batch_size=32, epochs=2)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=2)
         records = train(mlp, x, y, x, y, cfg,
                         snapshot_hook=lambda epoch, net: {"probe": float(epoch)})
         assert [r.metrics["probe"] for r in records] == [1.0, 2.0]
@@ -280,11 +288,13 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(tiny_mlp, np.zeros((0, 5)), np.zeros(0, dtype=int),
                   np.zeros((1, 5)), np.zeros(1, dtype=int),
-                  TrainConfig(rule="FA"))
+                  TrainConfig())
 
-    def test_bad_rule_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(rule="DFA")
+    def test_bad_rule_rejected(self, rng, tiny_mlp):
+        x = rng.normal(size=(4, 5))
+        y = rng.integers(0, 3, size=4)
+        with pytest.raises(ConfigError, match="DFA"):
+            train(tiny_mlp, x, y, x, y, TrainConfig(), rule="DFA")
 
     def test_evaluate_matches_loss(self, rng, tiny_mlp):
         x = rng.normal(size=(10, 5))

@@ -16,7 +16,7 @@ class TestSvd:
     def test_reconstruction(self, rng, shape):
         m = rng.normal(size=shape)
         s, u, v = svd(m)
-        np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-9)
+        np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-9, rtol=0)
 
     def test_singular_values_descending_nonnegative(self, rng):
         s, _, _ = svd(rng.normal(size=(6, 9)))
@@ -25,13 +25,13 @@ class TestSvd:
 
     def test_orthonormal_factors(self, rng):
         _, u, v = svd(rng.normal(size=(8, 5)))
-        np.testing.assert_allclose(u.T @ u, np.eye(5), atol=1e-9)
-        np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-9)
+        np.testing.assert_allclose(u.T @ u, np.eye(5), atol=1e-9, rtol=0)
+        np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-9, rtol=0)
 
     def test_matches_jacobi_route(self, rng):
         m = rng.normal(size=(9, 6))
         s, _, _ = svd(m)
-        np.testing.assert_allclose(s, jacobi_singular_values(m), atol=1e-8)
+        np.testing.assert_allclose(s, jacobi_singular_values(m), atol=1e-8, rtol=0)
 
     def test_sign_convention(self, rng):
         _, u, _ = svd(rng.normal(size=(6, 4)))
@@ -59,7 +59,7 @@ class TestSvd:
     def test_reconstruction_property(self, rows, cols, seed):
         m = np.random.default_rng(seed).normal(size=(rows, cols))
         s, u, v = svd(m)
-        np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-9)
+        np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-9, rtol=0)
 
 
 class TestPca:
@@ -76,7 +76,7 @@ class TestPca:
         points = np.stack([t, 2 * t], axis=1)
         _, components, explained = pca_fit(points, 2)
         np.testing.assert_allclose(components[0],
-                                   [1 / np.sqrt(5), 2 / np.sqrt(5)], atol=1e-12)
+                                   [1 / np.sqrt(5), 2 / np.sqrt(5)], atol=1e-12, rtol=0)
         assert explained[1] < 1e-15
 
     def test_matches_covariance_eigensolver(self, rng):
@@ -85,14 +85,14 @@ class TestPca:
         centered = points - points.mean(axis=0)
         cov = centered.T @ centered / (points.shape[0] - 1)
         jvals, _ = jacobi_eigh(cov)
-        np.testing.assert_allclose(explained, jvals, atol=1e-10)
+        np.testing.assert_allclose(explained, jvals, atol=1e-10, rtol=0)
 
     def test_projection_values(self, rng):
         points = rng.normal(size=(12, 6))
         mean, components, _ = pca_fit(points, 2)
         p = points[3]
         np.testing.assert_allclose(pca_project(mean, components, p),
-                                   components @ (p - mean), atol=1e-12)
+                                   components @ (p - mean), atol=1e-12, rtol=0)
 
     def test_k_too_large_rejected(self, rng):
         with pytest.raises(ShapeError):

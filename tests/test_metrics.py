@@ -34,13 +34,13 @@ class TestAlignmentAngles:
         mlp.feedback = [w.T.copy() for w in mlp.weights]
         for layer in range(mlp.n_layers):
             rep = alignment_angles(mlp, layer)
-            np.testing.assert_allclose(rep.per_neuron_deg, 0.0, atol=1e-6)
+            np.testing.assert_allclose(rep.per_neuron_deg, 0.0, atol=1e-6, rtol=0)
 
     def test_negated_transpose_gives_180(self):
         mlp = init_mlp((6, 5, 3), seed=0)
         mlp.feedback = [-w.T.copy() for w in mlp.weights]
         rep = alignment_angles(mlp, 0)
-        np.testing.assert_allclose(rep.per_neuron_deg, 180.0, atol=1e-6)
+        np.testing.assert_allclose(rep.per_neuron_deg, 180.0, atol=1e-6, rtol=0)
 
     def test_hand_computed_angles(self):
         mlp = init_mlp((2, 2), seed=0)
@@ -49,8 +49,8 @@ class TestAlignmentAngles:
         # unit 1: W[:, 1] = (0, 1) vs B[1, :] = (1, 0) -> 90 degrees
         mlp.feedback[0] = np.array([[1.0, 1.0], [1.0, 0.0]])
         rep = alignment_angles(mlp, 0)
-        np.testing.assert_allclose(rep.per_neuron_deg, [45.0, 90.0], atol=1e-10)
-        np.testing.assert_allclose(rep.mean_deg, 67.5, atol=1e-10)
+        np.testing.assert_allclose(rep.per_neuron_deg, [45.0, 90.0], atol=1e-10, rtol=0)
+        np.testing.assert_allclose(rep.mean_deg, 67.5, atol=1e-10, rtol=0)
         assert rep.layer_index == 0
 
     def test_fresh_init_is_near_orthogonal(self):
@@ -72,7 +72,7 @@ class TestAlignmentAngles:
         base = alignment_angles(mlp, 0).per_neuron_deg
         mlp.feedback[0] = mlp.feedback[0] * 3.0
         np.testing.assert_allclose(
-            alignment_angles(mlp, 0).per_neuron_deg, base, atol=1e-10
+            alignment_angles(mlp, 0).per_neuron_deg, base, atol=1e-10, rtol=0
         )
 
     def test_bad_layer(self):
@@ -222,12 +222,12 @@ class TestWeightTrajectoryPca:
                 np.testing.assert_allclose(
                     np.linalg.norm(coords[i] - coords[j]),
                     np.linalg.norm(snaps[i] - snaps[j]),
-                    atol=1e-8,
+                    atol=1e-8, rtol=0,
                 )
             np.testing.assert_allclose(
                 np.linalg.norm(coords[i] - fb_coord),
                 np.linalg.norm(snaps[i] - fb),
-                atol=1e-8,
+                atol=1e-8, rtol=0,
             )
 
     def test_contraction_toward_target_survives_projection(self, rng):

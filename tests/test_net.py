@@ -78,12 +78,12 @@ class TestForward:
         )
         trace = forward(mlp, np.array([[2.0, 0.0]]))
         expected = np.exp([2.0, 0.0]) / np.exp([2.0, 0.0]).sum()
-        np.testing.assert_allclose(trace.probabilities[0], expected, atol=1e-12)
+        np.testing.assert_allclose(trace.probabilities[0], expected, atol=1e-12, rtol=0)
 
     def test_rows_sum_to_one(self, tiny_mlp, rng):
         trace = forward(tiny_mlp, rng.normal(size=(7, 5)))
         np.testing.assert_allclose(trace.probabilities.sum(axis=1), 1.0,
-                                   atol=1e-12)
+                                   atol=1e-12, rtol=0)
 
     def test_relu_gates_negative_preactivations(self, tiny_mlp, rng):
         trace = forward(tiny_mlp, rng.normal(size=(6, 5)))

@@ -12,17 +12,17 @@ from prealign.runner.emit import emit_csv, emit_plot, jsonable, write_manifest
 
 
 def record(trial=0, phase="train", epoch=1, train_loss=0.5, test_loss=0.6,
-           train_acc=0.9, test_acc=0.8, seed=0, metrics=None):
+           train_acc=0.9, test_acc=0.8, metrics=None):
     return RunRecord(trial=trial, phase=phase, epoch=epoch,
                      train_loss=train_loss, test_loss=test_loss,
-                     train_acc=train_acc, test_acc=test_acc, seed=seed,
+                     train_acc=train_acc, test_acc=test_acc,
                      metrics=metrics or {})
 
 
 class TestRunRecord:
     def test_defaults(self):
         r = RunRecord(trial=1, phase="train", epoch=2, train_loss=0.1,
-                      test_loss=None, train_acc=0.5, test_acc=None, seed=3)
+                      test_loss=None, train_acc=0.5, test_acc=None)
         assert r.metrics == {}
         assert r.test_loss is None
 

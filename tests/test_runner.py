@@ -16,6 +16,7 @@ from prealign import (
     NumericError,
     TrainConfig,
     TransformSpec,
+    derive_trial_seed,
     load_mlp,
 )
 from prealign.runner import (
@@ -49,7 +50,7 @@ def full_config(**overrides):
         pretrain=NoiseConfig(distribution=Gaussian(0.0, 0.7), total_samples=100,
                              samples_per_epoch=50, batch_size=25,
                              learning_rate=1e-3),
-        train=TrainConfig(rule="FA", learning_rate=1e-3, batch_size=32, epochs=2),
+        train=TrainConfig(learning_rate=1e-3, batch_size=32, epochs=2),
         dataset="blobs",
         train_size=128,
         test_size=64,
@@ -107,6 +108,19 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             load_config_file(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "rule", "BP"),
+        ("train", "seed", 99),
+        ("pretrain", "seed", 42),
+    ])
+    def test_item_keys_refused(self, section, key, value):
+        # the variant picks the rule and master_seed the trial seeds; a
+        # document (an older manifest, say) that sets either is refused
+        doc = config_to_dict(full_config())
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            config_from_dict(doc)
+
     def test_load_config_file_refuses_non_object(self, tmp_path):
         for text in ("[1, 2]", "3", "null", '"fig1e"'):
             p = tmp_path / "cfg.json"
@@ -127,6 +141,18 @@ class TestValidation:
     def test_meta_capture_needs_settings(self):
         with pytest.raises(ConfigError):
             full_config(capture=("meta",), meta=None)
+
+    def test_meta_settings_need_the_meta_capture(self):
+        with pytest.raises(ConfigError, match="'meta' flag"):
+            full_config(meta=MetaSettings())
+
+    def test_meta_tasks_are_distinct(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            MetaSettings(tasks=("mnist", "kmnist", "mnist"))
+
+    def test_eval_dataset_and_transform_exclusive(self):
+        with pytest.raises(ConfigError, match="at most one"):
+            full_config(eval_dataset="blobs")
 
     def test_train_needs_dataset(self):
         with pytest.raises(ConfigError):
@@ -206,6 +232,7 @@ class TestOverrides:
             "eval_transform.rotate_deg=[-30,30]",
             "pretrain.distribution.std=3",
             "meta.shots_per_class=5",
+            'capture=["eff_rank","meta"]',
         ])
         cfg = config_from_dict(doc)
         assert cfg.eval_transform == TransformSpec(rotate_deg=(-30.0, 30.0))
@@ -416,25 +443,28 @@ class TestLoadNamedDataset:
             load_named_dataset("mnist", tmp_path)
 
     def test_idx_layout_with_gzip(self, tmp_path):
-        import gzip
-
-        from test_data import idx_image_bytes, idx_label_bytes
-
-        root = tmp_path / "mnist"
-        root.mkdir()
         imgs = np.zeros((4, 2, 2), dtype=np.uint8)
-        (root / "train-images-idx3-ubyte.gz").write_bytes(
-            gzip.compress(idx_image_bytes(imgs))
-        )
-        (root / "train-labels-idx1-ubyte.gz").write_bytes(
-            gzip.compress(idx_label_bytes([0, 1, 2, 1]))
-        )
-        (root / "t10k-images-idx3-ubyte").write_bytes(
-            idx_image_bytes(imgs[:2])
-        )
-        (root / "t10k-labels-idx1-ubyte").write_bytes(idx_label_bytes([2, 0]))
+        write_idx_layout(tmp_path / "mnist", imgs, [0, 1, 2, 1], imgs[:2], [2, 0])
         train, test = load_named_dataset("mnist", tmp_path)
         assert train.n == 4 and test.n == 2
+
+
+def write_idx_layout(root, train_images, train_labels, test_images, test_labels):
+    """Write an MNIST-layout dataset under ``root``: the train split gzipped,
+    the test split plain."""
+    import gzip
+
+    from test_data import idx_image_bytes, idx_label_bytes
+
+    root.mkdir()
+    (root / "train-images-idx3-ubyte.gz").write_bytes(
+        gzip.compress(idx_image_bytes(train_images))
+    )
+    (root / "train-labels-idx1-ubyte.gz").write_bytes(
+        gzip.compress(idx_label_bytes(train_labels))
+    )
+    (root / "t10k-images-idx3-ubyte").write_bytes(idx_image_bytes(test_images))
+    (root / "t10k-labels-idx1-ubyte").write_bytes(idx_label_bytes(test_labels))
 
 
 def smoke_config(tmp_path, **overrides):
@@ -446,8 +476,7 @@ def smoke_config(tmp_path, **overrides):
         master_seed=11,
         pretrain=NoiseConfig(total_samples=200, samples_per_epoch=100,
                              batch_size=50, learning_rate=1e-3),
-        train=TrainConfig(rule="FA", learning_rate=1e-3, batch_size=64,
-                          epochs=2),
+        train=TrainConfig(learning_rate=1e-3, batch_size=64, epochs=2),
         dataset="blobs",
         train_size=256,
         test_size=128,
@@ -668,6 +697,31 @@ class TestRunExperiment:
             }
             assert len(accs) == 1
 
+    def test_variant_rule_and_trial_seed_reach_each_phase(self, tmp_path, monkeypatch):
+        calls = set()
+        original_noise = experiment_mod.pretrain_random_noise
+        original_train = experiment_mod.train
+
+        def noise(mlp, config, trial, hook, *, seed):
+            calls.add(("pretrain", trial, None, seed))
+            return original_noise(mlp, config, trial, hook, seed=seed)
+
+        def train(*args, trial, rule, seed, **kwargs):
+            calls.add(("train", trial, rule, seed))
+            return original_train(*args, trial=trial, rule=rule, seed=seed, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "pretrain_random_noise", noise)
+        monkeypatch.setattr(experiment_mod, "train", train)
+        cfg = smoke_config(tmp_path, trials=2,
+                           variants=[VariantSpec(name="fa_pre", pretrain=True),
+                                     VariantSpec(name="bp", rule="BP")])
+        run_experiment(cfg)
+        seeds = [derive_trial_seed(cfg.master_seed, t) for t in range(2)]
+        assert calls == (
+            {("pretrain", t, None, seeds[t]) for t in range(2)}
+            | {("train", t, rule, seeds[t]) for t in range(2) for rule in ("FA", "BP")}
+        )
+
     def test_partial_failure_recorded(self, tmp_path, monkeypatch):
         original = experiment_mod._run_single
 
@@ -757,7 +811,38 @@ class TestRunExperiment:
         run_experiment(cfg)
         header = (tmp_path / "out" / "records.csv").read_text().splitlines()[0]
         assert "meta_loss" in header.split(",")
-        assert "meta_loss_blobs-test" in header
+        assert "meta_loss_blobs" in header
+
+    def test_meta_capture_keys_each_task_by_its_name(self, tmp_path):
+        # every MNIST-family test split loads under the same file stem, so
+        # the columns must come from the configured task names
+        rng = np.random.default_rng(0)
+        labels = [0, 1] * 4
+        for name in ("mnist", "kmnist"):
+            imgs = rng.integers(0, 256, size=(8, 2, 2), dtype=np.uint8)
+            write_idx_layout(tmp_path / name, imgs, labels, imgs, labels)
+        cfg = smoke_config(
+            tmp_path,
+            dims=(4, 3, 2),
+            trials=1,
+            train=None,
+            dataset=None,
+            train_size=None,
+            test_size=None,
+            data_dir=str(tmp_path),
+            pretrain=NoiseConfig(total_samples=100, samples_per_epoch=100,
+                                 batch_size=50, learning_rate=1e-3),
+            capture=("meta",),
+            meta=MetaSettings(tasks=("mnist", "kmnist"), shots_per_class=1,
+                              query_per_class=1, inner_steps=2),
+        )
+        run_experiment(cfg)
+        with open(tmp_path / "out" / "records.csv", newline="") as f:
+            row = next(csv.DictReader(f))
+        per_task = {k: float(v) for k, v in row.items() if k.startswith("meta_loss_")}
+        assert set(per_task) == {"meta_loss_mnist", "meta_loss_kmnist"}
+        assert per_task["meta_loss_mnist"] != per_task["meta_loss_kmnist"]
+        assert sum(per_task.values()) == pytest.approx(float(row["meta_loss"]))
 
     def test_sweep_runs_all_points(self, tmp_path):
         cfg = smoke_config(tmp_path, trials=1,
@@ -802,6 +887,24 @@ class TestRunExperiment:
             manifest = json.loads((tmp_path / "out" / name / "manifest.json").read_text())
             assert manifest["failures"] == []
             assert set(manifest["summary"]["fa_pre"]) == {"0"}
+
+    def test_points_differing_in_meta_settings_resolve_apart(self, tmp_path,
+                                                             monkeypatch):
+        shots = []
+        original = experiment_mod.meta_loss
+
+        def recorded(mlp, cfg):
+            shots.append(cfg.shots_per_class)
+            return original(mlp, cfg)
+
+        monkeypatch.setattr(experiment_mod, "meta_loss", recorded)
+        run_experiment(smoke_config(
+            tmp_path, trials=1, train=None, dataset=None, train_size=None,
+            test_size=None, capture=("meta",),
+            meta=MetaSettings(tasks=("blobs",), query_per_class=2, inner_steps=1),
+            sweep={"meta.shots_per_class": [2, 3]},
+        ))
+        assert sorted(set(shots)) == [2, 3]
 
     def test_sweep_resolves_every_point_before_any_run(self, tmp_path, monkeypatch):
         calls = []
