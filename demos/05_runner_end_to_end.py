@@ -19,7 +19,11 @@ from prealign.runner.experiment import run_experiment
 
 
 def main():
-    out = Path(tempfile.mkdtemp(prefix="prealign-demo-"))
+    with tempfile.TemporaryDirectory(prefix="prealign-demo-") as tmp:
+        run_and_report(Path(tmp))
+
+
+def run_and_report(out):
     cfg = ExperimentConfig(
         experiment_id="demo",
         dims=(64, 32, 4),

@@ -4,8 +4,8 @@ Loaders parse the distribution formats directly (big-endian IDX, CIFAR-10
 binary records, libsvm text), accept gzip-compressed files
 transparently, and normalize pixels to [0, 1].  Transformed variants of a
 dataset, used for evaluation on shifted inputs, are produced by per-image
-random affine resampling.  No loader touches the network; everything here is
-a pure function of file content.
+random affine resampling, evaluated a block of images at a time.  No loader
+touches the network; everything here is a pure function of file content.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     images = np.frombuffer(img_raw, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lab_raw, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(
-        images=images.astype(np.float64) / 255.0,
+        images=np.divide(images, 255.0, dtype=np.float64),
         labels=labels,
         class_count=int(labels.max()) + 1 if n else 0,
         name=_stem(images_path),
@@ -246,68 +246,88 @@ def subset(ds: Dataset, n: int, seed: int) -> Dataset:
         raise ConfigError(f"subset size {n} outside [1, {ds.n}]")
     idx = np.random.default_rng(seed).permutation(ds.n)[:n]
     return Dataset(
-        images=ds.images[idx].copy(),
-        labels=ds.labels[idx].copy(),
+        images=ds.images[idx],
+        labels=ds.labels[idx],
         class_count=ds.class_count,
         name=f"{ds.name}-sub{n}",
     )
+
+
+# images per block of transform_affine; bounds its temporaries, not its output
+_AFFINE_BLOCK = 64
 
 
 def transform_affine(ds: Dataset, spec: TransformSpec, side: int) -> Dataset:
     """Random per-image affine resampling: each image is translated, scaled,
     and rotated about its center by parameters drawn uniformly from the
     spec's ranges, using inverse-mapped bilinear interpolation with zero
-    padding.  Labels are unchanged."""
+    padding.  Labels are unchanged.
+
+    Images are processed in blocks of ``_AFFINE_BLOCK``, with temporaries
+    the size of one block; the output is bitwise equal to evaluating the
+    formula one image at a time (the draws, the inverse map and the four
+    bilinear taps keep that per-pixel operation order)."""
     if side * side != ds.input_dim:
         raise ConfigError(
             f"input_dim {ds.input_dim} is not {side}x{side}; images must be "
             "square"
         )
     rng = np.random.default_rng(spec.seed)
+    # columns tx, ty, scale, angle: the doubles that four scalar draws per
+    # image would give, in the same order
+    lows, highs = zip(spec.translate_frac, spec.translate_frac, spec.scale,
+                      spec.rotate_deg)
+    draws = rng.uniform(lows, highs, size=(ds.n, 4))
+    tx = draws[:, 0] * side
+    ty = draws[:, 1] * side
+    scale = draws[:, 2]
+    theta = np.deg2rad(draws[:, 3])
+    cos_t, sin_t = np.cos(-theta), np.sin(-theta)
     center = (side - 1) / 2.0
     cols, rows = np.meshgrid(np.arange(side, dtype=np.float64),
                              np.arange(side, dtype=np.float64))
+    cols_c = cols - center
+    rows_c = rows - center
+    # each image sits in a zero border one pixel wide, and tap coordinates
+    # are clamped into that border, so a tap outside the image reads 0.0
+    padded_side = side + 2
+    padded = np.zeros((_AFFINE_BLOCK, padded_side, padded_side))
+    images = ds.images.reshape(ds.n, side, side)
     out = np.empty_like(ds.images)
-    for i in range(ds.n):
-        tx = rng.uniform(*spec.translate_frac) * side
-        ty = rng.uniform(*spec.translate_frac) * side
-        s = rng.uniform(*spec.scale)
-        theta = np.deg2rad(rng.uniform(*spec.rotate_deg))
+    out_images = out.reshape(ds.n, side, side)
+    for lo in range(0, ds.n, _AFFINE_BLOCK):
+        hi = min(lo + _AFFINE_BLOCK, ds.n)
+        b = slice(lo, hi)
+        block = padded[:hi - lo]
+        block[:, 1:-1, 1:-1] = images[b]
         # invert dst = R(theta) * s * (src - c) + c + t about the center
-        ux = cols - center - tx
-        uy = rows - center - ty
-        cos_t, sin_t = np.cos(-theta), np.sin(-theta)
-        src_x = (cos_t * ux - sin_t * uy) / s + center
-        src_y = (sin_t * ux + cos_t * uy) / s + center
-        out[i] = _sample_bilinear_zero(
-            ds.images[i].reshape(side, side), src_x, src_y
-        ).ravel()
+        ux = cols_c - tx[b, None, None]
+        uy = rows_c - ty[b, None, None]
+        cos_b = cos_t[b, None, None]
+        sin_b = sin_t[b, None, None]
+        src_x = (cos_b * ux - sin_b * uy) / scale[b, None, None] + center
+        src_y = (sin_b * ux + cos_b * uy) / scale[b, None, None] + center
+        x0 = np.floor(src_x).astype(np.int64)
+        y0 = np.floor(src_y).astype(np.int64)
+        fx = src_x - x0
+        fy = src_y - y0
+        base = np.arange(hi - lo)[:, None, None] * (padded_side * padded_side)
+        row_taps = [base + np.clip(y0 + dy + 1, 0, side + 1) * padded_side
+                    for dy in (0, 1)]
+        col_taps = [np.clip(x0 + dx + 1, 0, side + 1) for dx in (0, 1)]
+        flat = block.reshape(-1)
+        acc = out_images[b]
+        acc.fill(0.0)  # a sum from +0.0, so a -0.0 first tap gives +0.0
+        for row, wy in zip(row_taps, (1 - fy, fy)):
+            for col, wx in zip(col_taps, (1 - fx, fx)):
+                acc += wy * wx * flat[row + col]
+    np.clip(out, 0.0, 1.0, out=out)
     return Dataset(
-        images=np.clip(out, 0.0, 1.0),
+        images=out,
         labels=ds.labels.copy(),
         class_count=ds.class_count,
         name=f"{ds.name}-affine",
     )
-
-
-def _sample_bilinear_zero(image: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear sample at float coordinates, zero outside the image."""
-    side_y, side_x = image.shape
-    x0 = np.floor(x).astype(int)
-    y0 = np.floor(y).astype(int)
-    fx = x - x0
-    fy = y - y0
-    result = np.zeros_like(x)
-    for dy, wy in ((0, 1 - fy), (1, fy)):
-        for dx, wx in ((0, 1 - fx), (1, fx)):
-            xi = x0 + dx
-            yi = y0 + dy
-            inside = (xi >= 0) & (xi < side_x) & (yi >= 0) & (yi < side_y)
-            vals = np.where(
-                inside, image[np.clip(yi, 0, side_y - 1), np.clip(xi, 0, side_x - 1)], 0.0
-            )
-            result += wy * wx * vals
-    return result
 
 
 def synthetic_blobs(

@@ -1,7 +1,7 @@
 """Experiment orchestration: configs, presets, the runner, and emission."""
 
 from .config import ExperimentConfig, MetaSettings, VariantSpec
-from .experiment import load_named_dataset, run_experiment
+from .experiment import load_named_dataset, load_named_split, run_experiment
 from .presets import FIGURE_IDS, reproduce
 
 __all__ = [
@@ -11,5 +11,6 @@ __all__ = [
     "FIGURE_IDS",
     "reproduce",
     "load_named_dataset",
+    "load_named_split",
     "run_experiment",
 ]

@@ -38,7 +38,7 @@ from .config import (
     config_to_dict,
     load_config_file,
 )
-from .experiment import default_data_dir, load_named_dataset, run_experiment
+from .experiment import default_data_dir, load_named_split, run_experiment
 from .presets import FIGURE_IDS, reproduce
 
 __all__ = ["main"]
@@ -214,10 +214,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_eval(args) -> int:
     mlp = load_mlp(args.model)
-    train_ds, test_ds = load_named_dataset(
-        args.dataset, default_data_dir(args.data_dir), mlp.dims[0], mlp.dims[-1]
+    ds = load_named_split(
+        args.dataset, args.split, default_data_dir(args.data_dir), mlp.dims[0],
+        mlp.dims[-1]
     )
-    ds = train_ds if args.split == "train" else test_ds
     loss, acc = evaluate(mlp, ds.images, ds.labels)
     print(json.dumps(
         {"dataset": ds.name, "split": args.split, "n": ds.n,

@@ -49,7 +49,8 @@ from ..seeds import derive_entropy, derive_trial_seed, rng_for
 from .config import ExperimentConfig, config_to_dict, expand_sweep, config_from_dict
 from .emit import emit_csv, emit_plot, write_manifest
 
-__all__ = ["load_named_dataset", "run_experiment", "DATASET_NAMES"]
+__all__ = ["load_named_dataset", "load_named_split", "run_experiment",
+           "DATASET_NAMES"]
 
 DATASET_NAMES = (
     "mnist",
@@ -59,14 +60,6 @@ DATASET_NAMES = (
     "usps",
     "blobs",
 )
-
-_IDX_FILES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
-
 
 def default_data_dir(cfg_value: str | None = None) -> str:
     return cfg_value or os.environ.get("PREALIGN_DATA_DIR") or "data"
@@ -83,36 +76,41 @@ def _find(root: Path, *candidates: str) -> Path:
     raise DataError(f"missing data file; tried: {', '.join(tried)}")
 
 
+def load_named_split(
+    name: str, split: str, data_dir, input_dim: int = 784, class_count: int = 10
+) -> Dataset:
+    """Load one split, ``"train"`` or ``"test"``, of a dataset by name from
+    its conventional layout under ``data_dir``; only that split's files are
+    read.  ``blobs`` is synthetic and needs no files (``input_dim``/
+    ``class_count`` apply only to it)."""
+    if split not in ("train", "test"):
+        raise ConfigError(f"unknown split {split!r}; valid: train, test")
+    train = split == "train"
+    if name == "blobs":
+        full = synthetic_blobs(3072, input_dim, class_count, seed=7)
+        rows = slice(None, 2048) if train else slice(2048, None)
+        return Dataset(full.images[rows].copy(), full.labels[rows].copy(),
+                       full.class_count, f"blobs-{split}")
+    root = Path(data_dir) / name
+    if name in ("mnist", "fashion-mnist", "kmnist"):
+        prefix = "train" if train else "t10k"
+        return load_idx(_find(root, f"{prefix}-images-idx3-ubyte"),
+                        _find(root, f"{prefix}-labels-idx1-ubyte"))
+    if name == "cifar10":
+        if train:
+            return load_cifar([_find(root, f"data_batch_{i}.bin") for i in range(1, 6)])
+        return load_cifar(_find(root, "test_batch.bin"))
+    if name == "usps":
+        return load_usps_libsvm(_find(root, "usps" if train else "usps.t"))
+    raise ConfigError(f"unknown dataset {name!r}; valid: {DATASET_NAMES}")
+
+
 def load_named_dataset(
     name: str, data_dir, input_dim: int = 784, class_count: int = 10
 ) -> tuple[Dataset, Dataset]:
-    """Load a dataset by name from its conventional layout under
-    ``data_dir``; returns (train, test).  ``blobs`` is synthetic and needs
-    no files (``input_dim``/``class_count`` apply only to it)."""
-    if name == "blobs":
-        full = synthetic_blobs(3072, input_dim, class_count, seed=7)
-        train_ds = Dataset(full.images[:2048].copy(), full.labels[:2048].copy(),
-                           full.class_count, "blobs-train")
-        test_ds = Dataset(full.images[2048:].copy(), full.labels[2048:].copy(),
-                          full.class_count, "blobs-test")
-        return train_ds, test_ds
-    root = Path(data_dir) / name
-    if name in ("mnist", "fashion-mnist", "kmnist"):
-        return (
-            load_idx(_find(root, _IDX_FILES["train_images"]),
-                     _find(root, _IDX_FILES["train_labels"])),
-            load_idx(_find(root, _IDX_FILES["test_images"]),
-                     _find(root, _IDX_FILES["test_labels"])),
-        )
-    if name == "cifar10":
-        batches = [_find(root, f"data_batch_{i}.bin") for i in range(1, 6)]
-        return load_cifar(batches), load_cifar(_find(root, "test_batch.bin"))
-    if name == "usps":
-        return (
-            load_usps_libsvm(_find(root, "usps")),
-            load_usps_libsvm(_find(root, "usps.t")),
-        )
-    raise ConfigError(f"unknown dataset {name!r}; valid: {DATASET_NAMES}")
+    """Both splits of :func:`load_named_split`, as (train, test)."""
+    return (load_named_split(name, "train", data_dir, input_dim, class_count),
+            load_named_split(name, "test", data_dir, input_dim, class_count))
 
 
 def _data_key(cfg: ExperimentConfig) -> tuple:
@@ -146,16 +144,16 @@ class _ResolvedData:
             self.clean_test = test_ds
             self.eval_test = test_ds
             if cfg.eval_dataset is not None:
-                _, other_test = load_named_dataset(
-                    cfg.eval_dataset, data_dir, cfg.dims[0], cfg.dims[-1]
+                self.eval_test = load_named_split(
+                    cfg.eval_dataset, "test", data_dir, cfg.dims[0], cfg.dims[-1]
                 )
-                self.eval_test = other_test
             elif cfg.eval_transform is not None:
                 side = int(round(np.sqrt(cfg.dims[0])))
                 self.eval_test = transform_affine(test_ds, cfg.eval_transform, side)
         if cfg.meta is not None:
             self.meta = MetaConfig(
-                tasks=[load_named_dataset(name, data_dir, cfg.dims[0], cfg.dims[-1])[1]
+                tasks=[load_named_split(name, "test", data_dir, cfg.dims[0],
+                                        cfg.dims[-1])
                        for name in cfg.meta.tasks],
                 shots_per_class=cfg.meta.shots_per_class,
                 inner_steps=cfg.meta.inner_steps,

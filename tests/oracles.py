@@ -226,3 +226,42 @@ def entropy_effective_rank_reference(singular_values):
         if p > 0:
             acc -= p * np.log(p)
     return np.exp(acc)
+
+
+def affine_transform_reference(images, side, translate_frac, scale, rotate_deg,
+                               seed):
+    """Random affine resampling one image at a time: four scalar draws per
+    image (tx, ty, scale, angle), the inverse map about the center, and
+    zero-padded bilinear taps accumulated in (0,0), (0,1), (1,0), (1,1)
+    order.  Returns the clipped ``(n, side*side)`` images."""
+    rng = np.random.default_rng(seed)
+    center = (side - 1) / 2.0
+    cols, rows = np.meshgrid(np.arange(side, dtype=np.float64),
+                             np.arange(side, dtype=np.float64))
+    out = np.empty_like(images)
+    for i in range(images.shape[0]):
+        tx = rng.uniform(*translate_frac) * side
+        ty = rng.uniform(*translate_frac) * side
+        s = rng.uniform(*scale)
+        theta = np.deg2rad(rng.uniform(*rotate_deg))
+        ux = cols - center - tx
+        uy = rows - center - ty
+        cos_t, sin_t = np.cos(-theta), np.sin(-theta)
+        x = (cos_t * ux - sin_t * uy) / s + center
+        y = (sin_t * ux + cos_t * uy) / s + center
+        image = images[i].reshape(side, side)
+        x0 = np.floor(x).astype(int)
+        y0 = np.floor(y).astype(int)
+        fx = x - x0
+        fy = y - y0
+        result = np.zeros_like(x)
+        for dy, wy in ((0, 1 - fy), (1, fy)):
+            for dx, wx in ((0, 1 - fx), (1, fx)):
+                xi = x0 + dx
+                yi = y0 + dy
+                inside = (xi >= 0) & (xi < side) & (yi >= 0) & (yi < side)
+                vals = np.where(inside, image[np.clip(yi, 0, side - 1),
+                                              np.clip(xi, 0, side - 1)], 0.0)
+                result += wy * wx * vals
+        out[i] = result.ravel()
+    return np.clip(out, 0.0, 1.0)

@@ -20,6 +20,9 @@ from prealign import (
     synthetic_blobs,
     transform_affine,
 )
+from prealign.data import _AFFINE_BLOCK
+
+from oracles import affine_transform_reference
 
 
 def idx_image_bytes(arr):
@@ -337,6 +340,29 @@ class TestTransformAffine:
             ds, TransformSpec(rotate_deg=(-25.0, 25.0), seed=5), 16
         )
         assert not np.array_equal(a.images, other.images)
+
+    @pytest.mark.parametrize("n", [1, _AFFINE_BLOCK - 1, _AFFINE_BLOCK,
+                                   _AFFINE_BLOCK + 1, 2 * _AFFINE_BLOCK + 1])
+    @pytest.mark.parametrize("spec", [
+        TransformSpec(),
+        # fig5b's evaluation transform
+        TransformSpec(translate_frac=(-0.05, 0.05), scale=(0.8, 1.2),
+                      rotate_deg=(-25.0, 25.0), seed=3),
+        # maps many coordinates far outside the image
+        TransformSpec(translate_frac=(-0.3, 0.3), scale=(0.3, 2.0),
+                      rotate_deg=(-180.0, 180.0), seed=8),
+    ], ids=["identity", "fig5b", "wide"])
+    def test_bitwise_equal_to_per_image_reference(self, n, spec):
+        rng = np.random.default_rng(n)
+        images = rng.integers(0, 256, size=(n, 784)) / 255.0
+        ds = Dataset(images=images, labels=np.zeros(n, dtype=np.int64),
+                     class_count=1, name="r")
+        out = transform_affine(ds, spec, side=28)
+        expected = affine_transform_reference(
+            images, 28, spec.translate_frac, spec.scale, spec.rotate_deg,
+            spec.seed,
+        )
+        assert out.images.tobytes() == expected.tobytes()
 
     def test_non_square_rejected(self):
         ds = Dataset(images=np.ones((1, 12)), labels=np.array([0]),

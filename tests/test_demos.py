@@ -2,7 +2,8 @@
 each in a fresh interpreter, with no arguments and no dataset files.
 Demos 02, 03, 04 and 06 also run the noise loop the way a direct, serial
 call does.  ``PREALIGN_DATA_DIR`` is removed from the demos' environment,
-so demo 03 stays on synthetic blobs whatever data directory is set."""
+so demo 03 stays on synthetic blobs whatever data directory is set.  A demo
+leaves no ``prealign-demo-*`` directory behind in the temporary directory."""
 
 import os
 import subprocess
@@ -33,3 +34,4 @@ def test_demo_exits_zero(script, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("prealign-demo-*"))

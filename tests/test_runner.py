@@ -844,6 +844,44 @@ class TestRunExperiment:
         assert per_task["meta_loss_mnist"] != per_task["meta_loss_kmnist"]
         assert sum(per_task.values()) == pytest.approx(float(row["meta_loss"]))
 
+    def test_meta_tasks_read_only_their_test_split(self, tmp_path):
+        # meta tasks are drawn from test splits, so their train files may be
+        # absent; the trained dataset still needs both splits
+        from test_data import idx_image_bytes, idx_label_bytes
+
+        rng = np.random.default_rng(1)
+        labels = [0, 1] * 4
+        write_idx_layout(tmp_path / "mnist",
+                         rng.integers(0, 256, size=(8, 2, 2), dtype=np.uint8),
+                         labels,
+                         rng.integers(0, 256, size=(8, 2, 2), dtype=np.uint8),
+                         labels)
+        for name in ("fashion-mnist", "kmnist"):
+            root = tmp_path / name
+            root.mkdir()
+            imgs = rng.integers(0, 256, size=(8, 2, 2), dtype=np.uint8)
+            (root / "t10k-images-idx3-ubyte").write_bytes(idx_image_bytes(imgs))
+            (root / "t10k-labels-idx1-ubyte").write_bytes(idx_label_bytes(labels))
+        cfg = smoke_config(
+            tmp_path,
+            dims=(4, 3, 2),
+            dataset="mnist",
+            train_size=None,
+            test_size=None,
+            data_dir=str(tmp_path),
+            capture=("meta",),
+            meta=MetaSettings(tasks=("fashion-mnist", "kmnist"),
+                              shots_per_class=1, query_per_class=1,
+                              inner_steps=2),
+        )
+        data = experiment_mod._ResolvedData(cfg)
+        assert [task.n for task in data.meta.tasks] == [8, 8]
+        with pytest.raises(DataError, match="tried"):
+            experiment_mod._ResolvedData(
+                dataclasses.replace(cfg, dataset="kmnist", meta=None,
+                                    capture=())
+            )
+
     def test_sweep_runs_all_points(self, tmp_path):
         cfg = smoke_config(tmp_path, trials=1,
                            sweep={"train_size": [64, 128]})
