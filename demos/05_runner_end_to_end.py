@@ -2,7 +2,7 @@
 
 One config fans out into (trials x variants) seeded runs with shared
 initializations per trial, and everything lands on disk: per-variant
-records.csv and curves.svg, checkpoints for every trained network, and a
+records.csv, checkpoints for every trained network, and a
 manifest.json that embeds the fully resolved config so the run can be
 repeated or audited later.  The `prealign` command line drives exactly
 this code path; the equivalent invocations are printed at the end.

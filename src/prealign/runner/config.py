@@ -121,6 +121,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown capture flag {flag!r}; valid: {CAPTURE_FLAGS}"
                 )
+        n_layers = len(self.dims) - 1
+        if "trajectory" in self.capture and not 0 <= self.traj_layer < n_layers:
+            raise ConfigError(f"traj_layer must be in [0, {n_layers}) for dims "
+                              f"{list(self.dims)}, got {self.traj_layer}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.scale <= 0:

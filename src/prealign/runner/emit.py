@@ -1,22 +1,21 @@
-"""Result emission: CSV record tables, SVG line charts, JSON manifests.
+"""Result emission: CSV record tables and JSON manifests.
 
 The CSV layout is part of the package's external contract: a fixed
 seven-column prefix, then the union of metric names in sorted order, floats
 at 9 significant digits, empty cells for absent values, UTF-8 with LF line
-endings.  Charts are self-contained hand-built SVG with no external assets.
+endings.
 """
 
 from __future__ import annotations
 
 import json
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..records import RunRecord
 
-__all__ = ["emit_csv", "emit_plot", "write_manifest", "jsonable"]
+__all__ = ["emit_csv", "write_manifest", "jsonable"]
 
 _FIXED_COLUMNS = (
     "trial",
@@ -27,8 +26,6 @@ _FIXED_COLUMNS = (
     "train_acc",
     "test_acc",
 )
-
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _cell(value) -> str:
@@ -61,118 +58,6 @@ def emit_csv(records: list[RunRecord], path) -> None:
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _axis_range(values: np.ndarray) -> tuple[float, float]:
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        pad = 0.5 if lo == 0 else abs(lo) * 0.05
-        return lo - pad, hi + pad
-    return lo, hi
-
-
-def emit_plot(series: dict, path, title: str = "", xlabel: str = "epoch",
-              ylabel: str = "") -> None:
-    """Render named (x, y) series as a static SVG line chart.
-
-    ``series`` maps a legend name to a pair of equal-length sequences.
-    Axis ranges cover the data exactly; each series becomes one polyline.
-    """
-    if not series:
-        raise ConfigError("no series to plot")
-    parsed = {}
-    for name, (xs, ys) in series.items():
-        x = np.asarray(xs, dtype=np.float64)
-        y = np.asarray(ys, dtype=np.float64)
-        if x.size == 0 or x.shape != y.shape:
-            raise ConfigError(
-                f"series {name!r} needs matching nonempty x/y, got "
-                f"{x.shape} and {y.shape}"
-            )
-        parsed[name] = (x, y)
-    width, height = 640, 420
-    left, right, top, bottom = 70, 20, 40, 50
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-    x_lo, x_hi = _axis_range(np.concatenate([x for x, _ in parsed.values()]))
-    y_lo, y_hi = _axis_range(np.concatenate([y for _, y in parsed.values()]))
-
-    def sx(v):
-        return left + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(v):
-        return top + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<g font-family="sans-serif" font-size="12" fill="black">',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
-        )
-    # axes
-    parts.append(
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
-        f'y2="{top + plot_h}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" '
-        f'stroke="black"/>'
-    )
-    for i in range(5):
-        fx = x_lo + (x_hi - x_lo) * i / 4
-        fy = y_lo + (y_hi - y_lo) * i / 4
-        px, py = sx(fx), sy(fy)
-        parts.append(
-            f'<line x1="{px:.1f}" y1="{top + plot_h}" x2="{px:.1f}" '
-            f'y2="{top + plot_h + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.1f}" y="{top + plot_h + 18}" '
-            f'text-anchor="middle">{fx:.4g}</text>'
-        )
-        parts.append(
-            f'<line x1="{left - 5}" y1="{py:.1f}" x2="{left}" y2="{py:.1f}" '
-            f'stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{py + 4:.1f}" '
-            f'text-anchor="end">{fy:.4g}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" '
-            f'text-anchor="middle">{escape(xlabel)}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="18" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">'
-            f"{escape(ylabel)}</text>"
-        )
-    for i, (name, (x, y)) in enumerate(parsed.items()):
-        color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
-        ly = top + 14 + 16 * i
-        parts.append(
-            f'<line x1="{left + plot_w - 110}" y1="{ly - 4}" '
-            f'x2="{left + plot_w - 90}" y2="{ly - 4}" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{left + plot_w - 85}" y="{ly}">{escape(name)}</text>'
-        )
-    parts.append("</g></svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(parts) + "\n")
 
 
 def jsonable(obj):

@@ -9,10 +9,9 @@ starts from identical initial weights; every random stream is derived from
 the trial's seed with a distinct label, so adding a metric never perturbs
 training randomness.
 Outputs per point: ``records.csv`` (per variant),
-``model_<trial>_<phase>.bin`` checkpoints, ``curves.svg``, and a
-``manifest.json`` embedding the resolved config, seeds, initial-state
-metrics, per-trial summaries and failures; a sweep adds an index manifest
-above its points.  Errors are written, then raised: a failing pair is
+``model_<trial>_<phase>.bin`` checkpoints and a ``manifest.json`` embedding
+the resolved config, seeds, initial-state metrics, per-trial summaries and
+failures; a sweep adds an index manifest above its points.  Errors are written, then raised: a failing pair is
 recorded in its point's manifest, and only after every point's outputs are
 on disk is the first error of the first point in which no pair succeeded
 raised.
@@ -28,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..data import Dataset, load_cifar, load_idx, load_usps_libsvm, subset, \
-    synthetic_blobs, transform_affine
+from ..data import Dataset, load_idx, load_usps_libsvm, subset, synthetic_blobs, \
+    transform_affine
 from ..errors import ConfigError, DataError, PrealignError
 from ..learn import _one_blas_thread, _openblas_threads, evaluate, train
 from ..metrics import (
@@ -47,7 +46,7 @@ from ..noise import pretrain_random_noise
 from ..records import RunRecord
 from ..seeds import derive_entropy, derive_trial_seed, rng_for
 from .config import ExperimentConfig, config_to_dict, expand_sweep, config_from_dict
-from .emit import emit_csv, emit_plot, write_manifest
+from .emit import emit_csv, write_manifest
 
 __all__ = ["load_named_dataset", "load_named_split", "run_experiment",
            "DATASET_NAMES"]
@@ -56,7 +55,6 @@ DATASET_NAMES = (
     "mnist",
     "fashion-mnist",
     "kmnist",
-    "cifar10",
     "usps",
     "blobs",
 )
@@ -96,10 +94,6 @@ def load_named_split(
         prefix = "train" if train else "t10k"
         return load_idx(_find(root, f"{prefix}-images-idx3-ubyte"),
                         _find(root, f"{prefix}-labels-idx1-ubyte"))
-    if name == "cifar10":
-        if train:
-            return load_cifar([_find(root, f"data_batch_{i}.bin") for i in range(1, 6)])
-        return load_cifar(_find(root, "test_batch.bin"))
     if name == "usps":
         return load_usps_libsvm(_find(root, "usps" if train else "usps.t"))
     raise ConfigError(f"unknown dataset {name!r}; valid: {DATASET_NAMES}")
@@ -262,36 +256,6 @@ def _run_single(cfg: ExperimentConfig, variant, trial: int,
     return records, initial, summary
 
 
-def _plot_series(cfg: ExperimentConfig,
-                 by_variant: dict[str, list[RunRecord]]) -> dict:
-    preference = ("angle_mean_l0", "eff_rank_l0", "wb_dist_l0", "meta_loss")
-    series = {}
-    for name, records in by_variant.items():
-        train_recs = [r for r in records if r.phase == "train"]
-        if train_recs:
-            pick = lambda r: r.test_acc
-            pool = train_recs
-        else:
-            pool = [r for r in records if r.phase == "pretrain"]
-            if not pool:
-                continue
-            key = next((k for k in preference if k in pool[0].metrics), None)
-            if key is None:
-                pick = lambda r: r.train_loss
-            else:
-                pick = lambda r, k=key: r.metrics.get(k)
-        by_epoch: dict[int, list[float]] = {}
-        for r in pool:
-            v = pick(r)
-            if v is not None:
-                by_epoch.setdefault(r.epoch, []).append(float(v))
-        if not by_epoch:
-            continue
-        epochs = sorted(by_epoch)
-        series[name] = (epochs, [float(np.mean(by_epoch[e])) for e in epochs])
-    return series
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute a config; returns the manifest payload of the run, or the
     sweep index of a config with a sweep."""
@@ -388,16 +352,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for name, records in by_variant.items():
             if records:
                 emit_csv(records, variant_dirs[i][name] / "records.csv")
-        out_root = Path(point.output_dir)
-        series = _plot_series(point, by_variant)
-        if series:
-            has_train = any(r.phase == "train" for rs in by_variant.values() for r in rs)
-            emit_plot(
-                series,
-                out_root / "curves.svg",
-                title=point.experiment_id,
-                ylabel="test accuracy" if has_train else "captured metric",
-            )
         manifest = {
             "experiment_id": point.experiment_id,
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -418,7 +372,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "summary": summaries,
             "failures": failures,
         }
-        write_manifest(manifest, out_root / "manifest.json")
+        write_manifest(manifest, Path(point.output_dir) / "manifest.json")
     if first_error is not None:
         raise first_error
     return index if cfg.sweep else manifest

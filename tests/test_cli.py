@@ -86,6 +86,17 @@ class TestPretrainVerb:
         manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
         assert manifest["config"]["pretrain"]["total_samples"] == 60
 
+    def test_traj_layer_outside_dims_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(
+            {**NOISE_DOC, "capture": ["trajectory"], "traj_layer": 5}
+        ))
+        code, _, err = run(capsys, "pretrain", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "p"))
+        assert code == 1
+        assert "traj_layer" in err
+        assert not (tmp_path / "p").exists()
+
     def test_seed_flag_changes_trial_seeds(self, tmp_path, capsys):
         run(capsys, *PRETRAIN_TINY, "--out", str(tmp_path / "a"), "--seed", "1")
         run(capsys, *PRETRAIN_TINY, "--out", str(tmp_path / "b"), "--seed", "2")
@@ -118,6 +129,15 @@ class TestTrainVerb:
                            "--out", str(tmp_path / "t"))
         assert code == 1
         assert "no variant pretrains" in err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("name", ["cifar10", "imagenet"])
+    def test_unknown_dataset_refused(self, name, tmp_path, capsys):
+        argv = [name if a == "blobs" else a for a in TRAIN_TINY]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "t"))
+        assert code == 1
+        assert f"unknown dataset {name!r}" in err
+        assert "'mnist'" in err and "'blobs'" in err
         assert not (tmp_path / "t").exists()
 
     def test_numeric_blowup_exits_three(self, tmp_path, capsys):

@@ -1,14 +1,13 @@
-"""Tests for run records and the CSV/SVG/JSON emitters."""
+"""Tests for run records and the CSV/JSON emitters."""
 
 import csv
 import json
-import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from prealign import ConfigError, RunRecord
-from prealign.runner.emit import emit_csv, emit_plot, jsonable, write_manifest
+from prealign.runner.emit import emit_csv, jsonable, write_manifest
 
 
 def record(trial=0, phase="train", epoch=1, train_loss=0.5, test_loss=0.6,
@@ -96,57 +95,6 @@ class TestEmitCsv:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_csv([], tmp_path / "x.csv")
-
-
-class TestEmitPlot:
-    def test_valid_xml_with_one_polyline_per_series(self, tmp_path):
-        p = tmp_path / "curves.svg"
-        emit_plot(
-            {"fa": ([1, 2, 3], [0.1, 0.5, 0.7]),
-             "bp": ([1, 2, 3], [0.2, 0.6, 0.9])},
-            p, title="accuracy", ylabel="test acc",
-        )
-        root = ET.parse(p).getroot()
-        assert root.tag.endswith("svg")
-        ns = "{http://www.w3.org/2000/svg}"
-        polylines = root.iter(f"{ns}polyline")
-        assert len(list(polylines)) == 2
-
-    def test_axis_labels_and_title_present(self, tmp_path):
-        p = tmp_path / "curves.svg"
-        emit_plot({"s": ([0, 1], [0, 1])}, p, title="T<amp>&",
-                  xlabel="epoch", ylabel="loss")
-        text = p.read_text()
-        assert "T&lt;amp&gt;&amp;" in text
-        assert "epoch" in text and "loss" in text
-
-    def test_points_stay_inside_viewbox(self, tmp_path):
-        p = tmp_path / "curves.svg"
-        emit_plot({"s": ([0, 10], [-5.0, 5.0])}, p)
-        ns = "{http://www.w3.org/2000/svg}"
-        root = ET.parse(p).getroot()
-        for poly in root.iter(f"{ns}polyline"):
-            for pair in poly.get("points").split():
-                x, y = map(float, pair.split(","))
-                assert 0 <= x <= 640 and 0 <= y <= 420
-
-    def test_constant_series_does_not_divide_by_zero(self, tmp_path):
-        p = tmp_path / "flat.svg"
-        emit_plot({"s": ([1, 2, 3], [0.5, 0.5, 0.5])}, p)
-        assert "NaN" not in p.read_text()
-
-    def test_single_point_series(self, tmp_path):
-        p = tmp_path / "dot.svg"
-        emit_plot({"s": ([1], [0.0])}, p)
-        assert "NaN" not in p.read_text()
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_plot({}, tmp_path / "x.svg")
-        with pytest.raises(ConfigError):
-            emit_plot({"s": ([1, 2], [1.0])}, tmp_path / "x.svg")
-        with pytest.raises(ConfigError):
-            emit_plot({"s": ([], [])}, tmp_path / "x.svg")
 
 
 class TestManifest:

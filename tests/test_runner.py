@@ -174,6 +174,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="no variant pretrains"):
             full_config(variants=[VariantSpec(name="fa")])
 
+    @pytest.mark.parametrize("traj_layer", [-1, 2, 5])
+    def test_traj_layer_names_a_layer(self, traj_layer):
+        with pytest.raises(ConfigError, match="traj_layer"):
+            full_config(capture=("trajectory",), traj_layer=traj_layer)
+
+    def test_swept_dims_check_traj_layer_per_point(self):
+        doc = config_to_dict(full_config(capture=("trajectory",), traj_layer=1,
+                                         sweep={"dims": [[16, 8, 4], [16, 4]]}))
+        (_, deep), (_, shallow) = expand_sweep(doc)
+        assert config_from_dict(deep).traj_layer == 1
+        with pytest.raises(ConfigError, match="traj_layer"):
+            config_from_dict(shallow)
+
     def test_needs_some_phase(self):
         with pytest.raises(ConfigError):
             full_config(pretrain=None, train=None, dataset=None,
@@ -491,10 +504,10 @@ class TestRunExperiment:
     def test_single_variant_layout_and_manifest(self, tmp_path):
         manifest = run_experiment(smoke_config(tmp_path))
         out = tmp_path / "out"
-        assert (out / "records.csv").exists()
-        assert not (out / "fa_pre").exists()
-        assert (out / "curves.svg").exists()
-        assert (out / "manifest.json").exists()
+        # a new output file must be a deliberate choice
+        assert {p.name for p in out.iterdir()} == {"manifest.json", "records.csv"} | {
+            f"model_{t}_{phase}.bin" for t in range(3) for phase in ("pretrain", "train")
+        }
         assert manifest["experiment_id"] == "smoke"
         assert manifest["scale"] == 1.0
         assert len(set(manifest["trial_seeds"])) == 3
