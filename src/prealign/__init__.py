@@ -36,7 +36,6 @@ from .learn import (
     evaluate,
     train,
 )
-from .linalg import pca_fit, pca_project, svd
 from .metrics import (
     AngleReport,
     MetaConfig,
@@ -94,9 +93,6 @@ __all__ = [
     "backward_fa",
     "evaluate",
     "train",
-    "pca_fit",
-    "pca_project",
-    "svd",
     "AngleReport",
     "MetaConfig",
     "accuracy_auc",

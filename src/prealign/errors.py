@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+from numbers import Integral
 
 
 class PrealignError(Exception):
@@ -23,3 +25,12 @@ class FormatError(PrealignError):
 
 class NumericError(PrealignError):
     """A non-finite value (NaN/Inf) appeared where finiteness is required."""
+
+
+def require_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer (``bool``
+    is not) and, when ``minimum`` is given, at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, require_int
 from .net import (Mlp, ForwardTrace, _check_labels, _empty_trace, _split_params,
                   accuracy, cross_entropy, forward)
 from .records import RunRecord
@@ -167,12 +167,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        require_int("batch_size", self.batch_size, 1)
+        require_int("epochs", self.epochs, 1)
+        if self.patience is not None:
+            require_int("patience", self.patience, 1)
 
 
 def _backward(mlp: Mlp, trace: ForwardTrace, labels, use_feedback: bool,

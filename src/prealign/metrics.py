@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, require_int
 from .learn import AdamState, step
-from .linalg import pca_fit, pca_project, svd
 from .net import Mlp, cross_entropy, forward
 from .seeds import rng_for
 
@@ -61,13 +60,8 @@ class MetaConfig:
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ConfigError("tasks must be nonempty")
-        if self.shots_per_class < 1 or self.query_per_class < 1:
-            raise ConfigError(
-                f"need >= 1 shot and query per class, got "
-                f"{self.shots_per_class}, {self.query_per_class}"
-            )
-        if self.inner_steps < 1:
-            raise ConfigError(f"inner_steps must be >= 1, got {self.inner_steps}")
+        for name in ("shots_per_class", "query_per_class", "inner_steps"):
+            require_int(name, getattr(self, name), 1)
         if self.inner_lr <= 0:
             raise ConfigError(f"inner_lr must be > 0, got {self.inner_lr}")
 
@@ -113,8 +107,15 @@ def weight_feedback_distance(mlp: Mlp, layer: int) -> float:
 def effective_rank(m) -> float:
     """Exponential of the Shannon entropy of the normalized singular values:
     ``exp(-sum sbar_i ln sbar_i)`` with ``sbar = s / sum(s)`` and
-    ``0 * ln 0 := 0``.  Raises :class:`NumericError` on an all-zero matrix."""
-    s, _, _ = svd(m)
+    ``0 * ln 0 := 0``.  Raises :class:`ShapeError` unless ``m`` is a nonempty
+    2-D matrix and :class:`NumericError` on NaN, Inf or an all-zero matrix."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.size == 0:
+        raise ShapeError(f"need a nonempty 2-D matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericError("matrix contains NaN or Inf")
+    # full SVD: compute_uv=False rounds s differently, changing recorded ranks
+    s = np.linalg.svd(a, full_matrices=False)[1]
     total = s.sum()
     if total == 0.0:
         raise NumericError("effective rank of an all-zero matrix is undefined")
@@ -165,7 +166,9 @@ def weight_trajectory_pca(snapshots, feedback_point, k: int = 2):
     principal components.
 
     The fit includes the feedback point alongside the snapshots so the
-    target is faithfully placed in the same plane.  Returns
+    target is faithfully placed in the same plane.  The components are the
+    top ``k`` right singular vectors of the centred points, each with its
+    sign flipped so that its first nonzero entry is positive.  Returns
     ``(coords, feedback_coord)``: an ``(n_snapshots, k)`` array and a
     ``(k,)`` vector.
     """
@@ -177,10 +180,18 @@ def weight_trajectory_pca(snapshots, feedback_point, k: int = 2):
     if len(lengths) != 1:
         raise ShapeError(f"snapshot/feedback lengths differ: {sorted(lengths)}")
     stacked = np.vstack(snaps + [fb])
-    mean, components, _ = pca_fit(stacked, k)
-    coords = np.array([pca_project(mean, components, s) for s in snaps])
-    feedback_coord = pca_project(mean, components, fb)
-    return coords, feedback_coord
+    if not 1 <= k <= min(stacked.shape):
+        raise ShapeError(f"k={k} outside [1, {min(stacked.shape)}] for "
+                         f"{stacked.shape[0]} points in {stacked.shape[1]} dims")
+    if not np.all(np.isfinite(stacked)):
+        raise NumericError("snapshots or feedback contain NaN or Inf")
+    mean = stacked.mean(axis=0)
+    components = np.linalg.svd(stacked - mean, full_matrices=False)[2][:k]
+    for row in components:
+        if row[np.flatnonzero(row)[0]] < 0:
+            row *= -1.0
+    coords = np.array([components @ (s - mean) for s in snaps])
+    return coords, components @ (fb - mean)
 
 
 def _episode_split(task: Dataset, shots: int, queries: int,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .learn import AdamState, _one_blas_thread, _openblas_threads, _snapshot_metrics, step
 from .net import Mlp, accuracy, cross_entropy
 from .records import RunRecord
@@ -80,14 +80,9 @@ class NoiseConfig:
     learning_rate: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.total_samples < 1:
-            raise ConfigError(f"total_samples must be >= 1, got {self.total_samples}")
-        if self.samples_per_epoch < 1:
-            raise ConfigError(
-                f"samples_per_epoch must be >= 1, got {self.samples_per_epoch}"
-            )
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        require_int("total_samples", self.total_samples, 1)
+        require_int("samples_per_epoch", self.samples_per_epoch, 1)
+        require_int("batch_size", self.batch_size, 1)
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 

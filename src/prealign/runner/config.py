@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import asdict, dataclass, replace
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_int
 from ..data import TransformSpec
 from ..learn import TrainConfig
 from ..noise import Gaussian, NoiseConfig, Uniform
@@ -79,6 +79,8 @@ class MetaSettings:
             raise ConfigError("meta tasks must be nonempty")
         if len(set(self.tasks)) != len(self.tasks):
             raise ConfigError(f"meta tasks must be distinct, got {list(self.tasks)}")
+        for name in ("shots_per_class", "inner_steps", "query_per_class"):
+            require_int(name, getattr(self, name))
 
 
 @dataclass
@@ -108,9 +110,18 @@ class ExperimentConfig:
     notes: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dims, (list, tuple)):
+            raise ConfigError(f"dims must be a list of integers, got {self.dims!r}")
+        for d in self.dims:
+            require_int("each of dims", d)
         self.dims = tuple(int(d) for d in self.dims)
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        require_int("trials", self.trials, 1)
+        require_int("master_seed", self.master_seed)
+        require_int("traj_layer", self.traj_layer)
+        require_int("threads", self.threads, 1)
+        for name in ("train_size", "test_size"):
+            if getattr(self, name) is not None:
+                require_int(name, getattr(self, name))
         if not self.variants:
             raise ConfigError("at least one variant is required")
         names = [v.name for v in self.variants]
@@ -125,10 +136,11 @@ class ExperimentConfig:
         if "trajectory" in self.capture and not 0 <= self.traj_layer < n_layers:
             raise ConfigError(f"traj_layer must be in [0, {n_layers}) for dims "
                               f"{list(self.dims)}, got {self.traj_layer}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.scale <= 0:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
+        if self.sweep and {"scale", "threads"} & set(self.sweep):
+            raise ConfigError("scale and threads serve every point of a sweep and "
+                              "cannot be swept; use --scale and --threads")
         if "meta" in self.capture and self.meta is None:
             raise ConfigError("capture flag 'meta' requires meta settings")
         if self.meta is not None and "meta" not in self.capture:

@@ -24,6 +24,7 @@ from prealign.metrics import _episode_split
 from oracles import (
     entropy_effective_rank_reference,
     gram_cosine_reference,
+    jacobi_eigh,
     jacobi_singular_values,
 )
 
@@ -142,6 +143,20 @@ class TestEffectiveRank:
         with pytest.raises(NumericError):
             effective_rank(np.zeros((3, 3)))
 
+    def test_non_2d_rejected(self):
+        with pytest.raises(ShapeError):
+            effective_rank(np.ones(4))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ShapeError):
+            effective_rank(np.zeros((0, 3)))
+
+    def test_nan_rejected(self):
+        m = np.ones((3, 3))
+        m[1, 1] = np.nan
+        with pytest.raises(NumericError):
+            effective_rank(m)
+
 
 class TestGramEffectiveDim:
     def test_identical_neurons_give_one(self, rng):
@@ -254,6 +269,44 @@ class TestWeightTrajectoryPca:
         snaps = [rng.normal(size=6) for _ in range(3)]
         with pytest.raises(ShapeError):
             weight_trajectory_pca(snaps, rng.normal(size=7))
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_out_of_range_rejected(self, rng, k):
+        # 3 snapshots and the feedback point allow at most 4 axes
+        snaps = [rng.normal(size=10) for _ in range(3)]
+        with pytest.raises(ShapeError):
+            weight_trajectory_pca(snaps, rng.normal(size=10), k=k)
+
+    def test_negated_points_give_negated_coords(self, rng):
+        snaps = [rng.normal(size=8) for _ in range(5)]
+        fb = rng.normal(size=8)
+        coords, fb_coord = weight_trajectory_pca(snaps, fb)
+        neg_coords, neg_fb_coord = weight_trajectory_pca([-s for s in snaps], -fb)
+        np.testing.assert_allclose(neg_coords, -coords, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(neg_fb_coord, -fb_coord, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("direction", [(1.0, 2.0), (-1.0, -2.0)])
+    def test_first_axis_leads_positive(self, direction):
+        # points on a line: the first axis is (1, 2) / sqrt(5) whichever
+        # way the trajectory runs along it
+        d = np.array(direction)
+        t = np.array([-1.5, -0.5, 0.5, 1.5, 2.0])
+        coords, fb_coord = weight_trajectory_pca([ti * d for ti in t[:-1]], t[-1] * d)
+        expected = d[0] * (t - t.mean()) * np.sqrt(5.0)
+        np.testing.assert_allclose(np.append(coords[:, 0], fb_coord[0]), expected,
+                                   atol=1e-12, rtol=0)
+
+    def test_axis_variances_match_covariance_eigensolver(self, rng):
+        snaps = [rng.normal(size=4) for _ in range(14)]
+        fb = rng.normal(size=4)
+        coords, fb_coord = weight_trajectory_pca(snaps, fb, k=3)
+        points = np.vstack(snaps + [fb])
+        centered = points - points.mean(axis=0)
+        cov = centered.T @ centered / (points.shape[0] - 1)
+        jvals, _ = jacobi_eigh(cov)
+        projected = np.vstack([coords, fb_coord])
+        np.testing.assert_allclose(projected.var(axis=0, ddof=1), jvals[:3],
+                                   atol=1e-10, rtol=0)
 
 
 class TestEpisodeSplit:

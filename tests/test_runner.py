@@ -193,6 +193,37 @@ class TestValidation:
                         capture=(), eval_transform=None,
                         variants=[VariantSpec(name="fa")])
 
+    @pytest.mark.parametrize("key, value", [
+        ("dims", "784,100,10"),
+        ("dims", [16, 8.0, 4]),
+        ("trials", 1.5),
+        ("master_seed", 1.5),
+        ("train_size", 64.0),
+        ("test_size", "64"),
+        ("traj_layer", 0.5),
+        ("threads", True),
+        ("pretrain.total_samples", 100.0),
+        ("pretrain.samples_per_epoch", 50.5),
+        ("pretrain.batch_size", "25"),
+        ("train.batch_size", 32.0),
+        ("train.epochs", 2.5),
+        ("train.patience", 1.5),
+        ("meta.shots_per_class", 10.0),
+        ("meta.inner_steps", 2.5),
+        ("meta.query_per_class", False),
+    ])
+    def test_integer_fields_refuse_non_integers(self, key, value):
+        doc = config_to_dict(full_config(capture=("meta",), meta=MetaSettings()))
+        doc = apply_overrides(doc, [f"{key}={json.dumps(value)}"])
+        with pytest.raises(ConfigError, match="integer"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["scale", "threads"])
+    def test_run_wide_keys_cannot_be_swept(self, key):
+        # one pool and one recorded scale serve every point of a sweep
+        with pytest.raises(ConfigError, match="cannot be swept"):
+            full_config(sweep={key: [1, 2]})
+
 
 class TestOverrides:
     def test_nested_assignment_and_json_values(self):
