@@ -139,6 +139,19 @@ class TestEffectiveRank:
                 rtol=1e-8,
             )
 
+    def test_rank_deficient_matches_jacobi_route(self, rng):
+        # exact zero columns give exact zero Jacobi singular values, so the
+        # 0 * ln 0 := 0 convention decides the value
+        m = rng.normal(size=(9, 6))
+        m[:, 3:] = 0.0
+        s = jacobi_singular_values(m)
+        assert np.all(s[3:] == 0.0)
+        np.testing.assert_allclose(
+            effective_rank(m), entropy_effective_rank_reference(s), rtol=1e-8
+        )
+        np.testing.assert_allclose(effective_rank(m), effective_rank(m[:, :3]),
+                                   rtol=1e-10)
+
     def test_all_zero_raises_numeric_error(self):
         with pytest.raises(NumericError):
             effective_rank(np.zeros((3, 3)))
@@ -269,6 +282,16 @@ class TestWeightTrajectoryPca:
         snaps = [rng.normal(size=6) for _ in range(3)]
         with pytest.raises(ShapeError):
             weight_trajectory_pca(snaps, rng.normal(size=7))
+
+    def test_single_snapshot_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            weight_trajectory_pca([rng.normal(size=5)], rng.normal(size=5))
+
+    def test_snapshot_lengths_differ_rejected(self, rng):
+        # the feedback point agrees with the first snapshot, not the last
+        snaps = [rng.normal(size=6), rng.normal(size=6), rng.normal(size=5)]
+        with pytest.raises(ShapeError):
+            weight_trajectory_pca(snaps, rng.normal(size=6))
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_k_out_of_range_rejected(self, rng, k):
