@@ -19,7 +19,7 @@ from prealign.learn import TrainConfig, train
 from prealign.metrics import accuracy_auc, alignment_angles
 from prealign.net import Mlp, init_mlp
 from prealign.noise import NoiseConfig, pretrain_random_noise
-from prealign.runner.experiment import load_named_dataset
+from prealign.runner.experiment import load_named_split
 
 
 def clone(net):
@@ -35,7 +35,8 @@ def load_task():
     root = os.environ.get("PREALIGN_DATA_DIR")
     if root:
         try:
-            tr, te = load_named_dataset("mnist", root)
+            tr = load_named_split("mnist", "train", root)
+            te = load_named_split("mnist", "test", root)
             return subset(tr, 5_000, 1), subset(te, 5_000, 2), (784, 100, 10)
         except DataError:
             print("PREALIGN_DATA_DIR set but no usable mnist/ inside; using blobs")

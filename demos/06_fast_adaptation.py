@@ -20,22 +20,20 @@ def main():
     seeds = (21, 22, 23)
     tasks = [synthetic_blobs(2000, 128, 10, seed=k, spread=0.2) for k in seeds]
     meta_cfg = MetaConfig(
-        tasks=tasks,
         shots_per_class=10,
         inner_steps=10,
         inner_lr=1e-3,
         query_per_class=10,
-        seed=5,
     )
 
     net = init_mlp((128, 64, 10), seed=6)
-    total_before, per_task_before = meta_loss(net, meta_cfg)
+    total_before, per_task_before = meta_loss(net, tasks, meta_cfg, seed=5)
 
     checkpoints = [(0, total_before)]
 
     def snap(epoch, mlp):
         if epoch % 20 == 0:
-            checkpoints.append((epoch, meta_loss(mlp, meta_cfg)[0]))
+            checkpoints.append((epoch, meta_loss(mlp, tasks, meta_cfg, seed=5)[0]))
         return {}
 
     pretrain_random_noise(
@@ -44,7 +42,7 @@ def main():
         snapshot_hook=snap,
         seed=6,
     )
-    total_after, per_task_after = meta_loss(net, meta_cfg)
+    total_after, per_task_after = meta_loss(net, tasks, meta_cfg, seed=5)
 
     print("adaptation loss during noise training (no task data involved):")
     for epoch, value in checkpoints:

@@ -11,6 +11,7 @@ touches the network; everything here is a pure function of file content.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,16 +89,14 @@ class TransformSpec:
     translate_frac: tuple[float, float] = (0.0, 0.0)
     scale: tuple[float, float] = (1.0, 1.0)
     rotate_deg: tuple[float, float] = (0.0, 0.0)
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        for label, (low, high) in (
-            ("translate_frac", self.translate_frac),
-            ("scale", self.scale),
-            ("rotate_deg", self.rotate_deg),
-        ):
-            if low > high:
-                raise ConfigError(f"{label} range ({low}, {high}) is not ordered")
+        for label in ("translate_frac", "scale", "rotate_deg"):
+            pair = tuple(getattr(self, label))
+            if len(pair) != 2 or pair[0] > pair[1]:
+                raise ConfigError(f"{label} must be an ordered (low, high) range, "
+                                  f"got {pair}")
+            object.__setattr__(self, label, pair)
 
 
 def _read_bytes(path) -> bytes:
@@ -157,25 +156,18 @@ def load_idx(images_path, labels_path) -> Dataset:
     )
 
 
-def load_cifar(path_set) -> Dataset:
-    """Parse CIFAR-10 binary batch files: 3073-byte records, a label byte
+def load_cifar(path) -> Dataset:
+    """Parse a CIFAR-10 binary batch file: 3073-byte records, a label byte
     followed by 3072 pixels."""
-    if isinstance(path_set, (str, Path)):
-        path_set = [path_set]
-    all_images, all_labels = [], []
-    for path in path_set:
-        raw = _read_bytes(path)
-        if len(raw) == 0 or len(raw) % 3073 != 0:
-            raise FormatError(
-                f"{path}: size {len(raw)} is not a positive multiple of "
-                "3073-byte records"
-            )
-        recs = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3073)
-        all_labels.append(recs[:, 0].astype(np.int64))
-        all_images.append(recs[:, 1:])
-    images = np.concatenate(all_images, axis=0).astype(np.float64) / 255.0
-    labels = np.concatenate(all_labels, axis=0)
-    return Dataset(images=images, labels=labels, class_count=10, name="cifar-c10")
+    raw = _read_bytes(path)
+    if len(raw) == 0 or len(raw) % 3073 != 0:
+        raise FormatError(
+            f"{path}: size {len(raw)} is not a positive multiple of "
+            "3073-byte records"
+        )
+    recs = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3073)
+    return Dataset(images=recs[:, 1:] / 255.0, labels=recs[:, 0].astype(np.int64),
+                   class_count=10, name="cifar-c10")
 
 
 def _resize_bilinear(image: np.ndarray, out_side: int) -> np.ndarray:
@@ -257,22 +249,21 @@ def subset(ds: Dataset, n: int, seed: int) -> Dataset:
 _AFFINE_BLOCK = 64
 
 
-def transform_affine(ds: Dataset, spec: TransformSpec, side: int) -> Dataset:
-    """Random per-image affine resampling: each image is translated, scaled,
-    and rotated about its center by parameters drawn uniformly from the
-    spec's ranges, using inverse-mapped bilinear interpolation with zero
-    padding.  Labels are unchanged.
+def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
+    """Random per-image affine resampling: each square image is translated,
+    scaled, and rotated about its center by parameters drawn uniformly from
+    the spec's ranges with generator ``seed``, using inverse-mapped bilinear
+    interpolation with zero padding.  Labels are unchanged.
 
     Images are processed in blocks of ``_AFFINE_BLOCK``, with temporaries
     the size of one block; the output is bitwise equal to evaluating the
     formula one image at a time (the draws, the inverse map and the four
     bilinear taps keep that per-pixel operation order)."""
+    side = math.isqrt(ds.input_dim)
     if side * side != ds.input_dim:
-        raise ConfigError(
-            f"input_dim {ds.input_dim} is not {side}x{side}; images must be "
-            "square"
-        )
-    rng = np.random.default_rng(spec.seed)
+        raise ConfigError(f"input_dim {ds.input_dim} is not a square; images "
+                          "must be square")
+    rng = np.random.default_rng(seed)
     # columns tx, ty, scale, angle: the doubles that four scalar draws per
     # image would give, in the same order
     lows, highs = zip(spec.translate_frac, spec.translate_frac, spec.scale,

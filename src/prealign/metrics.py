@@ -39,7 +39,7 @@ class AngleReport:
     layer_index: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetaConfig:
     """Settings for the episodic adaptation loss.
 
@@ -50,16 +50,12 @@ class MetaConfig:
     ``query_per_class`` examples per class.
     """
 
-    tasks: list[Dataset]
     shots_per_class: int = 10
     inner_steps: int = 10
     inner_lr: float = 0.001
     query_per_class: int = 10
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.tasks:
-            raise ConfigError("tasks must be nonempty")
         for name in ("shots_per_class", "query_per_class", "inner_steps"):
             require_int(name, getattr(self, name), 1)
         if self.inner_lr <= 0:
@@ -210,15 +206,18 @@ def _episode_split(task: Dataset, shots: int, queries: int,
     return np.concatenate(support_idx), np.concatenate(query_idx)
 
 
-def meta_loss(mlp: Mlp, cfg: MetaConfig) -> tuple[float, list[float]]:
-    """Summed post-adaptation query loss across tasks.
+def meta_loss(mlp: Mlp, tasks: list[Dataset], cfg: MetaConfig = MetaConfig(),
+              *, seed: int = 0) -> tuple[float, list[float]]:
+    """Summed post-adaptation query loss across ``tasks``.
 
-    Per task: clone the network, adapt the clone on a seeded support sample
-    with ``inner_steps`` full-batch feedback-alignment Adam steps, then
-    evaluate cross-entropy on the disjoint query sample.  The input network
-    is never mutated.
+    Per task: clone the network, adapt the clone on a support sample drawn
+    from ``seed`` with ``cfg.inner_steps`` full-batch feedback-alignment
+    Adam steps, then evaluate cross-entropy on the disjoint query sample.
+    The input network is never mutated.
     """
-    for task in cfg.tasks:
+    if not tasks:
+        raise ConfigError("tasks must be nonempty")
+    for task in tasks:
         if task.input_dim != mlp.dims[0] or task.class_count != mlp.dims[-1]:
             raise ConfigError(
                 f"task {task.name} shape ({task.input_dim} features, "
@@ -226,8 +225,8 @@ def meta_loss(mlp: Mlp, cfg: MetaConfig) -> tuple[float, list[float]]:
                 f"{mlp.dims}"
             )
     per_task = []
-    for t, task in enumerate(cfg.tasks):
-        rng = rng_for(cfg.seed, "meta", t)
+    for t, task in enumerate(tasks):
+        rng = rng_for(seed, "meta", t)
         support, query = _episode_split(
             task, cfg.shots_per_class, cfg.query_per_class, rng
         )

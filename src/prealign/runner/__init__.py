@@ -1,7 +1,7 @@
 """Experiment orchestration: configs, presets, the runner, and emission."""
 
 from .config import ExperimentConfig, MetaSettings, VariantSpec
-from .experiment import load_named_dataset, load_named_split, run_experiment
+from .experiment import load_named_split, run_experiment
 from .presets import FIGURE_IDS, reproduce
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "VariantSpec",
     "FIGURE_IDS",
     "reproduce",
-    "load_named_dataset",
     "load_named_split",
     "run_experiment",
 ]

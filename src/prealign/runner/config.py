@@ -3,8 +3,9 @@
 A config document is plain JSON mirroring :class:`ExperimentConfig`; the
 manifest written by every run embeds the fully resolved form, so a run can
 always be repeated from its manifest alone.  Each arm's backward rule is
-its variant's ``rule`` and each trial's seed derives from ``master_seed``,
-so the ``train`` and ``pretrain`` sections carry neither, and a document
+its variant's ``rule``, and each trial's seed and the evaluation
+transform's seed derive from ``master_seed``, so the ``train``,
+``pretrain`` and ``eval_transform`` sections carry neither, and a document
 whose sections do is refused.  Dotted-path overrides (``train.epochs=5``)
 and the sweep mechanism both edit the JSON form before it is parsed back
 into dataclasses, so one code path validates everything.
@@ -19,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from ..errors import ConfigError, require_int
 from ..data import TransformSpec
 from ..learn import TrainConfig
+from ..metrics import MetaConfig
 from ..noise import Gaussian, NoiseConfig, Uniform
 
 __all__ = [
@@ -65,22 +67,19 @@ class VariantSpec:
 
 
 @dataclass(frozen=True)
-class MetaSettings:
-    """Episodic-adaptation measurement settings, by dataset name."""
+class MetaSettings(MetaConfig):
+    """The few-shot settings of the ``meta`` capture and its tasks, by
+    dataset name; each task is the test split of that dataset."""
 
     tasks: tuple[str, ...] = ("mnist", "fashion-mnist", "kmnist")
-    shots_per_class: int = 10
-    inner_steps: int = 10
-    inner_lr: float = 0.001
-    query_per_class: int = 10
 
     def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.tasks:
             raise ConfigError("meta tasks must be nonempty")
         if len(set(self.tasks)) != len(self.tasks):
             raise ConfigError(f"meta tasks must be distinct, got {list(self.tasks)}")
-        for name in ("shots_per_class", "inner_steps", "query_per_class"):
-            require_int(name, getattr(self, name))
 
 
 @dataclass
@@ -212,15 +211,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                 raise ConfigError(
                     f"eval_transform must be a JSON object, got {transform!r}"
                 )
-            transform = TransformSpec(**{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in transform.items()
-            })
+            transform = TransformSpec(**transform)
         meta = d.pop("meta", None)
         if meta is not None:
-            meta = dict(meta)
-            if "tasks" in meta:
-                meta["tasks"] = tuple(meta["tasks"])
             meta = MetaSettings(**meta)
         capture = tuple(d.pop("capture", ()))
         return ExperimentConfig(

@@ -5,9 +5,11 @@ sweep expands into its points, and a config without one is one point.  Every
 point's datasets are resolved before any item runs, once per distinct data
 spec, so missing files fail before any compute.  The items then run on one
 pool, longest first, or serially in list order.  Every variant of a trial
-starts from identical initial weights; every random stream is derived from
-the trial's seed with a distinct label, so adding a metric never perturbs
-training randomness.
+starts from identical initial weights; every random stream of a trial is
+derived from the trial's seed, and every stream a whole point shares (data
+subsets, the evaluation transform, few-shot episodes) from ``master_seed``,
+each with a distinct label, so adding a metric never perturbs training
+randomness.
 Outputs per point: ``records.csv`` (per variant),
 ``model_<trial>_<phase>.bin`` checkpoints and a ``manifest.json`` embedding
 the resolved config, seeds, initial-state metrics, per-trial summaries and
@@ -32,7 +34,6 @@ from ..data import Dataset, load_idx, load_usps_libsvm, subset, synthetic_blobs,
 from ..errors import ConfigError, DataError, PrealignError
 from ..learn import _one_blas_thread, _openblas_threads, evaluate, train
 from ..metrics import (
-    MetaConfig,
     accuracy_auc,
     alignment_angles,
     effective_rank,
@@ -48,8 +49,7 @@ from ..seeds import derive_entropy, derive_trial_seed, rng_for
 from .config import ExperimentConfig, config_to_dict, expand_sweep, config_from_dict
 from .emit import emit_csv, write_manifest
 
-__all__ = ["load_named_dataset", "load_named_split", "run_experiment",
-           "DATASET_NAMES"]
+__all__ = ["load_named_split", "run_experiment", "DATASET_NAMES"]
 
 DATASET_NAMES = (
     "mnist",
@@ -63,15 +63,12 @@ def default_data_dir(cfg_value: str | None = None) -> str:
     return cfg_value or os.environ.get("PREALIGN_DATA_DIR") or "data"
 
 
-def _find(root: Path, *candidates: str) -> Path:
-    tried = []
-    for c in candidates:
-        for name in (c, c + ".gz"):
-            p = root / name
-            tried.append(str(p))
-            if p.exists():
-                return p
-    raise DataError(f"missing data file; tried: {', '.join(tried)}")
+def _find(root: Path, name: str) -> Path:
+    tried = [root / name, root / (name + ".gz")]
+    for p in tried:
+        if p.exists():
+            return p
+    raise DataError(f"missing data file; tried: {', '.join(map(str, tried))}")
 
 
 def load_named_split(
@@ -99,20 +96,12 @@ def load_named_split(
     raise ConfigError(f"unknown dataset {name!r}; valid: {DATASET_NAMES}")
 
 
-def load_named_dataset(
-    name: str, data_dir, input_dim: int = 784, class_count: int = 10
-) -> tuple[Dataset, Dataset]:
-    """Both splits of :func:`load_named_split`, as (train, test)."""
-    return (load_named_split(name, "train", data_dir, input_dim, class_count),
-            load_named_split(name, "test", data_dir, input_dim, class_count))
-
-
 def _data_key(cfg: ExperimentConfig) -> tuple:
     """The fields :class:`_ResolvedData` reads; points with equal keys share
     one resolved object, which is safe because dataset arrays are read-only."""
     return (default_data_dir(cfg.data_dir), cfg.dataset, cfg.dims[0], cfg.dims[-1],
             cfg.master_seed, cfg.train_size, cfg.test_size, cfg.eval_dataset,
-            cfg.eval_transform, cfg.meta)
+            cfg.eval_transform, None if cfg.meta is None else cfg.meta.tasks)
 
 
 class _ResolvedData:
@@ -123,12 +112,15 @@ class _ResolvedData:
         self.train = None
         self.eval_test = None
         self.clean_test = None
-        self.meta = None
+        self.meta_tasks = None
         data_dir = default_data_dir(cfg.data_dir)
+
+        def load(name, split):
+            return load_named_split(name, split, data_dir, cfg.dims[0], cfg.dims[-1])
+
         if cfg.dataset is not None:
-            train_ds, test_ds = load_named_dataset(
-                cfg.dataset, data_dir, cfg.dims[0], cfg.dims[-1]
-            )
+            train_ds = load(cfg.dataset, "train")
+            test_ds = load(cfg.dataset, "test")
             sub_seed = derive_entropy(cfg.master_seed, "subset")[0] % 2**63
             if cfg.train_size is not None:
                 train_ds = subset(train_ds, cfg.train_size, sub_seed)
@@ -138,23 +130,14 @@ class _ResolvedData:
             self.clean_test = test_ds
             self.eval_test = test_ds
             if cfg.eval_dataset is not None:
-                self.eval_test = load_named_split(
-                    cfg.eval_dataset, "test", data_dir, cfg.dims[0], cfg.dims[-1]
-                )
+                self.eval_test = load(cfg.eval_dataset, "test")
             elif cfg.eval_transform is not None:
-                side = int(round(np.sqrt(cfg.dims[0])))
-                self.eval_test = transform_affine(test_ds, cfg.eval_transform, side)
+                self.eval_test = transform_affine(
+                    test_ds, cfg.eval_transform,
+                    seed=derive_entropy(cfg.master_seed, "transform")[0] % 2**63,
+                )
         if cfg.meta is not None:
-            self.meta = MetaConfig(
-                tasks=[load_named_split(name, "test", data_dir, cfg.dims[0],
-                                        cfg.dims[-1])
-                       for name in cfg.meta.tasks],
-                shots_per_class=cfg.meta.shots_per_class,
-                inner_steps=cfg.meta.inner_steps,
-                inner_lr=cfg.meta.inner_lr,
-                query_per_class=cfg.meta.query_per_class,
-                seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63,
-            )
+            self.meta_tasks = [load(name, "test") for name in cfg.meta.tasks]
 
 
 def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
@@ -177,7 +160,10 @@ def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
         out["clean_test_loss"] = loss
         out["clean_test_acc"] = acc
     if "meta" in cfg.capture:
-        total, per_task = meta_loss(mlp, data.meta)
+        total, per_task = meta_loss(
+            mlp, data.meta_tasks, cfg.meta,
+            seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63,
+        )
         out["meta_loss"] = total
         for name, value in zip(cfg.meta.tasks, per_task):
             out[f"meta_loss_{name}"] = value

@@ -39,7 +39,7 @@ from prealign.metrics import (
 from prealign.net import cross_entropy, forward, init_mlp
 from prealign.noise import Gaussian, NoiseConfig, pretrain_random_noise
 from prealign.runner.config import apply_scale
-from prealign.runner.experiment import load_named_dataset, run_experiment
+from prealign.runner.experiment import load_named_split, run_experiment
 from prealign.runner.presets import reproduce
 from prealign.seeds import derive_entropy, derive_trial_seed, rng_for
 
@@ -176,7 +176,7 @@ def test_loaders_and_identity_transform_are_exact(criterion, tmp_path):
 
         rng = np.random.default_rng(505)
         plain = Dataset(rng.random((5, 64)), rng.integers(0, 3, 5), 3, "t")
-        out = transform_affine(plain, TransformSpec(seed=9), side=8)
+        out = transform_affine(plain, TransformSpec(), seed=9)
         np.testing.assert_allclose(out.images, plain.images, atol=1e-12, rtol=0)
 
 
@@ -239,7 +239,8 @@ def _mnist_comparison_runs(root):
     """
     if _MNIST_RUNS:
         return _MNIST_RUNS
-    train_full, test_full = load_named_dataset("mnist", root)
+    train_full = load_named_split("mnist", "train", root)
+    test_full = load_named_split("mnist", "test", root)
     sub_seed = derive_entropy(MASTER, "subset")[0] % 2**63
     train_ds = subset(train_full, 5_000, sub_seed)
     test_ds = subset(test_full, 5_000, sub_seed + 1)
@@ -323,7 +324,8 @@ def test_noise_training_contracts_first_layer_rank(criterion, tmp_path):
 def test_pretraining_shrinks_the_generalization_gap(criterion):
     with criterion(11, "pretraining shrinks the small-data generalization gap"):
         root = require_dataset("mnist")
-        train_full, test_full = load_named_dataset("mnist", root)
+        train_full = load_named_split("mnist", "train", root)
+        test_full = load_named_split("mnist", "test", root)
         sub_seed = derive_entropy(MASTER, "subset-gap")[0] % 2**63
         train_ds = subset(train_full, 1_600, sub_seed)
         test_ds = subset(test_full, 1_000, sub_seed + 1)
@@ -352,8 +354,9 @@ def test_pretraining_shrinks_the_generalization_gap(criterion):
 def test_pretraining_helps_under_distribution_shift(criterion):
     with criterion(12, "pretrained FA wins on transformed and cross-corpus digits"):
         root = require_dataset("mnist", "usps")
-        train_full, test_full = load_named_dataset("mnist", root)
-        usps_test = load_named_dataset("usps", root)[1]
+        train_full = load_named_split("mnist", "train", root)
+        test_full = load_named_split("mnist", "test", root)
+        usps_test = load_named_split("usps", "test", root)
         sub_seed = derive_entropy(MASTER, "subset-ood")[0] % 2**63
         train_ds = subset(train_full, 5_000, sub_seed)
         test_ds = subset(test_full, 5_000, sub_seed + 1)
@@ -369,9 +372,8 @@ def test_pretraining_helps_under_distribution_shift(criterion):
                     translate_frac=(-0.05, 0.05),
                     scale=(0.8, 1.2),
                     rotate_deg=(-25.0, 25.0),
-                    seed=seed_t,
                 ),
-                side=28,
+                seed=seed_t,
             )
             accs = {}
             for arm, with_noise in (("fa", False), ("fa_pre", True)):
@@ -395,26 +397,25 @@ def test_noise_training_lowers_adaptation_loss(criterion):
     with criterion(13, "noise training lowers few-shot adaptation loss"):
         root = require_dataset("mnist", "fashion-mnist", "kmnist")
         tasks = [
-            load_named_dataset(name, root)[1]
+            load_named_split(name, "test", root)
             for name in ("mnist", "fashion-mnist", "kmnist")
         ]
         meta_cfg = MetaConfig(
-            tasks=tasks,
             shots_per_class=10,
             inner_steps=10,
             inner_lr=1e-3,
             query_per_class=10,
-            seed=derive_entropy(MASTER, "meta")[0] % 2**63,
         )
+        meta_seed = derive_entropy(MASTER, "meta")[0] % 2**63
         curves = []
         for trial in range(5):
             seed_t = derive_trial_seed(MASTER, trial)
             mlp = init_mlp(DEEP_DIMS, rng_for(seed_t, "init"))
-            losses = {0: meta_loss(mlp, meta_cfg)[0]}
+            losses = {0: meta_loss(mlp, tasks, meta_cfg, seed=meta_seed)[0]}
 
             def snapshot(epoch, net):
                 if epoch in (25, 50, 75, 100):
-                    losses[epoch] = meta_loss(net, meta_cfg)[0]
+                    losses[epoch] = meta_loss(net, tasks, meta_cfg, seed=meta_seed)[0]
                 return {}
 
             pretrain_random_noise(mlp, _NOISE, snapshot_hook=snapshot, seed=seed_t)
@@ -428,7 +429,8 @@ def test_full_dataset_convergence_accuracies(criterion):
         if os.environ.get("PREALIGN_RUN_FULL_SCALE") != "1":
             pytest.skip("multi-hour tier disabled; set PREALIGN_RUN_FULL_SCALE=1")
         root = require_dataset("mnist")
-        train_ds, test_ds = load_named_dataset("mnist", root)
+        train_ds = load_named_split("mnist", "train", root)
+        test_ds = load_named_split("mnist", "test", root)
         splits = (train_ds.images, train_ds.labels, test_ds.images, test_ds.labels)
         finals = {"fa": [], "fa_pre": [], "bp": []}
         for trial in range(3):

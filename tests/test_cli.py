@@ -478,14 +478,16 @@ class TestRunFlagsOverrideConfigPaths:
 
 
 class TestRefusedKeys:
-    """The variant picks the backward rule and ``master_seed`` the trial
-    seeds, so a document that sets either in a section is refused."""
+    """The variant picks the backward rule and ``master_seed`` the trial and
+    transform seeds, so a document that sets either in a section is
+    refused."""
 
     @pytest.mark.parametrize("argv, item", [
         (TRAIN_TINY, "train.rule=BP"),
         (TRAIN_TINY, "train.seed=99"),
         (PRETRAIN_TINY, "pretrain.seed=42"),
-    ], ids=["train.rule", "train.seed", "pretrain.seed"])
+        (TRAIN_TINY, "eval_transform.seed=3"),
+    ], ids=["train.rule", "train.seed", "pretrain.seed", "eval_transform.seed"])
     def test_item_key_refused(self, argv, item, tmp_path, capsys):
         code, _, err = run(capsys, *argv, "--set", item, "--out", str(tmp_path / "x"))
         assert code == 1

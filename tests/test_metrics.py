@@ -360,46 +360,46 @@ class TestMetaLoss:
         before = ([w.copy() for w in mlp.weights],
                   [b.copy() for b in mlp.biases],
                   [f.copy() for f in mlp.feedback])
-        meta_loss(mlp, MetaConfig(tasks=[self._task()], inner_steps=3))
+        meta_loss(mlp, [self._task()], MetaConfig(inner_steps=3))
         for group, saved in zip((mlp.weights, mlp.biases, mlp.feedback), before):
             for arr, old in zip(group, saved):
                 np.testing.assert_array_equal(arr, old)
 
     def test_total_is_sum_of_tasks(self):
         mlp = init_mlp((8, 6, 3), seed=0)
-        cfg = MetaConfig(tasks=[self._task(0), self._task(1)], inner_steps=2)
-        total, per_task = meta_loss(mlp, cfg)
+        total, per_task = meta_loss(mlp, [self._task(0), self._task(1)],
+                                    MetaConfig(inner_steps=2))
         assert len(per_task) == 2
         np.testing.assert_allclose(total, sum(per_task))
 
     def test_deterministic(self):
         mlp = init_mlp((8, 6, 3), seed=0)
-        cfg = MetaConfig(tasks=[self._task()], inner_steps=3, seed=9)
-        assert meta_loss(mlp, cfg) == meta_loss(mlp, cfg)
+        tasks, cfg = [self._task()], MetaConfig(inner_steps=3)
+        assert meta_loss(mlp, tasks, cfg, seed=9) == meta_loss(mlp, tasks, cfg, seed=9)
+        assert meta_loss(mlp, tasks, cfg, seed=9) != meta_loss(mlp, tasks, cfg, seed=10)
 
     def test_adaptation_lowers_query_loss(self):
         # same seed -> identical episode split; only the inner loop differs
         mlp = init_mlp((8, 6, 3), seed=1)
-        frozen = MetaConfig(tasks=[self._task()], inner_steps=1, inner_lr=1e-9,
-                            seed=4)
-        adapted = MetaConfig(tasks=[self._task()], inner_steps=40,
-                             inner_lr=0.05, seed=4)
-        assert meta_loss(mlp, adapted)[0] < meta_loss(mlp, frozen)[0]
+        frozen = MetaConfig(inner_steps=1, inner_lr=1e-9)
+        adapted = MetaConfig(inner_steps=40, inner_lr=0.05)
+        tasks = [self._task()]
+        assert (meta_loss(mlp, tasks, adapted, seed=4)[0]
+                < meta_loss(mlp, tasks, frozen, seed=4)[0])
 
     def test_shape_mismatch_rejected(self):
         mlp = init_mlp((8, 6, 3), seed=0)
         with pytest.raises(ConfigError):
-            meta_loss(mlp, MetaConfig(tasks=[synthetic_blobs(100, 9, 3, seed=0)]))
+            meta_loss(mlp, [synthetic_blobs(100, 9, 3, seed=0)])
         with pytest.raises(ConfigError):
-            meta_loss(mlp, MetaConfig(tasks=[synthetic_blobs(100, 8, 4, seed=0)]))
+            meta_loss(mlp, [synthetic_blobs(100, 8, 4, seed=0)])
 
     def test_config_validation(self):
-        task = self._task()
         with pytest.raises(ConfigError):
-            MetaConfig(tasks=[])
+            meta_loss(init_mlp((8, 6, 3), seed=0), [])
         with pytest.raises(ConfigError):
-            MetaConfig(tasks=[task], shots_per_class=0)
+            MetaConfig(shots_per_class=0)
         with pytest.raises(ConfigError):
-            MetaConfig(tasks=[task], inner_steps=0)
+            MetaConfig(inner_steps=0)
         with pytest.raises(ConfigError):
-            MetaConfig(tasks=[task], inner_lr=0.0)
+            MetaConfig(inner_lr=0.0)

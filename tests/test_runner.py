@@ -24,7 +24,7 @@ from prealign.runner import (
     ExperimentConfig,
     MetaSettings,
     VariantSpec,
-    load_named_dataset,
+    load_named_split,
     reproduce,
     run_experiment,
 )
@@ -54,7 +54,7 @@ def full_config(**overrides):
         dataset="blobs",
         train_size=128,
         test_size=64,
-        eval_transform=TransformSpec(rotate_deg=(-10.0, 10.0), seed=5),
+        eval_transform=TransformSpec(rotate_deg=(-10.0, 10.0)),
         capture=("angles", "clean_test"),
         output_dir="out/t",
         notes="round trip",
@@ -112,10 +112,12 @@ class TestConfigRoundTrip:
         ("train", "rule", "BP"),
         ("train", "seed", 99),
         ("pretrain", "seed", 42),
+        ("eval_transform", "seed", 0),
     ])
     def test_item_keys_refused(self, section, key, value):
-        # the variant picks the rule and master_seed the trial seeds; a
-        # document (an older manifest, say) that sets either is refused
+        # the variant picks the rule and master_seed the trial and transform
+        # seeds; a document (an older manifest, say) that sets either is
+        # refused
         doc = config_to_dict(full_config())
         doc[section][key] = value
         with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -265,6 +267,7 @@ class TestOverrides:
         ("fig1e", "pretrain.distribution=gaussian"),
         ("fig4d", "eval_transform.rotate=[-30,30]"),
         ("fig4d", "eval_transform=5"),
+        ("fig4d", "eval_transform.scale=[0.8,1.0,1.2]"),
     ])
     def test_unknown_or_malformed_section_rejected(self, preset, item):
         doc = apply_overrides(config_to_dict(reproduce(preset)), [item])
@@ -472,24 +475,26 @@ class TestPresets:
 
 class TestLoadNamedDataset:
     def test_blobs_split(self):
-        train, test = load_named_dataset("blobs", "unused", 16, 4)
+        train = load_named_split("blobs", "train", "unused", 16, 4)
+        test = load_named_split("blobs", "test", "unused", 16, 4)
         assert train.n == 2048 and test.n == 1024
         assert train.input_dim == 16 and train.class_count == 4
-        train2, _ = load_named_dataset("blobs", "unused", 16, 4)
+        train2 = load_named_split("blobs", "train", "unused", 16, 4)
         np.testing.assert_array_equal(train.images, train2.images)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
-            load_named_dataset("imagenet", "data")
+            load_named_split("imagenet", "test", "data")
 
     def test_missing_files_list_what_was_tried(self, tmp_path):
         with pytest.raises(DataError, match="tried"):
-            load_named_dataset("mnist", tmp_path)
+            load_named_split("mnist", "train", tmp_path)
 
     def test_idx_layout_with_gzip(self, tmp_path):
         imgs = np.zeros((4, 2, 2), dtype=np.uint8)
         write_idx_layout(tmp_path / "mnist", imgs, [0, 1, 2, 1], imgs[:2], [2, 0])
-        train, test = load_named_dataset("mnist", tmp_path)
+        train = load_named_split("mnist", "train", tmp_path)
+        test = load_named_split("mnist", "test", tmp_path)
         assert train.n == 4 and test.n == 2
 
 
@@ -811,13 +816,32 @@ class TestRunExperiment:
     def test_transformed_evaluation_split(self, tmp_path):
         cfg = smoke_config(
             tmp_path,
-            eval_transform=TransformSpec(rotate_deg=(-10.0, 10.0), seed=2),
+            eval_transform=TransformSpec(rotate_deg=(-10.0, 10.0)),
             capture=("clean_test",),
         )
         manifest = run_experiment(cfg)
         assert manifest["data"]["eval_test"]["name"].endswith("-affine")
         header = (tmp_path / "out" / "records.csv").read_text().splitlines()[0]
         assert "clean_test_loss" in header and "clean_test_acc" in header
+
+    def test_transform_draws_follow_the_master_seed(self, tmp_path):
+        # the whole test split, so that only the transform depends on the seed
+        def eval_bytes(master_seed):
+            cfg = smoke_config(tmp_path, master_seed=master_seed, test_size=None,
+                               eval_transform=TransformSpec(rotate_deg=(-10.0, 10.0)))
+            return experiment_mod._ResolvedData(cfg).eval_test.images.tobytes()
+
+        assert eval_bytes(1) == eval_bytes(1)
+        assert eval_bytes(1) != eval_bytes(2)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(capture=("meta",), meta=MetaSettings(
+            tasks=["blobs"], shots_per_class=2, query_per_class=2, inner_steps=1)),
+        dict(eval_transform=TransformSpec(translate_frac=[-0.1, 0.1])),
+    ], ids=["meta.tasks", "eval_transform.translate_frac"])
+    def test_list_valued_settings_run(self, tmp_path, overrides):
+        manifest = run_experiment(smoke_config(tmp_path, trials=1, **overrides))
+        assert manifest["failures"] == []
 
     def test_trajectory_capture(self, tmp_path):
         cfg = smoke_config(
@@ -919,7 +943,7 @@ class TestRunExperiment:
                               inner_steps=2),
         )
         data = experiment_mod._ResolvedData(cfg)
-        assert [task.n for task in data.meta.tasks] == [8, 8]
+        assert [task.n for task in data.meta_tasks] == [8, 8]
         with pytest.raises(DataError, match="tried"):
             experiment_mod._ResolvedData(
                 dataclasses.replace(cfg, dataset="kmnist", meta=None,
@@ -970,22 +994,31 @@ class TestRunExperiment:
             assert manifest["failures"] == []
             assert set(manifest["summary"]["fa_pre"]) == {"0"}
 
-    def test_points_differing_in_meta_settings_resolve_apart(self, tmp_path,
-                                                             monkeypatch):
+    def test_points_differing_in_meta_settings_share_their_tasks(self, tmp_path,
+                                                                 monkeypatch):
         shots = []
-        original = experiment_mod.meta_loss
+        resolutions = []
+        original_loss = experiment_mod.meta_loss
+        original_data = experiment_mod._ResolvedData
 
-        def recorded(mlp, cfg):
+        def recorded(mlp, tasks, cfg, *, seed):
             shots.append(cfg.shots_per_class)
-            return original(mlp, cfg)
+            return original_loss(mlp, tasks, cfg, seed=seed)
+
+        def counted(cfg):
+            resolutions.append(cfg)
+            return original_data(cfg)
 
         monkeypatch.setattr(experiment_mod, "meta_loss", recorded)
+        monkeypatch.setattr(experiment_mod, "_ResolvedData", counted)
         run_experiment(smoke_config(
             tmp_path, trials=1, train=None, dataset=None, train_size=None,
             test_size=None, capture=("meta",),
             meta=MetaSettings(tasks=("blobs",), query_per_class=2, inner_steps=1),
             sweep={"meta.shots_per_class": [2, 3]},
         ))
+        # one load of the tasks, and each point adapts with its own settings
+        assert len(resolutions) == 1
         assert sorted(set(shots)) == [2, 3]
 
     def test_sweep_resolves_every_point_before_any_run(self, tmp_path, monkeypatch):
