@@ -152,8 +152,11 @@ class ExperimentConfig:
         )
         if needs_data and self.dataset is None:
             raise ConfigError("this configuration needs a dataset name")
-        if self.pretrain is None and not self.train:
-            raise ConfigError("experiment has neither a pretrain nor a train phase")
+        if self.train is None:
+            idle = [v.name for v in self.variants if not v.pretrain]
+            if idle:
+                raise ConfigError(f"variants {idle} do not pretrain and there is "
+                                  "no train section: they have no phase to run")
         pretrains = any(v.pretrain for v in self.variants)
         if pretrains and self.pretrain is None:
             raise ConfigError("a variant requests pretraining but no noise settings given")

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..records import RunRecord
 
-__all__ = ["emit_csv", "write_manifest", "jsonable"]
+__all__ = ["emit_csv", "write_manifest"]
 
 _FIXED_COLUMNS = (
     "trial",
@@ -60,22 +60,7 @@ def emit_csv(records: list[RunRecord], path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dump accepts it."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def write_manifest(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(jsonable(payload), f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -190,16 +190,12 @@ def _run_single(cfg: ExperimentConfig, variant, trial: int,
         initial["test_acc"] = acc
 
     phases = []
-    if variant.pretrain and cfg.pretrain is not None:
+    if variant.pretrain:
         phases.append("pretrain")
-    if cfg.train is not None and data.train is not None:
+    if cfg.train is not None:
         phases.append("train")
     if variant.order == "data_first":
         phases.reverse()
-    if not phases:
-        raise ConfigError(
-            f"variant {variant.name!r} has no phase to run in this config"
-        )
     records: list[RunRecord] = []
     for phase in phases:
         if phase == "pretrain":
@@ -288,8 +284,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         """Noise samples plus train sample-epochs that ``item`` runs."""
         i, _, v = item
         point = points[i]
-        noise = point.pretrain.total_samples if v.pretrain and point.pretrain else 0
-        if point.train is None or data[i].train is None:
+        noise = point.pretrain.total_samples if v.pretrain else 0
+        if point.train is None:
             return noise
         return noise + point.train.epochs * data[i].train.n
 

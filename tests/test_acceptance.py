@@ -1,20 +1,25 @@
 """Numbered end-to-end acceptance checks.
 
 Each check prints one report line, ``criterion NN PASS|FAIL|SKIP  <summary>``,
-so a full run doubles as a checklist.  Checks 1-7 and 10 are self-contained
-and run everywhere (7 and 10 run their presets through ``run_experiment`` on
-two workers); 8, 9, 11, 12, and 13 train on real datasets and skip
-with a reason when ``PREALIGN_DATA_DIR`` does not provide them; 14 is the
-multi-hour full-duration tier and additionally needs
-``PREALIGN_RUN_FULL_SCALE=1``.
+so a full run doubles as a checklist.  Checks 1-5 test the numerics
+directly; 6-14 run presets through ``run_experiment`` (7-14 on two workers)
+and read their values from the manifests, so they check what ``prealign
+reproduce`` runs.  1-7 and 10 run everywhere; 8, 9, 11, 12, and 13 train on
+real datasets and skip when ``PREALIGN_DATA_DIR`` does not provide them; 14
+is the multi-hour full-duration tier and also needs
+``PREALIGN_RUN_FULL_SCALE=1``.  The last, unnumbered test runs the
+real-data criteria's configurations on generated data at 1/5000 duration.
 """
 
 import contextlib
 import csv
+import functools
+import importlib.util
 import json
 import os
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,30 +30,20 @@ from prealign.data import (
     load_cifar,
     load_idx,
     load_usps_libsvm,
-    subset,
     transform_affine,
 )
-from prealign.learn import TrainConfig, backward_bp, backward_fa, evaluate, train
-from prealign.metrics import (
-    MetaConfig,
-    alignment_angles,
-    effective_rank,
-    meta_loss,
-    weight_feedback_distance,
-)
+from prealign.learn import backward_bp, backward_fa
+from prealign.metrics import alignment_angles, effective_rank
 from prealign.net import cross_entropy, forward, init_mlp
-from prealign.noise import Gaussian, NoiseConfig, pretrain_random_noise
 from prealign.runner.config import apply_scale
-from prealign.runner.experiment import load_named_split, run_experiment
+from prealign.runner.experiment import run_experiment
 from prealign.runner.presets import reproduce
-from prealign.seeds import derive_entropy, derive_trial_seed, rng_for
 
 from realdata import require_dataset
 from oracles import finite_difference_gradients, max_relative_error
 
 MASTER = 0
 FIG_DIMS = (784, 100, 10)
-DEEP_DIMS = (784, 100, 100, 10)
 
 
 @pytest.fixture
@@ -69,16 +64,6 @@ def criterion(capsys):
                 print(f"criterion {num:2d} {status:<4} {summary}")
 
     return _criterion
-
-
-_NOISE = NoiseConfig(
-    distribution=Gaussian(0.0, 1.0),
-    total_samples=500_000,
-    samples_per_epoch=5_000,
-    batch_size=64,
-    learning_rate=1e-4,
-)
-_TRAIN = TrainConfig(learning_rate=1e-4, batch_size=64, epochs=100)
 
 
 def test_backward_pass_matches_finite_differences(criterion):
@@ -228,60 +213,64 @@ def test_noise_training_aligns_the_last_layer(criterion, tmp_path):
         assert all(loss_drops) and full < 75.0 and fifth < 80.0, detail
 
 
-_MNIST_RUNS: dict = {}
+# The runs of the real-data criteria: name -> (preset, what the criteria
+# change in it, trials, the manifest keys they read, as _per_trial takes them).
+_REAL_DATA_RUNS = {
+    # fig2b plus fig2g's data-then-noise arm, all four from one init per trial
+    "fig2b+order": ("fig2b", dict(
+        variants=[*reproduce("fig2b").variants, reproduce("fig2g").variants[1]],
+        capture=("distance",),
+    ), 5, ("auc_test_acc", "final_test_acc", "final_metrics.wb_dist_l1")),
+    # the largest training set (1,600) at half duration (250 of 500 epochs)
+    "fig4ef-1600": ("fig4ef", dict(
+        sweep=None, train=replace(reproduce("fig4ef").train, epochs=250),
+    ), 5, ("final_generalization_gap",)),
+    "fig5b": ("fig5b", {}, 5, ("final_test_acc",)),
+    "fig5c": ("fig5c", {}, 5, ("final_test_acc",)),
+    "fig6a": ("fig6a", {}, 5, ("initial_metrics.meta_loss", "final_metrics.meta_loss")),
+    "fig3": ("fig3", {}, 3, ("best_test_acc",)),
+}
 
 
-def _mnist_comparison_runs(root):
-    """Four comparison arms per trial, memoized across checks.
-
-    All arms of a trial share one initialization (and so one feedback
-    draw): plain FA, noise-then-data FA, plain BP, and data-then-noise FA.
-    """
-    if _MNIST_RUNS:
-        return _MNIST_RUNS
-    train_full = load_named_split("mnist", "train", root)
-    test_full = load_named_split("mnist", "test", root)
-    sub_seed = derive_entropy(MASTER, "subset")[0] % 2**63
-    train_ds = subset(train_full, 5_000, sub_seed)
-    test_ds = subset(test_full, 5_000, sub_seed + 1)
-    splits = (train_ds.images, train_ds.labels, test_ds.images, test_ds.labels)
-    for trial in range(5):
-        seed_t = derive_trial_seed(MASTER, trial)
-        base = init_mlp(FIG_DIMS, rng_for(seed_t, "init"))
-        arms = {}
-        fa = base.copy()
-        arms["fa"] = (fa, train(fa, *splits, _TRAIN, seed=seed_t))
-        pre = base.copy()
-        pretrain_random_noise(pre, _NOISE, seed=seed_t)
-        arms["fa_pre"] = (pre, train(pre, *splits, _TRAIN, seed=seed_t))
-        bp = base.copy()
-        arms["bp"] = (bp, train(bp, *splits, _TRAIN, rule="BP", seed=seed_t))
-        rev = base.copy()
-        train(rev, *splits, _TRAIN, seed=seed_t)
-        pretrain_random_noise(rev, _NOISE, seed=seed_t)
-        arms["data_then_noise"] = (rev, None)
-        _MNIST_RUNS[trial] = arms
-    return _MNIST_RUNS
+def _per_trial(manifest: dict, key: str) -> dict[str, list]:
+    """``{variant: [trial 0's value, trial 1's, ...]}`` of ``key``: a summary
+    field such as ``auc_test_acc``, ``final_metrics.<metric>`` (the metric
+    of the trial's last record) or ``initial_metrics.<metric>``."""
+    section, _, field = key.rpartition(".")
+    source = manifest["initial_metrics" if section == "initial_metrics" else "summary"]
+    out = {}
+    for variant, by_trial in source.items():
+        rows = [by_trial[str(t)] for t in range(manifest["config"]["trials"])]
+        if section == "final_metrics":
+            rows = [row["final_metrics"] for row in rows]
+        out[variant] = [row[field] for row in rows]
+    return out
 
 
-def test_noise_pretraining_accelerates_supervised_learning(criterion):
+def _run(name: str, root, out_dir, trials: int | None = None, scale: float = 1.0):
+    """Run one entry of ``_REAL_DATA_RUNS``; returns what its criteria read."""
+    preset, changes, preset_trials, keys = _REAL_DATA_RUNS[name]
+    cfg = replace(reproduce(preset), **changes, master_seed=MASTER,
+                  trials=trials or preset_trials, threads=2,
+                  data_dir=str(root), output_dir=str(out_dir))
+    manifest = run_experiment(apply_scale(cfg, scale))
+    return {key: _per_trial(manifest, key) for key in keys}
+
+
+@pytest.fixture(scope="module")
+def order_run(tmp_path_factory):
+    """Criteria 8 and 9 read one run, started by the first of them."""
+    return functools.cache(
+        lambda root: _run("fig2b+order", root, tmp_path_factory.mktemp("fig2b")))
+
+
+def test_noise_pretraining_accelerates_supervised_learning(criterion, order_run):
     with criterion(8, "pretrained FA learns faster than plain FA and tracks BP"):
-        root = require_dataset("mnist")
-        runs = _mnist_comparison_runs(root)
-
-        def auc(records):
-            return float(np.trapezoid([r.test_acc for r in records]))
-
-        pre_wins = sum(
-            auc(runs[t]["fa_pre"][1]) > auc(runs[t]["fa"][1]) for t in runs
-        )
-        bp_wins = sum(
-            auc(runs[t]["bp"][1]) >= auc(runs[t]["fa"][1]) for t in runs
-        )
-        final_gap = 100.0 * abs(
-            np.mean([runs[t]["fa_pre"][1][-1].test_acc for t in runs])
-            - np.mean([runs[t]["bp"][1][-1].test_acc for t in runs])
-        )
+        values = order_run(require_dataset("mnist"))
+        auc, final = values["auc_test_acc"], values["final_test_acc"]
+        pre_wins = sum(p > f for p, f in zip(auc["fa_pre"], auc["fa"]))
+        bp_wins = sum(b >= f for b, f in zip(auc["bp"], auc["fa"]))
+        final_gap = 100.0 * abs(np.mean(final["fa_pre"]) - np.mean(final["bp"]))
         detail = (
             f"pretrain AUC wins {pre_wins}/5, BP AUC wins {bp_wins}/5, "
             f"final-accuracy gap {final_gap:.2f}pp"
@@ -289,18 +278,10 @@ def test_noise_pretraining_accelerates_supervised_learning(criterion):
         assert pre_wins >= 4 and bp_wins >= 4 and final_gap <= 1.0, detail
 
 
-def test_training_order_controls_feedback_approach(criterion):
+def test_training_order_controls_feedback_approach(criterion, order_run):
     with criterion(9, "only noise-first training pulls weights toward feedback"):
-        root = require_dataset("mnist")
-        runs = _mnist_comparison_runs(root)
-        dists = []
-        for t in runs:
-            dists.append(
-                (
-                    weight_feedback_distance(runs[t]["fa_pre"][0], 1),
-                    weight_feedback_distance(runs[t]["data_then_noise"][0], 1),
-                )
-            )
+        dist = order_run(require_dataset("mnist"))["final_metrics.wb_dist_l1"]
+        dists = list(zip(dist["fa_pre"], dist["data_then_noise"]))
         wins = sum(noise_first < data_first for noise_first, data_first in dists)
         assert wins >= 4, f"noise-first closer in {wins}/5 trials: {dists}"
 
@@ -321,139 +302,76 @@ def test_noise_training_contracts_first_layer_rank(criterion, tmp_path):
         )
 
 
-def test_pretraining_shrinks_the_generalization_gap(criterion):
+def test_pretraining_shrinks_the_generalization_gap(criterion, tmp_path):
     with criterion(11, "pretraining shrinks the small-data generalization gap"):
         root = require_dataset("mnist")
-        train_full = load_named_split("mnist", "train", root)
-        test_full = load_named_split("mnist", "test", root)
-        sub_seed = derive_entropy(MASTER, "subset-gap")[0] % 2**63
-        train_ds = subset(train_full, 1_600, sub_seed)
-        test_ds = subset(test_full, 1_000, sub_seed + 1)
-        splits = (train_ds.images, train_ds.labels, test_ds.images, test_ds.labels)
-        # half-duration run (250 of 500 epochs) keeps this to minutes
-        half = replace(_TRAIN, epochs=250)
-        gaps = []
-        for trial in range(5):
-            seed_t = derive_trial_seed(MASTER, trial)
-            base = init_mlp(DEEP_DIMS, rng_for(seed_t, "init"))
-            plain = base.copy()
-            r_plain = train(plain, *splits, half, seed=seed_t)
-            pre = base.copy()
-            pretrain_random_noise(pre, _NOISE, seed=seed_t)
-            r_pre = train(pre, *splits, half, seed=seed_t)
-            gaps.append(
-                (
-                    r_pre[-1].test_loss - r_pre[-1].train_loss,
-                    r_plain[-1].test_loss - r_plain[-1].train_loss,
-                )
-            )
+        gap = _run("fig4ef-1600", root, tmp_path)["final_generalization_gap"]
+        gaps = list(zip(gap["fa_pre"], gap["fa"]))
         wins = sum(with_pre < without for with_pre, without in gaps)
         assert wins >= 4, f"pretrained gap smaller in {wins}/5: {gaps}"
 
 
-def test_pretraining_helps_under_distribution_shift(criterion):
+def test_pretraining_helps_under_distribution_shift(criterion, tmp_path):
     with criterion(12, "pretrained FA wins on transformed and cross-corpus digits"):
         root = require_dataset("mnist", "usps")
-        train_full = load_named_split("mnist", "train", root)
-        test_full = load_named_split("mnist", "test", root)
-        usps_test = load_named_split("usps", "test", root)
-        sub_seed = derive_entropy(MASTER, "subset-ood")[0] % 2**63
-        train_ds = subset(train_full, 5_000, sub_seed)
-        test_ds = subset(test_full, 5_000, sub_seed + 1)
-        splits = (train_ds.images, train_ds.labels, test_ds.images, test_ds.labels)
-        shifted_wins = 0
-        usps_wins = 0
-        for trial in range(5):
-            seed_t = derive_trial_seed(MASTER, trial)
-            base = init_mlp(DEEP_DIMS, rng_for(seed_t, "init"))
-            shifted = transform_affine(
-                test_ds,
-                TransformSpec(
-                    translate_frac=(-0.05, 0.05),
-                    scale=(0.8, 1.2),
-                    rotate_deg=(-25.0, 25.0),
-                ),
-                seed=seed_t,
-            )
-            accs = {}
-            for arm, with_noise in (("fa", False), ("fa_pre", True)):
-                mlp = base.copy()
-                if with_noise:
-                    pretrain_random_noise(mlp, _NOISE, seed=seed_t)
-                train(mlp, *splits, _TRAIN, seed=seed_t)
-                accs[arm] = (
-                    evaluate(mlp, shifted.images, shifted.labels)[1],
-                    evaluate(mlp, usps_test.images, usps_test.labels)[1],
-                )
-            shifted_wins += accs["fa_pre"][0] > accs["fa"][0]
-            usps_wins += accs["fa_pre"][1] > accs["fa"][1]
+        shifted, usps = (_run(name, root, tmp_path / name)["final_test_acc"]
+                         for name in ("fig5b", "fig5c"))
+        shifted_wins = sum(p > f for p, f in zip(shifted["fa_pre"], shifted["fa"]))
+        usps_wins = sum(p > f for p, f in zip(usps["fa_pre"], usps["fa"]))
         assert shifted_wins >= 4 and usps_wins >= 4, (
             f"pretrained better on transformed digits in {shifted_wins}/5 "
             f"and on the second corpus in {usps_wins}/5"
         )
 
 
-def test_noise_training_lowers_adaptation_loss(criterion):
+def test_noise_training_lowers_adaptation_loss(criterion, tmp_path):
     with criterion(13, "noise training lowers few-shot adaptation loss"):
         root = require_dataset("mnist", "fashion-mnist", "kmnist")
-        tasks = [
-            load_named_split(name, "test", root)
-            for name in ("mnist", "fashion-mnist", "kmnist")
-        ]
-        meta_cfg = MetaConfig(
-            shots_per_class=10,
-            inner_steps=10,
-            inner_lr=1e-3,
-            query_per_class=10,
-        )
-        meta_seed = derive_entropy(MASTER, "meta")[0] % 2**63
-        curves = []
-        for trial in range(5):
-            seed_t = derive_trial_seed(MASTER, trial)
-            mlp = init_mlp(DEEP_DIMS, rng_for(seed_t, "init"))
-            losses = {0: meta_loss(mlp, tasks, meta_cfg, seed=meta_seed)[0]}
-
-            def snapshot(epoch, net):
-                if epoch in (25, 50, 75, 100):
-                    losses[epoch] = meta_loss(net, tasks, meta_cfg, seed=meta_seed)[0]
-                return {}
-
-            pretrain_random_noise(mlp, _NOISE, snapshot_hook=snapshot, seed=seed_t)
-            curves.append(losses)
-        wins = sum(losses[100] < losses[0] for losses in curves)
+        values = _run("fig6a", root, tmp_path)
+        curves = list(zip(values["initial_metrics.meta_loss"]["fa_pre"],
+                          values["final_metrics.meta_loss"]["fa_pre"]))
+        wins = sum(after < before for before, after in curves)
         assert wins == 5, f"adaptation loss lower in {wins}/5 trials: {curves}"
 
 
-def test_full_dataset_convergence_accuracies(criterion):
+def test_full_dataset_convergence_accuracies(criterion, tmp_path):
     with criterion(14, "full-dataset converged accuracies land in their bands"):
         if os.environ.get("PREALIGN_RUN_FULL_SCALE") != "1":
             pytest.skip("multi-hour tier disabled; set PREALIGN_RUN_FULL_SCALE=1")
         root = require_dataset("mnist")
-        train_ds = load_named_split("mnist", "train", root)
-        test_ds = load_named_split("mnist", "test", root)
-        splits = (train_ds.images, train_ds.labels, test_ds.images, test_ds.labels)
-        finals = {"fa": [], "fa_pre": [], "bp": []}
-        for trial in range(3):
-            seed_t = derive_trial_seed(MASTER, trial)
-            base = init_mlp(FIG_DIMS, rng_for(seed_t, "init"))
-            for arm, rule, with_noise in (
-                ("fa", "FA", False),
-                ("fa_pre", "FA", True),
-                ("bp", "BP", False),
-            ):
-                mlp = base.copy()
-                if with_noise:
-                    pretrain_random_noise(mlp, _NOISE, seed=seed_t)
-                records = train(
-                    mlp,
-                    *splits,
-                    replace(_TRAIN, epochs=500, patience=10),
-                    rule=rule,
-                    seed=seed_t,
-                )
-                finals[arm].append(records[-1].metrics["best_test_acc"])
+        finals = _run("fig3", root, tmp_path)["best_test_acc"]
         bands = {"bp": 97.82, "fa": 97.26, "fa_pre": 97.76}
         means = {k: 100.0 * float(np.mean(v)) for k, v in finals.items()}
         assert all(abs(means[k] - bands[k]) <= 0.5 for k in bands), (
             f"mean best accuracies {means}"
         )
+
+
+@pytest.fixture(scope="session")
+def generated_data(tmp_path_factory):
+    """The benchmark's generated MNIST-layout stand-ins for mnist,
+    fashion-mnist and kmnist, plus a ten-row USPS-format test split."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    root = tmp_path_factory.mktemp("generated-data")
+    gen.generate(root, seed=1)
+    (root / "usps").mkdir()
+    pixels = np.random.default_rng(1).uniform(-1.0, 1.0, (10, 256))
+    (root / "usps" / "usps.t").write_text("".join(
+        f"{label} " + " ".join(f"{i + 1}:{v:.4f}" for i, v in enumerate(row)) + "\n"
+        for label, row in enumerate(pixels, start=1)
+    ))
+    return root
+
+
+def test_real_data_runs_reach_every_value_their_criteria_read(generated_data,
+                                                              tmp_path):
+    # the plumbing of criteria 8, 9 and 11-14 at 1/5000 duration; their
+    # bounds need real data and full durations
+    for name in _REAL_DATA_RUNS:
+        values = _run(name, generated_data, tmp_path / name, trials=1, scale=5000)
+        read = [(key, variant, per_trial) for key, by_variant in values.items()
+                for variant, per_trial in by_variant.items()]
+        assert all(len(x) == 1 and np.isfinite(x).all() for *_, x in read), (name, read)

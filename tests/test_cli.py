@@ -97,6 +97,14 @@ class TestPretrainVerb:
         assert "traj_layer" in err
         assert not (tmp_path / "p").exists()
 
+    def test_variant_without_a_phase_refused(self, tmp_path, capsys):
+        code, _, err = run(capsys, *PRETRAIN_TINY, "--set",
+                           'variants=[{"name": "fa"}, {"name": "fa_pre", "pretrain": true}]',
+                           "--out", str(tmp_path / "p"))
+        assert code == 1
+        assert "['fa']" in err and "no phase to run" in err
+        assert not (tmp_path / "p").exists()
+
     def test_seed_flag_changes_trial_seeds(self, tmp_path, capsys):
         run(capsys, *PRETRAIN_TINY, "--out", str(tmp_path / "a"), "--seed", "1")
         run(capsys, *PRETRAIN_TINY, "--out", str(tmp_path / "b"), "--seed", "2")

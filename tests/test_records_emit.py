@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prealign import ConfigError, RunRecord
-from prealign.runner.emit import emit_csv, jsonable, write_manifest
+from prealign.runner.emit import emit_csv, write_manifest
 
 
 def record(trial=0, phase="train", epoch=1, train_loss=0.5, test_loss=0.6,
@@ -98,17 +98,6 @@ class TestEmitCsv:
 
 
 class TestManifest:
-    def test_jsonable_converts_numpy(self):
-        out = jsonable({
-            "a": np.float64(0.5),
-            "b": np.int32(3),
-            "c": np.arange(3),
-            "d": [np.float32(1.0), {"e": np.uint8(2)}],
-        })
-        assert json.dumps(out)
-        assert out["a"] == 0.5 and out["b"] == 3
-        assert out["c"] == [0, 1, 2]
-
     def test_write_manifest_round_trip(self, tmp_path):
         p = tmp_path / "manifest.json"
         payload = {"z": 1, "a": {"nested": np.float64(2.5)}}

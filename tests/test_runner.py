@@ -190,7 +190,7 @@ class TestValidation:
             config_from_dict(shallow)
 
     def test_needs_some_phase(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="no phase to run"):
             full_config(pretrain=None, train=None, dataset=None,
                         capture=(), eval_transform=None,
                         variants=[VariantSpec(name="fa")])
