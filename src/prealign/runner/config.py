@@ -162,6 +162,17 @@ class ExperimentConfig:
             raise ConfigError("a variant requests pretraining but no noise settings given")
         if self.pretrain is not None and not pretrains:
             raise ConfigError("noise settings are given but no variant pretrains")
+        if "trajectory" in self.capture:
+            p = self.pretrain
+            # the noise loop logs each epoch in which a batch starts
+            noise_epochs = 0 if p is None else len(
+                {s // p.samples_per_epoch for s in range(0, p.total_samples, p.batch_size)})
+            train_epochs = 0 if self.train is None else self.train.epochs
+            short = [v.name for v in self.variants
+                     if (noise_epochs if v.pretrain else 0) + train_epochs < 3]
+            if short:
+                raise ConfigError("trajectory capture needs at least 3 logging epochs; "
+                                  f"variants {short} log fewer")
 
 
 def _dist_to_dict(d) -> dict:
@@ -291,26 +302,27 @@ def apply_scale(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
     """
     if scale <= 0:
         raise ConfigError(f"scale must be > 0, got {scale}")
-    cfg = replace(cfg, scale=cfg.scale * scale)
     if scale == 1.0:
-        return cfg
+        return replace(cfg, scale=cfg.scale * scale)
 
     def shrink(duration):
         return max(1, round(duration / scale))
 
-    if cfg.pretrain is not None:
-        cfg.pretrain = replace(cfg.pretrain,
-                               total_samples=shrink(cfg.pretrain.total_samples))
-    if cfg.train is not None:
-        cfg.train = replace(cfg.train, epochs=shrink(cfg.train.epochs))
-    if cfg.sweep:
-        swept_durations = ("pretrain.total_samples", "train.epochs")
-        cfg.sweep = {
+    swept_durations = ("pretrain.total_samples", "train.epochs")
+    # one replace, so that the scaled config is the one validated
+    return replace(
+        cfg,
+        scale=cfg.scale * scale,
+        pretrain=None if cfg.pretrain is None else replace(
+            cfg.pretrain, total_samples=shrink(cfg.pretrain.total_samples)),
+        train=None if cfg.train is None else replace(
+            cfg.train, epochs=shrink(cfg.train.epochs)),
+        sweep=cfg.sweep and {
             key: [shrink(v) for v in values]
             if key in swept_durations and isinstance(values, list) else values
             for key, values in cfg.sweep.items()
-        }
-    return cfg
+        },
+    )
 
 
 def _point_name(key: str, value) -> str:

@@ -215,7 +215,7 @@ def _run_single(cfg: ExperimentConfig, variant, trial: int,
             )
         save_mlp(mlp, out_dir / f"model_{trial}_{phase}.bin")
     summary: dict = {"seed": seed_t, "phases": phases}
-    if "trajectory" in cfg.capture and len(trajectory) >= 3:
+    if "trajectory" in cfg.capture:
         feedback_flat = mlp.feedback[cfg.traj_layer].T.ravel()
         coords, feedback_coord = weight_trajectory_pca(trajectory, feedback_flat)
         for rec, (cx, cy) in zip(records, coords):

@@ -215,6 +215,8 @@ def test_noise_training_aligns_the_last_layer(criterion, tmp_path):
 
 # The runs of the real-data criteria: name -> (preset, what the criteria
 # change in it, trials, the manifest keys they read, as _per_trial takes them).
+# Each criterion binds its entry as a default argument value, which pytest does
+# not take for a fixture, so a name missing here fails at collection.
 _REAL_DATA_RUNS = {
     # fig2b plus fig2g's data-then-noise arm, all four from one init per trial
     "fig2b+order": ("fig2b", dict(
@@ -247,9 +249,9 @@ def _per_trial(manifest: dict, key: str) -> dict[str, list]:
     return out
 
 
-def _run(name: str, root, out_dir, trials: int | None = None, scale: float = 1.0):
+def _run(run: tuple, root, out_dir, trials: int | None = None, scale: float = 1.0):
     """Run one entry of ``_REAL_DATA_RUNS``; returns what its criteria read."""
-    preset, changes, preset_trials, keys = _REAL_DATA_RUNS[name]
+    preset, changes, preset_trials, keys = run
     cfg = replace(reproduce(preset), **changes, master_seed=MASTER,
                   trials=trials or preset_trials, threads=2,
                   data_dir=str(root), output_dir=str(out_dir))
@@ -258,10 +260,10 @@ def _run(name: str, root, out_dir, trials: int | None = None, scale: float = 1.0
 
 
 @pytest.fixture(scope="module")
-def order_run(tmp_path_factory):
+def order_run(tmp_path_factory, run=_REAL_DATA_RUNS["fig2b+order"]):
     """Criteria 8 and 9 read one run, started by the first of them."""
     return functools.cache(
-        lambda root: _run("fig2b+order", root, tmp_path_factory.mktemp("fig2b")))
+        lambda root: _run(run, root, tmp_path_factory.mktemp("fig2b")))
 
 
 def test_noise_pretraining_accelerates_supervised_learning(criterion, order_run):
@@ -302,20 +304,22 @@ def test_noise_training_contracts_first_layer_rank(criterion, tmp_path):
         )
 
 
-def test_pretraining_shrinks_the_generalization_gap(criterion, tmp_path):
+def test_pretraining_shrinks_the_generalization_gap(
+        criterion, tmp_path, run=_REAL_DATA_RUNS["fig4ef-1600"]):
     with criterion(11, "pretraining shrinks the small-data generalization gap"):
         root = require_dataset("mnist")
-        gap = _run("fig4ef-1600", root, tmp_path)["final_generalization_gap"]
+        gap = _run(run, root, tmp_path)["final_generalization_gap"]
         gaps = list(zip(gap["fa_pre"], gap["fa"]))
         wins = sum(with_pre < without for with_pre, without in gaps)
         assert wins >= 4, f"pretrained gap smaller in {wins}/5: {gaps}"
 
 
-def test_pretraining_helps_under_distribution_shift(criterion, tmp_path):
+def test_pretraining_helps_under_distribution_shift(
+        criterion, tmp_path, runs=(_REAL_DATA_RUNS["fig5b"], _REAL_DATA_RUNS["fig5c"])):
     with criterion(12, "pretrained FA wins on transformed and cross-corpus digits"):
         root = require_dataset("mnist", "usps")
-        shifted, usps = (_run(name, root, tmp_path / name)["final_test_acc"]
-                         for name in ("fig5b", "fig5c"))
+        shifted, usps = (_run(run, root, tmp_path / run[0])["final_test_acc"]
+                         for run in runs)
         shifted_wins = sum(p > f for p, f in zip(shifted["fa_pre"], shifted["fa"]))
         usps_wins = sum(p > f for p, f in zip(usps["fa_pre"], usps["fa"]))
         assert shifted_wins >= 4 and usps_wins >= 4, (
@@ -324,22 +328,24 @@ def test_pretraining_helps_under_distribution_shift(criterion, tmp_path):
         )
 
 
-def test_noise_training_lowers_adaptation_loss(criterion, tmp_path):
+def test_noise_training_lowers_adaptation_loss(criterion, tmp_path,
+                                              run=_REAL_DATA_RUNS["fig6a"]):
     with criterion(13, "noise training lowers few-shot adaptation loss"):
         root = require_dataset("mnist", "fashion-mnist", "kmnist")
-        values = _run("fig6a", root, tmp_path)
+        values = _run(run, root, tmp_path)
         curves = list(zip(values["initial_metrics.meta_loss"]["fa_pre"],
                           values["final_metrics.meta_loss"]["fa_pre"]))
         wins = sum(after < before for before, after in curves)
         assert wins == 5, f"adaptation loss lower in {wins}/5 trials: {curves}"
 
 
-def test_full_dataset_convergence_accuracies(criterion, tmp_path):
+def test_full_dataset_convergence_accuracies(criterion, tmp_path,
+                                            run=_REAL_DATA_RUNS["fig3"]):
     with criterion(14, "full-dataset converged accuracies land in their bands"):
         if os.environ.get("PREALIGN_RUN_FULL_SCALE") != "1":
             pytest.skip("multi-hour tier disabled; set PREALIGN_RUN_FULL_SCALE=1")
         root = require_dataset("mnist")
-        finals = _run("fig3", root, tmp_path)["best_test_acc"]
+        finals = _run(run, root, tmp_path)["best_test_acc"]
         bands = {"bp": 97.82, "fa": 97.26, "fa_pre": 97.76}
         means = {k: 100.0 * float(np.mean(v)) for k, v in finals.items()}
         assert all(abs(means[k] - bands[k]) <= 0.5 for k in bands), (
@@ -370,8 +376,8 @@ def test_real_data_runs_reach_every_value_their_criteria_read(generated_data,
                                                               tmp_path):
     # the plumbing of criteria 8, 9 and 11-14 at 1/5000 duration; their
     # bounds need real data and full durations
-    for name in _REAL_DATA_RUNS:
-        values = _run(name, generated_data, tmp_path / name, trials=1, scale=5000)
+    for name, run in _REAL_DATA_RUNS.items():
+        values = _run(run, generated_data, tmp_path / name, trials=1, scale=5000)
         read = [(key, variant, per_trial) for key, by_variant in values.items()
                 for variant, per_trial in by_variant.items()]
         assert all(len(x) == 1 and np.isfinite(x).all() for *_, x in read), (name, read)

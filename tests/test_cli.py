@@ -97,6 +97,15 @@ class TestPretrainVerb:
         assert "traj_layer" in err
         assert not (tmp_path / "p").exists()
 
+    def test_trajectory_of_fewer_than_three_epochs_refused(self, tmp_path, capsys):
+        # 200 samples in batches of 64 start in two logging epochs of 100
+        code, _, err = run(capsys, "pretrain", "--dims", "16,8,4", "--samples", "200",
+                           "--samples-per-epoch", "100", "--capture", "trajectory",
+                           "--out", str(tmp_path / "p"))
+        assert code == 1
+        assert "at least 3 logging epochs" in err
+        assert not (tmp_path / "p").exists()
+
     def test_variant_without_a_phase_refused(self, tmp_path, capsys):
         code, _, err = run(capsys, *PRETRAIN_TINY, "--set",
                            'variants=[{"name": "fa"}, {"name": "fa_pre", "pretrain": true}]',
@@ -222,6 +231,14 @@ class TestReproduceVerb:
         assert manifest["scale"] == 20000
         assert manifest["config"]["pretrain"]["total_samples"] == 25
         assert (out_dir / "records.csv").exists()
+
+    def test_scale_leaving_too_few_trajectory_epochs_refused(self, tmp_path, capsys):
+        # 2,500 noise samples: one logging epoch of 5,000
+        code, _, err = run(capsys, "reproduce", "fig2e", "--scale", "200",
+                           "--out", str(tmp_path / "r"))
+        assert code == 1
+        assert "at least 3 logging epochs" in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestSweepVerb:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import threading
 
@@ -17,7 +18,9 @@ from prealign import (
     TrainConfig,
     TransformSpec,
     derive_trial_seed,
+    init_mlp,
     load_mlp,
+    pretrain_random_noise,
 )
 from prealign.runner import (
     FIGURE_IDS,
@@ -194,6 +197,28 @@ class TestValidation:
             full_config(pretrain=None, train=None, dataset=None,
                         capture=(), eval_transform=None,
                         variants=[VariantSpec(name="fa")])
+
+    @pytest.mark.parametrize("total, per_epoch, batch", [
+        (200, 100, 64), (250, 100, 64), (300, 100, 150), (300, 100, 50), (257, 64, 64),
+    ])
+    def test_trajectory_needs_three_logged_noise_epochs(self, total, per_epoch, batch):
+        noise = NoiseConfig(total_samples=total, samples_per_epoch=per_epoch,
+                            batch_size=batch, learning_rate=1e-3)
+        logged = len(pretrain_random_noise(init_mlp((4, 3, 2), seed=0), noise))
+        settings = dict(pretrain=noise, train=None, dataset=None, eval_transform=None,
+                        capture=("trajectory",))
+        if logged >= 3:
+            full_config(**settings)
+        else:
+            with pytest.raises(ConfigError, match="at least 3 logging epochs"):
+                full_config(**settings)
+
+    def test_trajectory_counts_each_variants_epochs(self):
+        # fa_pre logs 2 noise and 2 training epochs, fa only the 2 training ones
+        with pytest.raises(ConfigError, match=r"variants \['fa'\] log fewer"):
+            full_config(capture=("trajectory",),
+                        variants=[VariantSpec(name="fa"), VariantSpec(name="fa_pre",
+                                                                      pretrain=True)])
 
     @pytest.mark.parametrize("key, value", [
         ("dims", "784,100,10"),
@@ -461,11 +486,42 @@ class TestPresets:
     def test_table_preset(self):
         assert reproduce("table1").trials == 3
 
+    # SHA-256 of each preset's sorted-key config JSON: presets read the protocol
+    # values from the dataclass defaults, so editing a default changes them here
+    DIGESTS = {
+        "fig1e": "f6dc47c826ff6628f2283dc2f23291d436ba714155a824fad0575d4fece69246",
+        "fig1f": "6fb92dce20a169f4b93979d47d3db34af59936e442c509fec3c76235a870975f",
+        "fig2b": "49f8bf0423b405b358f4eb15676c0038d705edaa6ea01b2cc1e90c97df7295aa",
+        "fig2e": "c204d3c3710dfe25f883555fff6d23d2a630eaa260c9bdcb8f414d1ac004ecc3",
+        "fig2g": "ee9146294d30f1a15c96a640a25b70e3ffa0eae92510100f491c8e7d7072a108",
+        "fig3": "ac70c928f25f61745d672422de96f04bd4207b75e1433b2372f05354eaf82fdc",
+        "fig4d": "5a2ba66c79dab9df10fe7fb0483f468f1c5b859663c5a8824996af9de7982614",
+        "fig4ef": "4a6250d5443e0603eac3ea9dc210e8430734ccd0c90949b8ecd41b4440262919",
+        "fig4gh": "2fa11cfde97f7c46c9a7f0696951bb3b5a03147d410c8b65486b2bc8c902dbbe",
+        "fig5b": "d168e8a925acf48d010852c06ebc170848f23543a285f6374c9e11b7a9cc931e",
+        "fig5c": "d9ce2d0daa3169cb4559b6a166e8e589e0eb88829c8df0625aa18572daefd7af",
+        "fig6a": "2d0ad8c21c9949feec57827c798ea7f43ca6cc4b6a6f9dd632a8a311568db4c9",
+        "fig6c": "4efdf4eb770dd28f1b606cd33b67fd12f2f09af9433a759132bdd307cf08d534",
+        "table1": "7cf1a52e7d5dd0e3b2200fb3da47f1ca836588f45d7d429fd43daf380314a5d2",
+    }
+
+    def test_every_preset_is_pinned(self):
+        assert set(self.DIGESTS) == set(FIGURE_IDS)
+        texts = {fid: json.dumps(config_to_dict(reproduce(fid)), sort_keys=True)
+                 for fid in FIGURE_IDS}
+        changed = {fid: text for fid, text in texts.items()
+                   if hashlib.sha256(text.encode()).hexdigest() != self.DIGESTS[fid]}
+        assert not changed, "\n".join(f"{fid}: {text}" for fid, text in changed.items())
+
     def test_every_preset_serializes_and_scales(self):
         for fid in FIGURE_IDS:
             cfg = reproduce(fid)
             back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
             assert back == cfg, fid
+            if fid == "fig2e":  # one logging epoch, too few for the trajectory PCA
+                with pytest.raises(ConfigError, match="at least 3 logging epochs"):
+                    apply_scale(cfg, 200.0)
+                continue
             scaled = apply_scale(cfg, 200.0)
             if scaled.pretrain is not None:
                 assert scaled.pretrain.total_samples >= 1
@@ -804,6 +860,26 @@ class TestRunExperiment:
         ]
         rows = (tmp_path / "out" / "records.csv").read_text().splitlines()[1:]
         assert {r.split(",")[0] for r in rows} == {"0", "2"}
+
+    def test_early_stopped_trajectory_recorded_as_failure(self, tmp_path, monkeypatch):
+        original = experiment_mod.train
+
+        def trial_1_stops_early(mlp, *data, trial, **kwargs):
+            if trial == 1:  # after one epoch, as patience may stop it
+                *data, cfg = data
+                data = (*data, dataclasses.replace(cfg, epochs=1))
+            return original(mlp, *data, trial=trial, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "train", trial_1_stops_early)
+        manifest = run_experiment(smoke_config(
+            tmp_path, variants=[VariantSpec(name="fa")], pretrain=None,
+            train=TrainConfig(learning_rate=1e-3, batch_size=64, epochs=3),
+            capture=("trajectory",),
+        ))
+        assert [(f["trial"], f["error"]) for f in manifest["failures"]] == [
+            (1, "ShapeError")
+        ]
+        assert "feedback_coord" in manifest["summary"]["fa"]["0"]
 
     def test_total_failure_raises(self, tmp_path, monkeypatch):
         def doomed(cfg, variant, trial, data, out_dir):
