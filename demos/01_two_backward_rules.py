@@ -16,16 +16,7 @@ import numpy as np
 
 from prealign.data import synthetic_blobs
 from prealign.learn import TrainConfig, backward_bp, backward_fa, train
-from prealign.net import Mlp, forward, init_mlp
-
-
-def clone(net):
-    return Mlp(
-        dims=net.dims,
-        weights=[w.copy() for w in net.weights],
-        biases=[b.copy() for b in net.biases],
-        feedback=[f.copy() for f in net.feedback],
-    )
+from prealign.net import forward, init_mlp
 
 
 def main():
@@ -36,7 +27,7 @@ def main():
     base = init_mlp((64, 32, 4), seed=0)
     curves = {}
     for rule in ("BP", "FA"):
-        net = clone(base)
+        net = base.copy()
         cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=15)
         curves[rule] = train(net, x_tr, y_tr, x_te, y_te, cfg, rule=rule, seed=5)
 

@@ -17,18 +17,9 @@ from prealign.data import Dataset, subset, synthetic_blobs
 from prealign.errors import DataError
 from prealign.learn import TrainConfig, train
 from prealign.metrics import accuracy_auc, alignment_angles
-from prealign.net import Mlp, init_mlp
+from prealign.net import init_mlp
 from prealign.noise import NoiseConfig, pretrain_random_noise
 from prealign.runner.experiment import load_named_split
-
-
-def clone(net):
-    return Mlp(
-        dims=net.dims,
-        weights=[w.copy() for w in net.weights],
-        biases=[b.copy() for b in net.biases],
-        feedback=[f.copy() for f in net.feedback],
-    )
 
 
 def load_task():
@@ -57,7 +48,7 @@ def main():
     base = init_mlp(dims, seed=4)
     curves = {}
     for label, with_noise in (("plain FA", False), ("noise-pretrained FA", True)):
-        net = clone(base)
+        net = base.copy()
         if with_noise:
             before = alignment_angles(net, 1).mean_deg
             pretrain_random_noise(net, NoiseConfig(total_samples=100_000), seed=4)

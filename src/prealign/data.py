@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, require_float
 
 __all__ = [
     "Dataset",
@@ -93,6 +93,8 @@ class TransformSpec:
     def __post_init__(self) -> None:
         for label in ("translate_frac", "scale", "rotate_deg"):
             pair = tuple(getattr(self, label))
+            for bound in pair:
+                require_float(f"each bound of {label}", bound)
             if len(pair) != 2 or pair[0] > pair[1]:
                 raise ConfigError(f"{label} must be an ordered (low, high) range, "
                                   f"got {pair}")

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer check."""
+"""Exception types shared across the package, and the integer and float checks."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class PrealignError(Exception):
@@ -34,3 +35,10 @@ def require_int(name: str, value, minimum: int | None = None) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_float(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a finite real number
+    (``bool`` is not); an integer passes and is left as it is."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")

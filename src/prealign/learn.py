@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, require_int
+from .errors import ConfigError, NumericError, ShapeError, require_float, require_int
 from .net import (Mlp, ForwardTrace, _check_labels, _empty_trace, _split_params,
                   accuracy, cross_entropy, forward)
 from .records import RunRecord
@@ -165,6 +165,7 @@ class TrainConfig:
     patience: int | None = None
 
     def __post_init__(self) -> None:
+        require_float("learning_rate", self.learning_rate)
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         require_int("batch_size", self.batch_size, 1)

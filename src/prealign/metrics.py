@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, NumericError, ShapeError, require_int
+from .errors import ConfigError, NumericError, ShapeError, require_float, require_int
 from .learn import AdamState, step
 from .net import Mlp, cross_entropy, forward
 from .seeds import rng_for
@@ -58,6 +58,7 @@ class MetaConfig:
     def __post_init__(self) -> None:
         for name in ("shots_per_class", "query_per_class", "inner_steps"):
             require_int(name, getattr(self, name), 1)
+        require_float("inner_lr", self.inner_lr)
         if self.inner_lr <= 0:
             raise ConfigError(f"inner_lr must be > 0, got {self.inner_lr}")
 

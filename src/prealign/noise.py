@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_float, require_int
 from .learn import AdamState, _one_blas_thread, _openblas_threads, _snapshot_metrics, step
 from .net import Mlp, accuracy, cross_entropy
 from .records import RunRecord
@@ -53,6 +53,8 @@ class Gaussian:
     std: float = 1.0
 
     def __post_init__(self) -> None:
+        require_float("mean", self.mean)
+        require_float("std", self.std)
         if self.std < 0:
             raise ConfigError(f"std must be >= 0, got {self.std}")
 
@@ -65,6 +67,8 @@ class Uniform:
     high: float = 1.0
 
     def __post_init__(self) -> None:
+        require_float("low", self.low)
+        require_float("high", self.high)
         if self.low > self.high:
             raise ConfigError(f"low {self.low} exceeds high {self.high}")
 
@@ -83,8 +87,19 @@ class NoiseConfig:
         require_int("total_samples", self.total_samples, 1)
         require_int("samples_per_epoch", self.samples_per_epoch, 1)
         require_int("batch_size", self.batch_size, 1)
+        require_float("learning_rate", self.learning_rate)
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+
+
+def _epoch_batches(config: NoiseConfig) -> list[tuple[int, list[int]]]:
+    """``(epoch, batch sizes)`` for each logging epoch of ``config``: the
+    epochs in which a batch starts, numbered from 1."""
+    total, size = config.total_samples, config.batch_size
+    starts = itertools.groupby(range(0, total, size),
+                               key=lambda start: start // config.samples_per_epoch + 1)
+    return [(epoch, [min(size, total - start) for start in group])
+            for epoch, group in starts]
 
 
 def sample_noise_batch(n: int, dim: int, distribution, rng: np.random.Generator) -> np.ndarray:
@@ -127,7 +142,6 @@ def pretrain_random_noise(
     dim, n_classes = mlp.dims[0], mlp.dims[-1]
     blas = _openblas_threads()
     draw_ahead = blas is not None and blas[1]() > 1
-    total, batch_size = config.total_samples, config.batch_size
     records: list[RunRecord] = []
     sum_loss = sum_acc = 0.0
 
@@ -141,10 +155,7 @@ def pretrain_random_noise(
         sum_loss += len(y) * cross_entropy(trace.probabilities, y)
         sum_acc += len(y) * accuracy(trace.probabilities, y)
 
-    batches = itertools.groupby(range(0, total, batch_size),
-                                key=lambda start: start // config.samples_per_epoch + 1)
-    for epoch, starts in batches:
-        sizes = [min(batch_size, total - start) for start in starts]
+    for epoch, sizes in _epoch_batches(config):
         sum_loss = sum_acc = 0.0
         if draw_ahead:
             # imported here, not at the top: it adds about 6 ms to ``import prealign``

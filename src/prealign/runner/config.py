@@ -17,11 +17,11 @@ import itertools
 import json
 from dataclasses import asdict, dataclass, replace
 
-from ..errors import ConfigError, require_int
+from ..errors import ConfigError, require_float, require_int
 from ..data import TransformSpec
 from ..learn import TrainConfig
 from ..metrics import MetaConfig
-from ..noise import Gaussian, NoiseConfig, Uniform
+from ..noise import Gaussian, NoiseConfig, Uniform, _epoch_batches
 
 __all__ = [
     "VariantSpec",
@@ -135,6 +135,7 @@ class ExperimentConfig:
         if "trajectory" in self.capture and not 0 <= self.traj_layer < n_layers:
             raise ConfigError(f"traj_layer must be in [0, {n_layers}) for dims "
                               f"{list(self.dims)}, got {self.traj_layer}")
+        require_float("scale", self.scale)
         if self.scale <= 0:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
         if self.sweep and {"scale", "threads"} & set(self.sweep):
@@ -163,10 +164,7 @@ class ExperimentConfig:
         if self.pretrain is not None and not pretrains:
             raise ConfigError("noise settings are given but no variant pretrains")
         if "trajectory" in self.capture:
-            p = self.pretrain
-            # the noise loop logs each epoch in which a batch starts
-            noise_epochs = 0 if p is None else len(
-                {s // p.samples_per_epoch for s in range(0, p.total_samples, p.batch_size)})
+            noise_epochs = 0 if self.pretrain is None else len(_epoch_batches(self.pretrain))
             train_epochs = 0 if self.train is None else self.train.epochs
             short = [v.name for v in self.variants
                      if (noise_epochs if v.pretrain else 0) + train_epochs < 3]
@@ -300,6 +298,7 @@ def apply_scale(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
     ``cfg.scale * scale`` is recorded and ends up in the manifest, so scaled
     runs are never mistaken for full-duration ones.
     """
+    require_float("scale", scale)
     if scale <= 0:
         raise ConfigError(f"scale must be > 0, got {scale}")
     if scale == 1.0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from prealign import init_mlp
+from prealign.net import init_mlp
 
 
 @pytest.fixture

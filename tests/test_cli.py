@@ -538,3 +538,39 @@ class TestRefusedKeys:
         assert code == 1
         assert "'meta' flag" in err
         assert not (tmp_path / "x").exists()
+
+
+# (arguments, VALUE standing for the refused value; CONFIG names a copy of
+# NOISE_DOC whose ``scale`` is that value)
+FLOAT_SETTINGS = {
+    "pretrain.learning_rate": PRETRAIN_TINY + ["--set", "pretrain.learning_rate=VALUE"],
+    "pretrain.distribution.mean": PRETRAIN_TINY + ["--set", "pretrain.distribution.mean=VALUE"],
+    "pretrain.distribution.std": PRETRAIN_TINY + ["--set", "pretrain.distribution.std=VALUE"],
+    "pretrain.distribution.low": PRETRAIN_TINY + [
+        "--dist", "uniform", "--set", "pretrain.distribution.low=VALUE"],
+    "pretrain.distribution.high": PRETRAIN_TINY + [
+        "--dist", "uniform", "--set", "pretrain.distribution.high=VALUE"],
+    "train.learning_rate": TRAIN_TINY + ["--set", "train.learning_rate=VALUE"],
+    "meta.inner_lr": ["reproduce", "fig6a", "--scale", "20000", "--set", "meta.inner_lr=VALUE"],
+    **{f"eval_transform.{name}.{end}": TRAIN_TINY + [
+        "--set", f"eval_transform.{name}=" + ("[VALUE,1]" if end == "low" else "[0,VALUE]")]
+       for name in ("translate_frac", "scale", "rotate_deg") for end in ("low", "high")},
+    "scale": ["pretrain", "--config", "CONFIG"],
+    "--scale": ["reproduce", "fig1e", "--scale", "VALUE"],
+}
+
+
+class TestFloatSettings:
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "true"])
+    @pytest.mark.parametrize("case", FLOAT_SETTINGS)
+    def test_nonfinite_or_boolean_refused(self, case, value, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({**NOISE_DOC, "scale": json.loads(value)}))
+        argv = [a.replace("VALUE", value).replace("CONFIG", str(cfg_path))
+                for a in FLOAT_SETTINGS[case]]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "x"))
+        assert code == 1
+        # argparse refuses a --scale that is not a number at all
+        refusal = "invalid float" if (case, value) == ("--scale", "true") else "finite number"
+        assert refusal in err
+        assert not (tmp_path / "x").exists()

@@ -7,11 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from prealign import (
-    ConfigError,
-    DataError,
+from prealign.data import (
+    _AFFINE_BLOCK,
     Dataset,
-    FormatError,
     TransformSpec,
     load_cifar,
     load_idx,
@@ -20,7 +18,7 @@ from prealign import (
     synthetic_blobs,
     transform_affine,
 )
-from prealign.data import _AFFINE_BLOCK
+from prealign.errors import ConfigError, DataError, FormatError
 
 from oracles import affine_transform_reference
 

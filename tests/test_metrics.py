@@ -3,23 +3,20 @@
 import numpy as np
 import pytest
 
-from prealign import (
-    ConfigError,
+from prealign.data import Dataset, synthetic_blobs
+from prealign.errors import ConfigError, NumericError, ShapeError
+from prealign.metrics import (
     MetaConfig,
-    NumericError,
-    Dataset,
-    ShapeError,
+    _episode_split,
     accuracy_auc,
     alignment_angles,
     effective_rank,
     gram_effective_dim,
-    init_mlp,
     meta_loss,
-    synthetic_blobs,
     weight_feedback_distance,
     weight_trajectory_pca,
 )
-from prealign.metrics import _episode_split
+from prealign.net import init_mlp
 
 from oracles import (
     entropy_effective_rank_reference,

@@ -9,23 +9,18 @@ import numpy as np
 import pytest
 
 import prealign.noise as noise_mod
-from prealign import (
-    AdamState,
-    ConfigError,
+from prealign.errors import ConfigError, NumericError
+from prealign.learn import AdamState, _openblas_threads, adam_step, backward_fa
+from prealign.net import forward, init_mlp
+from prealign.noise import (
     Gaussian,
     NoiseConfig,
-    NumericError,
     Uniform,
-    adam_step,
-    backward_fa,
-    forward,
-    init_mlp,
     pretrain_random_noise,
-    rng_for,
     sample_noise_batch,
     sample_random_labels,
 )
-from prealign.learn import _openblas_threads
+from prealign.seeds import rng_for
 
 
 class TestDistributions:
@@ -113,6 +108,19 @@ class TestNoiseConfig:
         with pytest.raises(ConfigError):
             NoiseConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("bad", [True, math.nan, math.inf, "0.1", None])
+    def test_float_settings_must_be_finite_numbers(self, bad):
+        for make in (lambda v: NoiseConfig(learning_rate=v), lambda v: Gaussian(mean=v),
+                     lambda v: Gaussian(std=v), lambda v: Uniform(low=v),
+                     lambda v: Uniform(high=v)):
+            with pytest.raises(ConfigError, match="finite number"):
+                make(bad)
+
+    def test_integer_float_settings_kept_as_given(self):
+        cfg = NoiseConfig(distribution=Uniform(-1, 1), learning_rate=1)
+        assert type(cfg.learning_rate) is int and type(cfg.distribution.low) is int
+        assert Gaussian(np.float64(0.5), 2).std == 2
+
 
 class TestPretrain:
     def test_epoch_attribution(self):
@@ -128,6 +136,21 @@ class TestPretrain:
         cfg = NoiseConfig(total_samples=200, samples_per_epoch=50, batch_size=50)
         records = pretrain_random_noise(mlp, cfg)
         assert [r.epoch for r in records] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("total, per_epoch, batch, epochs", [
+        (250, 100, 64, 2),  # batches start at 0, 64, 128, 192: none in epoch 3
+        (100, 30, 40, 3),
+        (200, 50, 50, 4),
+        (130, 50, 64, 3),
+        (10, 100, 64, 1),
+    ])
+    def test_epoch_batches_are_the_logged_epochs(self, total, per_epoch, batch, epochs):
+        cfg = NoiseConfig(total_samples=total, samples_per_epoch=per_epoch, batch_size=batch)
+        batches = noise_mod._epoch_batches(cfg)
+        records = pretrain_random_noise(init_mlp((6, 5, 3), seed=0), cfg)
+        assert len(batches) == len(records) == epochs
+        assert [epoch for epoch, _ in batches] == [r.epoch for r in records]
+        assert sum(sum(sizes) for _, sizes in batches) == total
 
     def test_record_fields(self):
         mlp = init_mlp((6, 5, 3), seed=0)

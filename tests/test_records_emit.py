@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from prealign import ConfigError, RunRecord
+from prealign.errors import ConfigError
+from prealign.records import RunRecord
 from prealign.runner.emit import emit_csv, write_manifest
 
 

@@ -9,29 +9,15 @@ import threading
 import numpy as np
 import pytest
 
-from prealign import (
-    ConfigError,
-    DataError,
-    Gaussian,
-    NoiseConfig,
-    NumericError,
-    TrainConfig,
-    TransformSpec,
-    derive_trial_seed,
-    init_mlp,
-    load_mlp,
-    pretrain_random_noise,
-)
-from prealign.runner import (
-    FIGURE_IDS,
+from prealign.data import TransformSpec
+from prealign.errors import ConfigError, DataError, NumericError
+from prealign.learn import TrainConfig
+from prealign.net import init_mlp, load_mlp
+from prealign.noise import Gaussian, NoiseConfig, Uniform, pretrain_random_noise
+from prealign.runner.config import (
     ExperimentConfig,
     MetaSettings,
     VariantSpec,
-    load_named_split,
-    reproduce,
-    run_experiment,
-)
-from prealign.runner.config import (
     apply_overrides,
     apply_scale,
     config_from_dict,
@@ -39,6 +25,9 @@ from prealign.runner.config import (
     expand_sweep,
     load_config_file,
 )
+from prealign.runner.experiment import load_named_split, run_experiment
+from prealign.runner.presets import FIGURE_IDS, reproduce
+from prealign.seeds import derive_trial_seed
 import prealign.learn as learn_mod
 import prealign.runner.experiment as experiment_mod
 
@@ -85,8 +74,6 @@ class TestConfigRoundTrip:
         assert back == cfg
 
     def test_uniform_distribution_round_trips(self):
-        from prealign import Uniform
-
         cfg = full_config(
             pretrain=NoiseConfig(distribution=Uniform(-0.3, 0.3),
                                  total_samples=50, samples_per_epoch=50),
