@@ -36,8 +36,11 @@ __all__ = [
 class Dataset:
     """Immutable image classification data.
 
-    ``images`` is ``(n, input_dim)`` float64 with values in [0, 1];
-    ``labels`` is ``(n,)`` integer class indices below ``class_count``.
+    ``images`` is ``(n, input_dim)`` with values in [0, 1], float32 when
+    given as float32 and float64 otherwise; ``labels`` is ``(n,)`` integer
+    class indices below ``class_count``.  Every loader and transform here
+    returns float64 images.  The runner casts the splits it trains and
+    evaluates on to float32, the precision networks train in, once.
     """
 
     images: np.ndarray
@@ -46,7 +49,9 @@ class Dataset:
     name: str
 
     def __post_init__(self) -> None:
-        images = np.asarray(self.images, dtype=np.float64)
+        images = np.asarray(self.images)
+        if images.dtype != np.float32:
+            images = np.asarray(images, dtype=np.float64)
         labels = np.asarray(self.labels)
         if images.ndim != 2 or images.shape[0] == 0:
             raise DataError(f"{self.name}: images must be nonempty 2-D")

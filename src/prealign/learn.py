@@ -112,7 +112,8 @@ class Gradients:
 @dataclass
 class _Buffers:
     """Everything one :func:`step` writes, allocated once for batches of up
-    to ``rows`` samples; a shorter batch uses the leading rows."""
+    to ``rows`` samples in the network's precision; a shorter batch uses the
+    leading rows."""
 
     rows: int
     trace: ForwardTrace
@@ -124,9 +125,9 @@ class _Buffers:
     def allocate(cls, mlp: Mlp, rows: int) -> "_Buffers":
         return cls(
             rows=rows,
-            trace=_empty_trace(mlp.dims, rows),
+            trace=_empty_trace(mlp.dims, rows, mlp.params.dtype),
             grads=Gradients(mlp.dims, np.empty_like(mlp.params)),
-            deltas=[np.empty((rows, d)) for d in mlp.dims[1:]],
+            deltas=[np.empty((rows, d), dtype=mlp.params.dtype) for d in mlp.dims[1:]],
             masks=[np.empty((rows, d), dtype=bool) for d in mlp.dims[1:-1]],
         )
 
@@ -134,7 +135,8 @@ class _Buffers:
 @dataclass
 class AdamState:
     """Adam moment accumulators ``m`` and ``v`` in the flat parameter
-    layout, and the work buffers the update and :func:`step` reuse."""
+    layout, and the work buffers the update and :func:`step` reuse, all in
+    the network's precision."""
 
     step: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
@@ -147,7 +149,7 @@ class AdamState:
         return cls(
             m=np.zeros_like(mlp.params),
             v=np.zeros_like(mlp.params),
-            temps=np.empty((2, mlp.params.size)),
+            temps=np.empty((2, mlp.params.size), dtype=mlp.params.dtype),
         )
 
 
@@ -333,11 +335,13 @@ def train(
     mlp)`` may return extra scalars to merge into that epoch's metrics.
     Early stopping, when ``config.patience`` is set, triggers after
     ``patience`` consecutive epochs without a new best test accuracy; the
-    best value seen is logged in each record under ``best_test_acc``.
+    best value seen is logged in each record under ``best_test_acc``.  The
+    inputs are cast to the network's precision once, before the first
+    epoch, and pass uncopied when they are in it already.
     """
-    x_train = np.asarray(train_inputs, dtype=np.float64)
+    x_train = np.asarray(train_inputs, dtype=mlp.params.dtype)
     y_train = np.asarray(train_labels)
-    x_test = np.asarray(test_inputs, dtype=np.float64)
+    x_test = np.asarray(test_inputs, dtype=mlp.params.dtype)
     y_test = np.asarray(test_labels)
     _check_split("train", x_train, y_train, mlp)
     _check_split("test", x_test, y_test, mlp)
@@ -346,7 +350,7 @@ def train(
     records: list[RunRecord] = []
     n = x_train.shape[0]
     rows = min(config.batch_size, n)
-    x_batch = np.empty((rows, x_train.shape[1]))
+    x_batch = np.empty((rows, x_train.shape[1]), dtype=x_train.dtype)
     y_batch = np.empty(rows, dtype=y_train.dtype)
     best_acc = -np.inf
     stalled = 0

@@ -1,8 +1,11 @@
 """Analysis quantities computed from networks, activations, and run curves.
 
-All operations are pure.  Angle and similarity conventions are pinned here
-once: zero-norm vectors get the neutral values (angle 90 degrees, cosine 0)
-so ReLU-dead neurons never produce NaN.
+All operations are pure.  Each quantity is computed in float64, whatever
+the precision of the network or activations it reads; only
+:func:`meta_loss`'s adaptation steps run in the network's own precision,
+as training does.  Angle and similarity conventions are pinned here once:
+zero-norm vectors get the neutral values (angle 90 degrees, cosine 0) so
+ReLU-dead neurons never produce NaN.
 """
 
 from __future__ import annotations
@@ -76,11 +79,11 @@ def alignment_angles(mlp: Mlp, layer: int) -> AngleReport:
     For input-side unit ``i`` of the layer, the angle between
     ``W[:, i]`` and ``B[i, :]`` in degrees.  Random initialization puts
     these near 90; alignment pulls them down.  Zero-norm vectors give the
-    neutral 90.
+    neutral 90.  Computed in float64 whatever the network's precision.
     """
     _check_layer(mlp, layer)
-    w = mlp.weights[layer]
-    b = mlp.feedback[layer]
+    w = np.asarray(mlp.weights[layer], dtype=np.float64)
+    b = np.asarray(mlp.feedback[layer], dtype=np.float64)
     dots = (w.T * b).sum(axis=1)
     norm_w = np.linalg.norm(w, axis=0)
     norm_b = np.linalg.norm(b, axis=1)
@@ -96,9 +99,11 @@ def alignment_angles(mlp: Mlp, layer: int) -> AngleReport:
 
 
 def weight_feedback_distance(mlp: Mlp, layer: int) -> float:
-    """Frobenius norm of ``W_layer - B_layer.T``."""
+    """Frobenius norm of ``W_layer - B_layer.T``, computed in float64."""
     _check_layer(mlp, layer)
-    return float(np.linalg.norm(mlp.weights[layer] - mlp.feedback[layer].T))
+    w = np.asarray(mlp.weights[layer], dtype=np.float64)
+    b = np.asarray(mlp.feedback[layer], dtype=np.float64)
+    return float(np.linalg.norm(w - b.T))
 
 
 def effective_rank(m) -> float:

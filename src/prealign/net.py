@@ -7,11 +7,17 @@ matrix ``W_l`` the network carries a fixed random feedback matrix ``B_l`` of
 the transposed shape, used only by the feedback-alignment backward pass and
 never updated by training.
 
-The trainable parameters live in one contiguous float64 vector, laid out
+The trainable parameters live in one contiguous vector, laid out
 ``W_0, b_0, W_1, b_1, ...`` with each matrix row-major; ``weights`` and
 ``biases`` are views into it, so the optimizer can update every parameter
 with a handful of whole-vector operations.  Gradients and optimizer state
 use the same layout.
+
+Networks train in float32 (:data:`TRAIN_DTYPE`): the vector's dtype sets the
+precision of the forward pass, the backward pass, Adam and the noise draws,
+and a float64 network runs the same code in float64.  Losses and every
+metric reduce in float64, and checkpoints store float64 whatever the
+network's precision, so a float32 network round-trips exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 
 __all__ = [
+    "TRAIN_DTYPE",
     "Mlp",
     "ForwardTrace",
     "init_mlp",
@@ -34,6 +41,9 @@ __all__ = [
     "save_mlp",
     "load_mlp",
 ]
+
+# the precision that init_mlp builds networks in, and so that runs train in
+TRAIN_DTYPE = np.dtype(np.float32)
 
 _MAGIC = b"PRLN1"
 _LOG_CLAMP = 1e-12
@@ -62,7 +72,9 @@ class Mlp:
     Construction copies ``weights`` and ``biases`` into ``params``, the flat
     parameter vector, and replaces them with views of it.  Write them in
     place (``w[...] = ...``): an array put in their place is not part of
-    ``params``, which is what the optimizer updates.
+    ``params``, which is what the optimizer updates.  ``params`` is float32
+    when every given weight and bias array is, and float64 otherwise;
+    ``feedback`` is held in the same dtype.
     """
 
     dims: tuple[int, ...]
@@ -74,13 +86,16 @@ class Mlp:
     def __post_init__(self) -> None:
         dims = self.dims = tuple(int(d) for d in self.dims)
         given = list(self.weights) + list(self.biases)
-        self.params = np.empty(sum(np.size(a) for a in given))
+        single = all(np.asarray(a).dtype == np.float32 for a in given)
+        dtype = np.dtype(np.float32 if single else np.float64)
+        self.params = np.empty(sum(np.size(a) for a in given), dtype=dtype)
         weights, biases = _split_params(self.params, dims)
         if [np.shape(a) for a in given] != [a.shape for a in weights + biases]:
             raise ShapeError(f"weight and bias shapes do not match dims {dims}")
         for dst, src in zip(weights + biases, given):
             dst[...] = src
         self.weights, self.biases = weights, biases
+        self.feedback = [np.asarray(b, dtype=dtype) for b in self.feedback]
 
     @property
     def n_layers(self) -> int:
@@ -110,10 +125,12 @@ class ForwardTrace:
     probabilities: np.ndarray
 
 
-def init_mlp(dims, seed) -> Mlp:
+def init_mlp(dims, seed, dtype=TRAIN_DTYPE) -> Mlp:
     """He-initialized network: ``W_l ~ N(0, 2 / dims[l])``, biases zero, and
     feedback ``B_l`` drawn independently from the same distribution as
     ``W_l``.  ``seed`` is an integer seed or a ``numpy.random.Generator``.
+    Values are drawn in float64 and rounded once to ``dtype`` (float32 or
+    float64), so both precisions start from the same draws.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
@@ -121,12 +138,15 @@ def init_mlp(dims, seed) -> Mlp:
     if any(d < 1 for d in dims):
         raise ConfigError(f"all layer sizes must be >= 1, got dims={dims}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+    def draw(n_in, shape):
+        return rng.normal(0.0, np.sqrt(2.0 / n_in), size=shape).astype(dtype, copy=False)
+
     weights, biases, feedback = [], [], []
-    for l in range(len(dims) - 1):
-        std = np.sqrt(2.0 / dims[l])
-        weights.append(rng.normal(0.0, std, size=(dims[l + 1], dims[l])))
-        biases.append(np.zeros(dims[l + 1]))
-        feedback.append(rng.normal(0.0, std, size=(dims[l], dims[l + 1])))
+    for n_in, n_out in zip(dims, dims[1:]):
+        weights.append(draw(n_in, (n_out, n_in)))
+        biases.append(np.zeros(n_out, dtype=dtype))
+        feedback.append(draw(n_in, (n_in, n_out)))
     return Mlp(dims=dims, weights=weights, biases=biases, feedback=feedback)
 
 
@@ -147,9 +167,10 @@ def forward(mlp: Mlp, batch, out: ForwardTrace | None = None) -> ForwardTrace:
 
     ``out``, a trace with at least as many rows as the batch, supplies the
     buffers to write (all but its ``activations[0]``); the returned trace
-    then holds views of their leading rows.
+    then holds views of their leading rows.  The batch is cast to the
+    network's precision, and every array of the trace is in it.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=mlp.params.dtype)
     if x.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got ndim={x.ndim}")
     if x.shape[1] != mlp.dims[0]:
@@ -158,7 +179,7 @@ def forward(mlp: Mlp, batch, out: ForwardTrace | None = None) -> ForwardTrace:
         )
     n = x.shape[0]
     if out is None:
-        out = _empty_trace(mlp.dims, n)
+        out = _empty_trace(mlp.dims, n, mlp.params.dtype)
     pre_activations = [o[:n] for o in out.pre_activations]
     activations = [x] + [h[:n] for h in out.activations[1:]]
     probabilities = out.probabilities[:n]
@@ -181,13 +202,13 @@ def forward(mlp: Mlp, batch, out: ForwardTrace | None = None) -> ForwardTrace:
     )
 
 
-def _empty_trace(dims, rows: int) -> ForwardTrace:
-    """Uninitialized forward buffers for ``rows`` samples; ``activations[0]``,
-    the batch itself, is left as ``None``."""
+def _empty_trace(dims, rows: int, dtype) -> ForwardTrace:
+    """Uninitialized ``dtype`` forward buffers for ``rows`` samples;
+    ``activations[0]``, the batch itself, is left as ``None``."""
     return ForwardTrace(
-        activations=[None] + [np.empty((rows, d)) for d in dims[1:-1]],
-        pre_activations=[np.empty((rows, d)) for d in dims[1:]],
-        probabilities=np.empty((rows, dims[-1])),
+        activations=[None] + [np.empty((rows, d), dtype=dtype) for d in dims[1:-1]],
+        pre_activations=[np.empty((rows, d), dtype=dtype) for d in dims[1:]],
+        probabilities=np.empty((rows, dims[-1]), dtype=dtype),
     )
 
 
@@ -210,14 +231,17 @@ def _check_labels(probabilities: np.ndarray, labels) -> np.ndarray:
 
 def cross_entropy(probabilities: np.ndarray, labels) -> float:
     """Mean negative log probability of the true class, with the probability
-    clamped below at 1e-12 before the log."""
+    clamped below at 1e-12 before the log; computed in float64 whatever the
+    precision of ``probabilities``."""
     y = _check_labels(probabilities, labels)
-    p_true = probabilities[np.arange(y.shape[0]), y]
+    p_true = probabilities[np.arange(y.shape[0]), y].astype(np.float64)
     return float(-np.mean(np.log(np.maximum(p_true, _LOG_CLAMP))))
 
 
 def accuracy(probabilities: np.ndarray, labels) -> float:
-    """Fraction of rows whose argmax matches the label."""
+    """Fraction of rows whose argmax matches the label, as a float64 mean.
+    The argmax reads ``probabilities`` as given: widening them to float64
+    is exact and keeps their order."""
     y = _check_labels(probabilities, labels)
     return float(np.mean(np.argmax(probabilities, axis=1) == y))
 
@@ -225,7 +249,8 @@ def accuracy(probabilities: np.ndarray, labels) -> float:
 def save_mlp(mlp: Mlp, path) -> None:
     """Write a checkpoint: magic ``PRLN1``, little-endian u32 layer count and
     sizes, then per layer the float64 buffers ``W_l``, ``b_l``, ``B_l`` in
-    row-major order."""
+    row-major order.  A float32 network is widened to float64, which is
+    exact, so the format does not depend on the precision."""
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(mlp.dims)))
@@ -235,10 +260,12 @@ def save_mlp(mlp: Mlp, path) -> None:
                 f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def load_mlp(path) -> Mlp:
-    """Read a checkpoint written by :func:`save_mlp`.  Raises
+def load_mlp(path, dtype=np.float64) -> Mlp:
+    """Read a checkpoint written by :func:`save_mlp` into a ``dtype``
+    network: float64, as stored, or :data:`TRAIN_DTYPE`, which holds a
+    checkpoint of a run's float32 network exactly.  Raises
     :class:`FormatError` on a bad magic, truncation, or trailing bytes, and
-    :class:`NumericError` if any stored value is not finite."""
+    :class:`NumericError` if any value is not finite."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -266,9 +293,9 @@ def load_mlp(path) -> Mlp:
         w = np.frombuffer(take(8 * n_out * n_in), dtype="<f8").reshape(n_out, n_in)
         b = np.frombuffer(take(8 * n_out), dtype="<f8")
         bk = np.frombuffer(take(8 * n_in * n_out), dtype="<f8").reshape(n_in, n_out)
-        weights.append(w)
-        biases.append(b)
-        feedback.append(bk.astype(np.float64))
+        weights.append(w.astype(dtype))
+        biases.append(b.astype(dtype))
+        feedback.append(bk.astype(dtype))
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes in checkpoint {path}")
     mlp = Mlp(dims=dims, weights=weights, biases=biases, feedback=feedback)

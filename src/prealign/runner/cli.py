@@ -29,7 +29,7 @@ from ..errors import (
 )
 from ..learn import evaluate
 from ..metrics import alignment_angles, effective_rank, weight_feedback_distance
-from ..net import load_mlp
+from ..net import TRAIN_DTYPE, load_mlp
 from .config import (
     ExperimentConfig,
     apply_overrides,
@@ -213,7 +213,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    mlp = load_mlp(args.model)
+    # in the precision runs evaluate in, so that a run's own test split
+    # gives the loss and accuracy its records.csv holds
+    mlp = load_mlp(args.model, TRAIN_DTYPE)
     ds = load_named_split(
         args.dataset, args.split, default_data_dir(args.data_dir), mlp.dims[0],
         mlp.dims[-1]

@@ -42,7 +42,7 @@ from ..metrics import (
     weight_feedback_distance,
     weight_trajectory_pca,
 )
-from ..net import forward, init_mlp, save_mlp
+from ..net import TRAIN_DTYPE, forward, init_mlp, save_mlp
 from ..noise import pretrain_random_noise
 from ..records import RunRecord
 from ..seeds import derive_entropy, derive_trial_seed, rng_for
@@ -101,12 +101,24 @@ def _data_key(cfg: ExperimentConfig) -> tuple:
     one resolved object, which is safe because dataset arrays are read-only."""
     return (default_data_dir(cfg.data_dir), cfg.dataset, cfg.dims[0], cfg.dims[-1],
             cfg.master_seed, cfg.train_size, cfg.test_size, cfg.eval_dataset,
-            cfg.eval_transform, None if cfg.meta is None else cfg.meta.tasks)
+            cfg.eval_transform, None if cfg.meta is None else cfg.meta.tasks,
+            cfg.train is None)
+
+
+def _in_train_precision(ds: Dataset) -> Dataset:
+    """``ds`` with its images rounded once to the precision networks train
+    in, so that training and evaluation read them without a copy."""
+    return Dataset(ds.images.astype(TRAIN_DTYPE), ds.labels, ds.class_count, ds.name)
 
 
 class _ResolvedData:
     """Splits an experiment actually trains and evaluates on, and the
-    few-shot tasks of its ``meta`` capture."""
+    few-shot tasks of its ``meta`` capture.  The splits a run reads whole
+    (the training split, when a data phase runs, and the evaluation and
+    clean test splits) are rounded once to the precision networks train
+    in, after subsets and transforms are drawn from the float64 loads; the
+    training split of a run with no data phase, and the few-shot tasks, of
+    which each episode reads only a few rows, stay as loaded."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.train = None
@@ -115,27 +127,27 @@ class _ResolvedData:
         self.meta_tasks = None
         data_dir = default_data_dir(cfg.data_dir)
 
-        def load(name, split):
-            return load_named_split(name, split, data_dir, cfg.dims[0], cfg.dims[-1])
+        def load(name, split, size=None, seed=None):
+            ds = load_named_split(name, split, data_dir, cfg.dims[0], cfg.dims[-1])
+            return ds if size is None else subset(ds, size, seed)
 
         if cfg.dataset is not None:
-            train_ds = load(cfg.dataset, "train")
-            test_ds = load(cfg.dataset, "test")
             sub_seed = derive_entropy(cfg.master_seed, "subset")[0] % 2**63
-            if cfg.train_size is not None:
-                train_ds = subset(train_ds, cfg.train_size, sub_seed)
-            if cfg.test_size is not None:
-                test_ds = subset(test_ds, cfg.test_size, sub_seed + 1)
-            self.train = train_ds
-            self.clean_test = test_ds
-            self.eval_test = test_ds
+            self.train = load(cfg.dataset, "train", cfg.train_size, sub_seed)
+            if cfg.train is not None:
+                # only a data phase reads these images; rounding them first
+                # also frees the float64 split before the test split is read
+                self.train = _in_train_precision(self.train)
+            test_ds = load(cfg.dataset, "test", cfg.test_size, sub_seed + 1)
+            self.clean_test = self.eval_test = _in_train_precision(test_ds)
             if cfg.eval_dataset is not None:
-                self.eval_test = load(cfg.eval_dataset, "test")
+                self.eval_test = _in_train_precision(load(cfg.eval_dataset, "test"))
             elif cfg.eval_transform is not None:
-                self.eval_test = transform_affine(
+                self.eval_test = _in_train_precision(transform_affine(
                     test_ds, cfg.eval_transform,
                     seed=derive_entropy(cfg.master_seed, "transform")[0] % 2**63,
-                )
+                ))
+            del test_ds  # the float64 split is not held while the tasks load
         if cfg.meta is not None:
             self.meta_tasks = [load(name, "test") for name in cfg.meta.tasks]
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import argparse
+import csv
 import json
 
 import pytest
@@ -181,6 +182,20 @@ class TestCheckpointVerbs:
         assert payload["split"] == "test"
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert payload["n"] == 1024
+
+    def test_eval_reproduces_the_runs_test_loss(self, tmp_path, capsys):
+        out_dir = tmp_path / "trained"
+        assert main(["train", "--dataset", "blobs", "--dims", "784,100,10",
+                     "--epochs", "2", "--trials", "1", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        with open(out_dir / "records.csv", newline="") as f:
+            last = list(csv.DictReader(f))[-1]
+        code, out, _ = run(capsys, "eval", "--model", str(out_dir / "model_0_train.bin"),
+                           "--dataset", "blobs", "--split", "test")
+        assert code == 0
+        payload = json.loads(out)
+        assert f"{payload['loss']:.9g}" == last["test_loss"]
+        assert f"{payload['accuracy']:.9g}" == last["test_acc"]
 
     def test_eval_train_split(self, model_path, capsys):
         code, out, _ = run(capsys, "eval", "--model", str(model_path),

@@ -34,7 +34,7 @@ def _loss_of(mlp, x, y):
 
 class TestBackwardBp:
     def test_matches_finite_differences(self, rng):
-        mlp = init_mlp((5, 4, 3), seed=0)
+        mlp = init_mlp((5, 4, 3), seed=0, dtype=np.float64)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 3, size=6)
         trace = forward(mlp, x)
@@ -45,7 +45,7 @@ class TestBackwardBp:
             assert max_relative_error(got, want) < 1e-6
 
     def test_three_layer_finite_differences(self, rng):
-        mlp = init_mlp((4, 5, 4, 3), seed=1)
+        mlp = init_mlp((4, 5, 4, 3), seed=1, dtype=np.float64)
         x = rng.normal(size=(5, 4))
         y = rng.integers(0, 3, size=5)
         grads = backward_bp(mlp, forward(mlp, x), y)
@@ -56,7 +56,7 @@ class TestBackwardBp:
 
 class TestBackwardFa:
     def test_matches_loop_reference(self, rng):
-        mlp = init_mlp((6, 5, 4, 3), seed=2)
+        mlp = init_mlp((6, 5, 4, 3), seed=2, dtype=np.float64)
         x = rng.normal(size=(7, 6))
         y = rng.integers(0, 3, size=7)
         grads = backward_fa(mlp, forward(mlp, x), y)
@@ -110,7 +110,7 @@ class TestAdam:
         # sits in the denominator, and whether v is bias-corrected, shows
         for grad_values in ([0.5, -0.3, 0.8, 0.1, -0.9],
                             [5e-9, -3e-9, 8e-9, 1e-9, -9e-9]):
-            mlp = init_mlp((3, 2), seed=0)
+            mlp = init_mlp((3, 2), seed=0, dtype=np.float64)
             state = AdamState.for_mlp(mlp)
             start = mlp.weights[0].copy()
             observed = []
@@ -162,42 +162,95 @@ class TestStep:
     @pytest.mark.parametrize("dims", [(784, 100, 10), (784, 100, 100, 100, 10)])
     @pytest.mark.parametrize("rule", ["FA", "BP"])
     def test_bitwise_equal_to_unfused_reference(self, dims, rule):
-        # a short first batch, full batches, then a short last batch
-        sizes = [40] + [64] * 48 + [23]
-        rng = np.random.default_rng(17)
-        mlp = init_mlp(dims, seed=3)
-        adam = AdamState.for_mlp(mlp)
-        weights = [w.copy() for w in mlp.weights]
-        biases = [b.copy() for b in mlp.biases]
-        ms = [np.zeros_like(p) for p in weights + biases]
-        vs = [np.zeros_like(p) for p in weights + biases]
-        for t, size in enumerate(sizes, start=1):
-            x = rng.normal(size=(size, dims[0]))
-            y = rng.integers(0, dims[-1], size=size)
-            trace = step(mlp, adam, x, y, rule, 1e-3)
-            acts, pre, probs = forward_unfused(weights, biases, x)
-            np.testing.assert_array_equal(trace.probabilities, probs)
-            d_w, d_b = backward_unfused(weights, mlp.feedback, acts, pre, probs, y,
-                                        use_feedback=rule == "FA")
-            adam_unfused(weights + biases, d_w + d_b, ms, vs, t, 1e-3)
-        assert adam.step == len(sizes)
-        for got, want in zip(mlp.weights + mlp.biases, weights + biases):
-            np.testing.assert_array_equal(got, want)
-        n = len(weights)
+        _assert_steps_equal_unfused_reference(dims, rule, np.float64)
 
-        def layout(per_tensor):
-            # the flat parameter layout: W_0, b_0, W_1, b_1, ...
-            return np.concatenate([a.ravel() for l in range(n)
-                                   for a in (per_tensor[l], per_tensor[n + l])])
-
-        np.testing.assert_array_equal(adam.m, layout(ms))
-        np.testing.assert_array_equal(adam.v, layout(vs))
-        np.testing.assert_array_equal(mlp.params, layout(weights + biases))
+    @pytest.mark.parametrize("dims", [(784, 100, 10), (784, 100, 100, 100, 10)])
+    @pytest.mark.parametrize("rule", ["FA", "BP"])
+    def test_bitwise_equal_to_unfused_reference_float32(self, dims, rule):
+        _assert_steps_equal_unfused_reference(dims, rule, np.float32)
 
     def test_unknown_rule_rejected(self, tiny_mlp, rng):
         with pytest.raises(ConfigError):
             step(tiny_mlp, AdamState.for_mlp(tiny_mlp), rng.normal(size=(2, 5)),
                  np.array([0, 1]), "DFA", 0.1)
+
+
+def _assert_steps_equal_unfused_reference(dims, rule, dtype):
+    """50 steps of a ``dtype`` network equal, bit for bit, the unfused
+    reference run in the same precision."""
+    # a short first batch, full batches, then a short last batch
+    sizes = [40] + [64] * 48 + [23]
+    rng = np.random.default_rng(17)
+    mlp = init_mlp(dims, seed=3, dtype=dtype)
+    adam = AdamState.for_mlp(mlp)
+    weights = [w.copy() for w in mlp.weights]
+    biases = [b.copy() for b in mlp.biases]
+    ms = [np.zeros_like(p) for p in weights + biases]
+    vs = [np.zeros_like(p) for p in weights + biases]
+    for t, size in enumerate(sizes, start=1):
+        x = rng.normal(size=(size, dims[0])).astype(dtype)
+        y = rng.integers(0, dims[-1], size=size)
+        trace = step(mlp, adam, x, y, rule, 1e-3)
+        acts, pre, probs = forward_unfused(weights, biases, x)
+        np.testing.assert_array_equal(trace.probabilities, probs)
+        d_w, d_b = backward_unfused(weights, mlp.feedback, acts, pre, probs, y,
+                                    use_feedback=rule == "FA")
+        adam_unfused(weights + biases, d_w + d_b, ms, vs, t, 1e-3)
+    assert adam.step == len(sizes)
+    for got, want in zip(mlp.weights + mlp.biases, weights + biases):
+        np.testing.assert_array_equal(got, want)
+    n = len(weights)
+
+    def layout(per_tensor):
+        # the flat parameter layout: W_0, b_0, W_1, b_1, ...
+        return np.concatenate([a.ravel() for l in range(n)
+                               for a in (per_tensor[l], per_tensor[n + l])])
+
+    np.testing.assert_array_equal(adam.m, layout(ms), strict=True)
+    np.testing.assert_array_equal(adam.v, layout(vs), strict=True)
+    np.testing.assert_array_equal(mlp.params, layout(weights + biases), strict=True)
+
+
+class TestPrecision:
+    """A float32 network trains with every array in float32.  A silent
+    upcast to float64 fails no numeric test and only costs speed, so these
+    tests are what catch it."""
+
+    @pytest.mark.parametrize("dims", [(784, 100, 10), (784, 100, 100, 10)])
+    @pytest.mark.parametrize("rule", ["FA", "BP"])
+    def test_three_steps_keep_every_array_float32(self, dims, rule):
+        rng = np.random.default_rng(5)
+        mlp = init_mlp(dims, seed=0)
+        adam = AdamState.for_mlp(mlp)
+        for _ in range(3):
+            # a float64 batch, as a caller may pass one
+            step(mlp, adam, rng.normal(size=(64, dims[0])),
+                 rng.integers(0, dims[-1], size=64), rule, 1e-3)
+        buffers = adam.buffers
+        trace, grads = buffers.trace, buffers.grads
+        arrays = {"params": mlp.params, "m": adam.m, "v": adam.v, "temps": adam.temps,
+                  "grads": grads.flat, "probabilities": trace.probabilities}
+        for name, group in (("weights", mlp.weights), ("biases", mlp.biases),
+                            ("feedback", mlp.feedback), ("d_weights", grads.d_weights),
+                            ("d_biases", grads.d_biases), ("deltas", buffers.deltas),
+                            ("activations", trace.activations[1:]),
+                            ("pre_activations", trace.pre_activations)):
+            arrays.update((f"{name}[{l}]", a) for l, a in enumerate(group))
+        assert {name: a.dtype for name, a in arrays.items()
+                if a.dtype != np.float32} == {}
+
+    def test_forward_of_a_float64_batch_is_float32(self, rng):
+        mlp = init_mlp((784, 100, 10), seed=0)
+        trace = forward(mlp, rng.normal(size=(5, 784)))
+        for a in trace.activations + trace.pre_activations + [trace.probabilities]:
+            assert a.dtype == np.float32
+
+    def test_train_keeps_the_network_float32(self, rng):
+        x, y = _blob_split(rng, 40)
+        mlp = init_mlp((8, 6, 3), seed=0)
+        train(mlp, x, y, x, y, TrainConfig(learning_rate=1e-3, batch_size=16, epochs=1))
+        assert mlp.params.dtype == np.float32
+        assert all(b.dtype == np.float32 for b in mlp.feedback)
 
 
 def _blob_split(rng, n, dim=8, classes=3, spread=0.4):

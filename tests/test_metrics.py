@@ -16,7 +16,7 @@ from prealign.metrics import (
     weight_feedback_distance,
     weight_trajectory_pca,
 )
-from prealign.net import init_mlp
+from prealign.net import Mlp, init_mlp
 
 from oracles import (
     entropy_effective_rank_reference,
@@ -26,19 +26,45 @@ from oracles import (
 )
 
 
+def _widened(mlp):
+    """The float64 network that holds exactly ``mlp``'s values."""
+    return Mlp(dims=mlp.dims,
+               weights=[w.astype(np.float64) for w in mlp.weights],
+               biases=[b.astype(np.float64) for b in mlp.biases],
+               feedback=[b.astype(np.float64) for b in mlp.feedback])
+
+
+def _assert_angles_read_the_widening(mlp):
+    """A float32 network's angles equal those of its float64 widening: the
+    metric reads the values, not their precision.  (The float64 bounds do
+    not carry over: rounding the inputs to float32 moves the angles of
+    exactly aligned vectors by about 1e-6 deg.)"""
+    assert mlp.params.dtype == np.float32
+    for layer in range(mlp.n_layers):
+        np.testing.assert_array_equal(
+            alignment_angles(mlp, layer).per_neuron_deg,
+            alignment_angles(_widened(mlp), layer).per_neuron_deg)
+
+
 class TestAlignmentAngles:
     def test_transposed_feedback_gives_zero(self):
-        mlp = init_mlp((6, 5, 3), seed=0)
+        mlp = init_mlp((6, 5, 3), seed=0, dtype=np.float64)
         mlp.feedback = [w.T.copy() for w in mlp.weights]
         for layer in range(mlp.n_layers):
             rep = alignment_angles(mlp, layer)
             np.testing.assert_allclose(rep.per_neuron_deg, 0.0, atol=1e-6, rtol=0)
+        narrow = init_mlp((6, 5, 3), seed=0)
+        narrow.feedback = [w.T.copy() for w in narrow.weights]
+        _assert_angles_read_the_widening(narrow)
 
     def test_negated_transpose_gives_180(self):
-        mlp = init_mlp((6, 5, 3), seed=0)
+        mlp = init_mlp((6, 5, 3), seed=0, dtype=np.float64)
         mlp.feedback = [-w.T.copy() for w in mlp.weights]
         rep = alignment_angles(mlp, 0)
         np.testing.assert_allclose(rep.per_neuron_deg, 180.0, atol=1e-6, rtol=0)
+        narrow = init_mlp((6, 5, 3), seed=0)
+        narrow.feedback = [-w.T.copy() for w in narrow.weights]
+        _assert_angles_read_the_widening(narrow)
 
     def test_hand_computed_angles(self):
         mlp = init_mlp((2, 2), seed=0)
@@ -66,12 +92,15 @@ class TestAlignmentAngles:
         assert alignment_angles(mlp2, 0).per_neuron_deg[2] == 90.0
 
     def test_feedback_scale_invariant(self):
-        mlp = init_mlp((6, 5, 3), seed=2)
+        mlp = init_mlp((6, 5, 3), seed=2, dtype=np.float64)
         base = alignment_angles(mlp, 0).per_neuron_deg
         mlp.feedback[0] = mlp.feedback[0] * 3.0
         np.testing.assert_allclose(
             alignment_angles(mlp, 0).per_neuron_deg, base, atol=1e-10, rtol=0
         )
+        narrow = init_mlp((6, 5, 3), seed=2)
+        narrow.feedback[0] = narrow.feedback[0] * 3.0
+        _assert_angles_read_the_widening(narrow)
 
     def test_bad_layer(self):
         mlp = init_mlp((4, 3, 2), seed=0)
@@ -95,6 +124,13 @@ class TestWeightFeedbackDistance:
         np.testing.assert_allclose(
             weight_feedback_distance(mlp, 0), np.sqrt(30.0)
         )
+
+    def test_float32_net_reads_as_its_widening(self):
+        mlp = init_mlp((6, 5, 3), seed=2)
+        assert mlp.params.dtype == np.float32
+        for layer in range(mlp.n_layers):
+            assert (weight_feedback_distance(mlp, layer)
+                    == weight_feedback_distance(_widened(mlp), layer))
 
     def test_bad_layer(self):
         with pytest.raises(ConfigError):

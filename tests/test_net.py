@@ -139,6 +139,14 @@ class TestLoss:
         with pytest.raises(ShapeError):
             cross_entropy(trace.probabilities, np.array([0]))
 
+    def test_float32_probabilities_reduce_in_float64(self, tiny_mlp, rng):
+        y = rng.integers(0, 3, size=9)
+        probs = forward(tiny_mlp, rng.normal(size=(9, 5))).probabilities
+        assert probs.dtype == np.float32
+        wide = probs.astype(np.float64)
+        assert cross_entropy(probs, y) == cross_entropy(wide, y)
+        assert accuracy(probs, y) == accuracy(wide, y)
+
     def test_accuracy_by_hand(self):
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
         assert accuracy(probs, np.array([0, 1, 1, 1])) == 0.75
@@ -156,6 +164,28 @@ class TestCheckpoint:
             loaded.weights + loaded.biases + loaded.feedback,
         ):
             np.testing.assert_array_equal(a, b)
+
+    def test_float32_net_is_stored_as_its_float64_widening(self, tmp_path):
+        mlp = init_mlp((7, 6, 4), seed=3)
+        assert mlp.params.dtype == np.float32
+        wide = Mlp(dims=mlp.dims, weights=[w.astype(np.float64) for w in mlp.weights],
+                   biases=[b.astype(np.float64) for b in mlp.biases],
+                   feedback=[b.astype(np.float64) for b in mlp.feedback])
+        save_mlp(mlp, tmp_path / "narrow.bin")
+        save_mlp(wide, tmp_path / "wide.bin")
+        raw = (tmp_path / "narrow.bin").read_bytes()
+        # magic, layer-size count and sizes, then 8 bytes per stored value
+        header = b"PRLN1" + np.array([3, 7, 6, 4], dtype="<u4").tobytes()
+        assert raw[:len(header)] == header
+        assert len(raw) == len(header) + 8 * (mlp.params.size + sum(
+            b.size for b in mlp.feedback))
+        assert raw == (tmp_path / "wide.bin").read_bytes()
+        loaded = load_mlp(tmp_path / "narrow.bin")
+        assert loaded.params.dtype == np.float64
+        np.testing.assert_array_equal(loaded.params, mlp.params.astype(np.float64),
+                                      strict=True)
+        for got, want in zip(loaded.feedback, mlp.feedback):
+            np.testing.assert_array_equal(got, want.astype(np.float64), strict=True)
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "model.bin"

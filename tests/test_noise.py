@@ -53,6 +53,20 @@ class TestSampling:
         y = sample_random_labels(7, 4, rng)
         assert y.shape == (7,)
 
+    @pytest.mark.parametrize("distribution", [Gaussian(0.5, 2.0), Uniform(-0.5, 0.5)])
+    def test_draws_follow_the_requested_precision(self, rng, distribution):
+        assert sample_noise_batch(3, 4, distribution, rng).dtype == np.float32
+        assert sample_noise_batch(3, 4, distribution, rng, np.float64).dtype == np.float64
+
+    def test_float64_draws_are_numpys_normal_and_uniform(self):
+        # a float64 network's noise phase keeps the stream of rng.normal and
+        # rng.uniform, bit for bit
+        for distribution, draw in ((Gaussian(0.5, 2.0), lambda r: r.normal(0.5, 2.0, (3, 4))),
+                                   (Uniform(-0.5, 0.5), lambda r: r.uniform(-0.5, 0.5, (3, 4)))):
+            np.testing.assert_array_equal(
+                sample_noise_batch(3, 4, distribution, np.random.default_rng(1), np.float64),
+                draw(np.random.default_rng(1)), strict=True)
+
     def test_gaussian_statistics(self):
         rng = np.random.default_rng(42)
         x = sample_noise_batch(2000, 50, Gaussian(mean=1.5, std=0.5), rng)
@@ -200,9 +214,9 @@ class TestPretrain:
             x = sample_noise_batch(size, 6, cfg.distribution, rng)
             y = sample_random_labels(size, 3, rng)
             trace = forward(manual, x)
-            total += size * float(
-                -np.log(np.maximum(trace.probabilities[np.arange(size), y], 1e-12)).mean()
-            )
+            # the loss reduces in float64 whatever the network's precision
+            p_true = trace.probabilities[np.arange(size), y].astype(np.float64)
+            total += size * float(-np.log(np.maximum(p_true, 1e-12)).mean())
             adam_step(manual, adam, backward_fa(manual, trace, y), cfg.learning_rate)
         assert len(records) == 1
         np.testing.assert_allclose(records[0].train_loss, total / 60, rtol=1e-12)
