@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,9 +79,11 @@ def _openblas_threads():
 @contextmanager
 def _one_blas_thread():
     """Run the body with OpenBLAS on one thread and restore the previous
-    count after it.  Concurrent runs that each let BLAS start its own
-    threads make those threads spin-wait against each other, and so does
-    the noise loop's sampler thread against a two-thread gemm.  The setting
+    count after it.  ``run_experiment`` holds it around all of its items,
+    serial or pooled, so that no output depends on ``--threads``; the noise
+    loop holds it around each logging epoch's steps, which pins direct calls
+    too.  BLAS threads of concurrent runs, or a two-thread gemm beside the
+    package's own helper threads, spin-wait against each other.  The setting
     is process-wide.  Yields the count the body runs with (None when it
     cannot be read; the count is then left as it is)."""
     blas = _openblas_threads()
@@ -93,6 +97,78 @@ def _one_blas_thread():
         yield 1
     finally:
         set_threads(before)
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Done:
+    """The result of a call that has already run."""
+
+    def __init__(self, value) -> None:
+        self._value = value
+
+    def result(self):
+        return self._value
+
+
+class _OnCaller:
+    """Stands in for a helper thread when no core is free: ``submit`` runs
+    the call at once on the calling thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> _Done:
+        return _Done(fn(*args, **kwargs))
+
+
+class _Cores:
+    """The process's cores as the package shares them.  Each item
+    ``run_experiment`` is running holds one core, and a call from outside
+    the runner holds one while it runs; a core no one holds is free, and
+    only there does the package start a helper thread of its own.  There
+    is one, ``_CORES``, because every run in the process shares the cores,
+    as it shares the BLAS setting."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._items = 0
+
+    @contextmanager
+    def item(self):
+        """Hold a core for the body, one item of a run."""
+        with self._lock:
+            self._items += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._items -= 1
+
+    def free(self) -> int:
+        """Cores that no running item, or the calling thread, holds."""
+        return _usable_cores() - max(self._items, 1)
+
+    @contextmanager
+    def helper(self, name: str):
+        """A one-worker executor on a free core, named ``name``, or an
+        :class:`_OnCaller` when no core is free.  Callers hold BLAS at one
+        thread around the block, so where a call runs does not change its
+        result.  Leaving the block joins the worker, on every exit path."""
+        # a stale count only misplaces a helper; it changes no output
+        if self.free() < 1:
+            yield _OnCaller()
+            return
+        # imported here, not at the top: it adds about 6 ms to ``import prealign``
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1, name) as executor:
+            yield executor
+
+
+_CORES = _Cores()
 
 
 @dataclass

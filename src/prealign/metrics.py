@@ -219,7 +219,8 @@ def meta_loss(mlp: Mlp, tasks: list[Dataset], cfg: MetaConfig = MetaConfig(),
     Per task: clone the network, adapt the clone on a support sample drawn
     from ``seed`` with ``cfg.inner_steps`` full-batch feedback-alignment
     Adam steps, then evaluate cross-entropy on the disjoint query sample.
-    The input network is never mutated.
+    The input network is never mutated, only read, so other readers of it
+    may run beside the call (the runner computes its other captures so).
     """
     if not tasks:
         raise ConfigError("tasks must be nonempty")

@@ -11,32 +11,35 @@ for logging; batches run back to back across epoch boundaries (a total of
 ``ceil(total_samples / batch_size)`` optimizer steps) and each batch is
 attributed to the epoch containing its first sample.
 
-Noise steps run on one thread of the OpenBLAS that numpy bundles.  Where
-BLAS runs on more, each logging epoch's steps run with it pinned to one
-thread while a one-worker executor draws the next batch, from the same
-generator in the same order, as the current one steps; the snapshot hook
-then runs at the original count.  Where BLAS already runs on one thread (as
-inside the runner's pool), batches are drawn and stepped in turn on the
-calling thread, and so they are where its count cannot be read (then at
-whatever count BLAS runs with).  The draws are the same on every path, and
-the trained weights bitwise the same on the two one-thread paths.
+Noise steps run on one thread of the OpenBLAS that numpy bundles: each
+logging epoch's steps run with it pinned to one thread, and the snapshot
+hook then runs at the count the call started with (inside
+``run_experiment``, which pins it for the whole run, that is one).  When a
+core is free (see ``learn._Cores``), a helper thread draws the batches,
+from the same generator in the same order, and keeps two draws in flight
+ahead of the batch that steps; no draw crosses an epoch boundary.  When no
+core is free, the calling thread draws them itself, in the same order.  The
+draws are the same on both paths, and so are the trained weights, bit for
+bit.
 
 Batches are drawn in the network's precision.  At float32, on a 784-100-10
 network with batches of 64 on one BLAS thread of a 2-core host, a step took
 about 0.71 ms and a draw about 0.87 ms (medians of five rounds, which ranged
 over 0.60-0.86 ms and 0.69-0.92 ms), so the draw is the longer half and,
-where a sampler thread runs, it sets the pace.
+where a helper thread draws, it sets the pace; the second draw in flight
+keeps it from waiting on the step thread.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, require_float, require_int
-from .learn import AdamState, _one_blas_thread, _openblas_threads, _snapshot_metrics, step
+from .learn import _CORES, AdamState, _one_blas_thread, _snapshot_metrics, step
 from .net import TRAIN_DTYPE, Mlp, accuracy, cross_entropy
 from .records import RunRecord
 from .seeds import rng_for
@@ -149,13 +152,12 @@ def pretrain_random_noise(
     mean batch loss and accuracy of the noise stream itself (test fields stay
     ``None``; there is no held-out split of noise).  ``snapshot_hook(epoch,
     mlp)`` may return extra scalars for that epoch's metrics; it runs at the
-    BLAS thread count the call started with.
+    BLAS thread count the call started with.  No helper thread outlives the
+    call, whatever a step or the hook raises.
     """
     rng = rng_for(seed, "noise")
     adam = AdamState.for_mlp(mlp)
     dim, n_classes = mlp.dims[0], mlp.dims[-1]
-    blas = _openblas_threads()
-    draw_ahead = blas is not None and blas[1]() > 1
     records: list[RunRecord] = []
     sum_loss = sum_acc = 0.0
 
@@ -171,22 +173,16 @@ def pretrain_random_noise(
 
     for epoch, sizes in _epoch_batches(config):
         sum_loss = sum_acc = 0.0
-        if draw_ahead:
-            # imported here, not at the top: it adds about 6 ms to ``import prealign``
-            from concurrent.futures import ThreadPoolExecutor
-
-            # one batch is drawn while the one before it steps; leaving the
-            # block joins the worker, and result() raises what draw raised
-            with _one_blas_thread(), ThreadPoolExecutor(1, "noise-sampler") as sampler:
-                pending = sampler.submit(draw, sizes[0])
-                for size in sizes[1:]:
-                    batch = pending.result()
-                    pending = sampler.submit(draw, size)
-                    train_step(*batch)
-                train_step(*pending.result())
-        else:
+        # up to two draws in flight while a batch steps; leaving the block
+        # joins the sampler, and result() raises what the draw raised
+        with _one_blas_thread(), _CORES.helper("noise-sampler") as sampler:
+            ahead = deque()
             for size in sizes:
-                train_step(*draw(size))
+                ahead.append(sampler.submit(draw, size))
+                if len(ahead) > 2:
+                    train_step(*ahead.popleft().result())
+            while ahead:
+                train_step(*ahead.popleft().result())
         seen = sum(sizes)
         records.append(
             RunRecord(

@@ -12,6 +12,9 @@ composes with the scale the document already has.  A flag that is not
 given changes nothing.  ``--set scale=...`` is refused: ``scale`` records
 what ``--scale`` did.  ``--dist``, ``--rule`` and ``--pretrain`` pick the
 shape of the default experiment and are refused with ``--config``.
+
+Every verb computes on one BLAS thread, as runs do, so that ``eval`` of a
+checkpoint reproduces the run's own numbers whatever ``--threads`` it used.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from ..errors import (
     NumericError,
     ShapeError,
 )
-from ..learn import evaluate
+from ..learn import _one_blas_thread, evaluate
 from ..metrics import alignment_angles, effective_rank, weight_feedback_distance
 from ..net import TRAIN_DTYPE, load_mlp
 from .config import (
@@ -280,7 +283,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.verb](args)
+        with _one_blas_thread():
+            return _COMMANDS[args.verb](args)
     except SystemExit as e:
         if e.code is None:
             return 0

@@ -4,7 +4,11 @@ A run is one list of ``(point, trial, variant)`` items: a config with a
 sweep expands into its points, and a config without one is one point.  Every
 point's datasets are resolved before any item runs, once per distinct data
 spec, so missing files fail before any compute.  The items then run on one
-pool, longest first, or serially in list order.  Every variant of a trial
+pool, longest first, or serially in list order, and either way on one BLAS
+thread, so that no output depends on ``--threads``; the package's helper
+threads (the noise sampler, the few-shot adaptation of the ``meta``
+capture) run only on cores that no running item holds, and the bytes do
+not depend on where they ran.  Every variant of a trial
 starts from identical initial weights; every random stream of a trial is
 derived from the trial's seed, and every stream a whole point shares (data
 subsets, the evaluation transform, few-shot episodes) from ``master_seed``,
@@ -32,7 +36,7 @@ from .. import __version__
 from ..data import Dataset, load_idx, load_usps_libsvm, subset, synthetic_blobs, \
     transform_affine
 from ..errors import ConfigError, DataError, PrealignError
-from ..learn import _one_blas_thread, _openblas_threads, evaluate, train
+from ..learn import _CORES, _one_blas_thread, evaluate, train
 from ..metrics import (
     accuracy_auc,
     alignment_angles,
@@ -153,6 +157,22 @@ class _ResolvedData:
 
 
 def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
+    if "meta" not in cfg.capture:
+        return _captures_but_meta(cfg, mlp, data)
+    with _CORES.helper("meta") as helper:
+        # the few-shot tasks adapt on a free core while this thread computes
+        # the other captures; both only read ``mlp``
+        meta = helper.submit(meta_loss, mlp, data.meta_tasks, cfg.meta,
+                             seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63)
+        out = _captures_but_meta(cfg, mlp, data)
+        total, per_task = meta.result()
+    out["meta_loss"] = total
+    for name, value in zip(cfg.meta.tasks, per_task):
+        out[f"meta_loss_{name}"] = value
+    return out
+
+
+def _captures_but_meta(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
     out = {}
     n_layers = mlp.n_layers
     if "angles" in cfg.capture:
@@ -171,14 +191,6 @@ def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
         loss, acc = evaluate(mlp, data.clean_test.images, data.clean_test.labels)
         out["clean_test_loss"] = loss
         out["clean_test_acc"] = acc
-    if "meta" in cfg.capture:
-        total, per_task = meta_loss(
-            mlp, data.meta_tasks, cfg.meta,
-            seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63,
-        )
-        out["meta_loss"] = total
-        for name, value in zip(cfg.meta.tasks, per_task):
-            out[f"meta_loss_{name}"] = value
     return out
 
 
@@ -288,7 +300,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     def run_item(item):
         i, trial, v = item
         try:
-            return _run_single(points[i], v, trial, data[i], variant_dirs[i][v.name])
+            with _CORES.item():
+                return _run_single(points[i], v, trial, data[i], variant_dirs[i][v.name])
         except PrealignError as e:
             return e
 
@@ -302,18 +315,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         return noise + point.train.epochs * data[i].train.n
 
     workers = min(cfg.threads, len(items))
-    if workers > 1:
-        # longest first, so that no worker is left alone with a long item at
-        # the end; the outcomes go back into list order
-        order = sorted(range(len(items)), key=lambda k: work(items[k]), reverse=True)
-        with (_one_blas_thread() as blas_threads,
-              ThreadPoolExecutor(max_workers=workers) as pool):
-            ranked = pool.map(run_item, [items[k] for k in order])
-            outcomes = [outcome for _, outcome in sorted(zip(order, ranked))]
-    else:
-        blas = _openblas_threads()
-        blas_threads = None if blas is None else blas[1]()
-        outcomes = [run_item(item) for item in items]
+    # every item computes on one BLAS thread, serial or pooled, so that no
+    # output depends on --threads; helper threads take the cores left free
+    with _one_blas_thread() as blas_threads:
+        if workers > 1:
+            # longest first, so that no worker is left alone with a long item
+            # at the end; the outcomes go back into list order
+            order = sorted(range(len(items)), key=lambda k: work(items[k]), reverse=True)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                ranked = pool.map(run_item, [items[k] for k in order])
+                outcomes = [outcome for _, outcome in sorted(zip(order, ranked))]
+        else:
+            outcomes = [run_item(item) for item in items]
 
     first_error: PrealignError | None = None
     for i, point in enumerate(points):

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import prealign.learn as learn_mod
 import prealign.noise as noise_mod
 from prealign.errors import ConfigError, NumericError
 from prealign.learn import AdamState, _openblas_threads, adam_step, backward_fa
@@ -282,9 +283,18 @@ def blas_threads():
     set_threads(original)
 
 
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets how many cores the package sees the process may use."""
+    def set_cores(n: int) -> None:
+        monkeypatch.setattr(learn_mod, "_usable_cores", lambda: n)
+    return set_cores
+
+
 class TestSamplerThread:
-    """With BLAS on more than one thread, the loop steps on one BLAS thread
-    while a helper thread draws the next batch."""
+    """When a core is free, a helper thread draws the batches while the
+    calling thread steps them on one BLAS thread; the BLAS count the call
+    starts with does not decide it."""
 
     @pytest.mark.parametrize("cfg, seed", [
         # batches of 64, 64, 2: a short last batch, and batches straddling
@@ -294,8 +304,8 @@ class TestSamplerThread:
         (NoiseConfig(distribution=Uniform(-0.5, 0.5), total_samples=448,
                      samples_per_epoch=128, batch_size=64), 5),
     ], ids=["short-last-batch", "total-below-batch", "uniform"])
-    def test_bitwise_equal_to_one_blas_thread(self, blas_threads, monkeypatch, cfg,
-                                              seed):
+    def test_bitwise_equal_to_one_blas_thread(self, blas_threads, cores, monkeypatch,
+                                              cfg, seed):
         set_threads, _ = blas_threads
         drawn_on = []
 
@@ -305,22 +315,27 @@ class TestSamplerThread:
 
         monkeypatch.setattr(noise_mod, "sample_noise_batch", recorded)
         runs = []
-        for count in (2, 1):
+        # the two settings in which a rule keyed on the BLAS count would
+        # place the draws the other way
+        for n_cores, count in ((2, 1), (1, 2)):
+            cores(n_cores)
             set_threads(count)
             drawn_on.clear()
             mlp = init_mlp((784, 100, 10), seed=1)
             records = pretrain_random_noise(mlp, cfg, seed=seed)
             runs.append((mlp, records, set(drawn_on)))
-        (helped, helped_records, helped_on), (pinned, pinned_records, pinned_on) = runs
-        assert helped_on == {False} and pinned_on == {True}
-        np.testing.assert_array_equal(helped.params, pinned.params)
-        assert helped_records == pinned_records
+        (helped, helped_records, helped_on), (alone, alone_records, alone_on) = runs
+        assert helped_on == {False} and alone_on == {True}
+        np.testing.assert_array_equal(helped.params, alone.params)
+        assert helped_records == alone_records
 
     @pytest.mark.parametrize("failure", [None, NumericError, ConfigError],
                              ids=["returns", "step-raises", "sampler-raises"])
-    def test_count_restored_and_helper_ended(self, blas_threads, monkeypatch, failure):
+    def test_count_restored_and_helper_ended(self, blas_threads, cores, monkeypatch,
+                                             failure):
         set_threads, get_threads = blas_threads
         set_threads(2)
+        cores(2)
         cfg = NoiseConfig(total_samples=640, samples_per_epoch=320, batch_size=64)
         if failure is ConfigError:
             cfg = dataclasses.replace(cfg, distribution="not a distribution")
@@ -353,7 +368,7 @@ class TestSamplerThread:
             except Exception as error:
                 outcome.append(error)
 
-        threads_before = threading.active_count()
+        threads_before = set(threading.enumerate())
         caller = threading.Thread(target=run, daemon=True)
         caller.start()
         caller.join(30)
@@ -363,7 +378,7 @@ class TestSamplerThread:
         else:
             assert type(outcome[0]) is failure
         assert get_threads() == 2
-        assert threading.active_count() == threads_before
+        assert set(threading.enumerate()) == threads_before
 
     def test_hook_runs_at_the_starting_count(self, blas_threads):
         set_threads, get_threads = blas_threads

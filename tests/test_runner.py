@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from prealign.runner.experiment import load_named_split, run_experiment
 from prealign.runner.presets import FIGURE_IDS, reproduce
 from prealign.seeds import derive_trial_seed
 import prealign.learn as learn_mod
+import prealign.noise as noise_mod
 import prealign.runner.experiment as experiment_mod
 
 
@@ -559,6 +561,20 @@ def write_idx_layout(root, train_images, train_labels, test_images, test_labels)
     (root / "t10k-labels-idx1-ubyte").write_bytes(idx_label_bytes(test_labels))
 
 
+@pytest.fixture
+def blas_at_two():
+    """``(set, get)`` of the BLAS thread count, set to 2 (more than the one
+    runs compute on, even on a one-core host) and restored after the test."""
+    blas = learn_mod._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    set_threads, get_threads = blas
+    original = get_threads()
+    set_threads(2)
+    yield blas
+    set_threads(original)
+
+
 def smoke_config(tmp_path, **overrides):
     base = dict(
         experiment_id="smoke",
@@ -661,44 +677,114 @@ class TestRunExperiment:
         assert set(manifest["summary"]["fa"]) == {"0"}
         assert set(manifest["summary"]["fa_pre"]) == {"0"}
 
-    def test_pool_matches_serial_at_blas_threaded_size(self, tmp_path):
-        # 784-100-10 is large enough that OpenBLAS threads its gemm, which
-        # the pool pins to one thread; four workers oversubscribe the cores.
+    def test_pool_matches_serial_at_blas_threaded_size(self, tmp_path, blas_at_two):
+        # 784-100-10 is large enough that OpenBLAS threads its gemm, and BLAS
+        # starts at two threads, so a serial run that let it keep them would
+        # differ in the last bits; the captures cover every BLAS-using hook
         def run(threads):
             out = tmp_path / f"threads{threads}"
             manifest = run_experiment(smoke_config(
-                tmp_path, dims=(784, 100, 10), trials=4, threads=threads,
-                pretrain=NoiseConfig(total_samples=3_200, samples_per_epoch=1_600,
+                tmp_path, dims=(784, 100, 10), trials=2, threads=threads,
+                pretrain=NoiseConfig(total_samples=640, samples_per_epoch=320,
                                      batch_size=64, learning_rate=1e-4),
-                train=None, dataset=None, train_size=None, test_size=None,
+                train=TrainConfig(learning_rate=1e-3, batch_size=64, epochs=2),
+                train_size=512, test_size=512,
+                capture=("distance", "eff_rank", "gram", "clean_test", "meta"),
+                meta=MetaSettings(tasks=("blobs",), shots_per_class=3,
+                                  query_per_class=3, inner_steps=2),
                 output_dir=str(out),
             ))
-            return out, manifest
+            assert manifest["blas_threads"] == 1
+            return out
 
-        (pooled, pooled_manifest), (serial, serial_manifest) = run(4), run(1)
-        # The serial run's BLAS thread count follows the host's cores, so the
-        # 9th significant digit of a metric may differ; compare numerically.
-        rows = {}
-        for out in (pooled, serial):
-            with open(out / "records.csv", newline="") as f:
-                rows[out] = list(csv.reader(f))
-        assert rows[pooled][0] == rows[serial][0]
-        assert len(rows[pooled]) == len(rows[serial])
-        for a, b in zip(rows[pooled][1:], rows[serial][1:]):
-            assert a[:3] == b[:3]  # trial, phase, epoch
-            np.testing.assert_allclose(
-                [float(x or "nan") for x in a[3:]],
-                [float(x or "nan") for x in b[3:]], rtol=1e-7, atol=1e-12,
-            )
-        for trial in range(4):
-            a = load_mlp(pooled / f"model_{trial}_pretrain.bin")
-            b = load_mlp(serial / f"model_{trial}_pretrain.bin")
-            for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
-                np.testing.assert_allclose(wa, wb, rtol=0, atol=1e-12)
-        blas = learn_mod._openblas_threads()
-        count = None if blas is None else blas[1]()
-        assert serial_manifest["blas_threads"] == count
-        assert pooled_manifest["blas_threads"] == (None if count is None else 1)
+        serial, pooled = run(1), run(2)
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in pooled.iterdir())
+        assert "records.csv" in names and "model_1_train.bin" in names
+        for name in names:
+            if name != "manifest.json":
+                assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+        def comparable(out):
+            # all but the time, the path and the setting the runs differ in
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["created"]
+            del manifest["config"]["output_dir"], manifest["config"]["threads"]
+            return manifest
+
+        assert comparable(serial) == comparable(pooled)
+
+    def test_a_lone_tail_item_draws_on_a_helper_thread(self, tmp_path, monkeypatch):
+        # two workers on two cores: the items share the cores at first, and
+        # the longer one runs its later epochs alone, with a sampler
+        monkeypatch.setattr(learn_mod, "_usable_cores", lambda: 2)
+        original_run = experiment_mod._run_single
+        original_pretrain = experiment_mod.pretrain_random_noise
+        original_draw = noise_mod.sample_noise_batch
+        both_started = threading.Barrier(2, timeout=10)
+        lock = threading.Lock()
+        draws = []
+
+        def rendezvous(*args):
+            both_started.wait()
+            return original_run(*args)
+
+        def long_item_waits(mlp, config, trial, hook, *, seed):
+            def waiting(epoch, net):
+                if config.total_samples == 640 and epoch == 1:
+                    deadline = time.monotonic() + 10
+                    while learn_mod._CORES.free() < 1 and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                return hook(epoch, net)
+            return original_pretrain(mlp, config, trial, waiting, seed=seed)
+
+        def recorded(*args):
+            with lock:
+                draws.append((threading.current_thread().name.startswith("noise-sampler"),
+                              learn_mod._CORES.free()))
+            return original_draw(*args)
+
+        monkeypatch.setattr(experiment_mod, "_run_single", rendezvous)
+        monkeypatch.setattr(experiment_mod, "pretrain_random_noise", long_item_waits)
+        monkeypatch.setattr(noise_mod, "sample_noise_batch", recorded)
+        run_experiment(smoke_config(
+            tmp_path, trials=1, threads=2, train=None, dataset=None,
+            train_size=None, test_size=None,
+            pretrain=NoiseConfig(total_samples=128, samples_per_epoch=64, batch_size=64),
+            sweep={"pretrain.total_samples": [128, 640]},
+        ))
+        assert len(draws) == 2 + 10
+        assert {free for helped, free in draws if helped} == {1}
+        assert {helped for helped, free in draws if free == 0} == {False}
+        assert sum(helped for helped, _ in draws) >= 9  # the long item's epochs 2-10
+
+    @pytest.mark.parametrize("raises", ["hook", "step"])
+    def test_no_helper_thread_outlives_a_failing_run(self, tmp_path, monkeypatch, raises):
+        monkeypatch.setattr(learn_mod, "_usable_cores", lambda: 2)
+        # the first epoch's hook fails while the few-shot tasks adapt on a
+        # helper, or the third step fails while the sampler draws
+        module, name = (experiment_mod, "gram_effective_dim") if raises == "hook" \
+            else (noise_mod, "step")
+        original = getattr(module, name)
+        calls = []
+
+        def fails(*args):
+            calls.append(None)
+            if len(calls) == (2 if raises == "hook" else 3):
+                raise NumericError("boom")
+            return original(*args)
+
+        monkeypatch.setattr(module, name, fails)
+        threads_before = set(threading.enumerate())
+        with pytest.raises(NumericError, match="boom"):
+            run_experiment(smoke_config(
+                tmp_path, trials=1, pretrain=NoiseConfig(
+                    total_samples=640, samples_per_epoch=320, batch_size=64),
+                capture=("gram", "meta"),
+                meta=MetaSettings(tasks=("blobs",), shots_per_class=3,
+                                  query_per_class=3, inner_steps=2),
+            ))
+        assert set(threading.enumerate()) == threads_before
 
     def test_serial_noise_checkpoints_equal_pooled_bytes(self, tmp_path):
         # noise steps run on one BLAS thread whether the run is serial or
@@ -745,12 +831,9 @@ class TestRunExperiment:
             manifest = json.loads((tmp_path / "out" / name / "manifest.json").read_text())
             assert set(manifest["summary"]["fa_pre"]) == {"0", "1"}
 
-    def test_pool_restores_blas_threads(self, tmp_path, monkeypatch):
-        blas = learn_mod._openblas_threads()
-        if blas is None:
-            pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
-        set_threads, get_threads = blas
-        original_count = get_threads()
+    def test_pool_restores_blas_threads(self, tmp_path, monkeypatch, blas_at_two):
+        # serial runs too: every run computes on one BLAS thread
+        _, get_threads = blas_at_two
         original = experiment_mod._run_single
 
         def fails_on_trial_1(cfg, variant, trial, data, out_dir):
@@ -758,17 +841,15 @@ class TestRunExperiment:
                 raise RuntimeError("boom")
             return original(cfg, variant, trial, data, out_dir)
 
-        set_threads(2)  # differs from the pool's 1 even on a one-core host
-        try:
-            manifest = run_experiment(smoke_config(tmp_path, threads=2))
+        for threads in (1, 2):
+            monkeypatch.setattr(experiment_mod, "_run_single", original)
+            manifest = run_experiment(smoke_config(tmp_path, threads=threads))
             assert manifest["blas_threads"] == 1
             assert get_threads() == 2
             monkeypatch.setattr(experiment_mod, "_run_single", fails_on_trial_1)
             with pytest.raises(RuntimeError, match="boom"):
-                run_experiment(smoke_config(tmp_path, threads=2))
+                run_experiment(smoke_config(tmp_path, threads=threads))
             assert get_threads() == 2
-        finally:
-            set_threads(original_count)
 
     def test_multi_variant_shares_initialization(self, tmp_path):
         cfg = smoke_config(
