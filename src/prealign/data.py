@@ -39,8 +39,8 @@ class Dataset:
     ``images`` is ``(n, input_dim)`` with values in [0, 1], float32 when
     given as float32 and float64 otherwise; ``labels`` is ``(n,)`` integer
     class indices below ``class_count``.  Every loader and transform here
-    returns float64 images.  The runner casts the splits it trains and
-    evaluates on to float32, the precision networks train in, once.
+    returns float64 images; the runner rounds each split it holds to
+    float32, the precision networks train in, once.
     """
 
     images: np.ndarray
@@ -66,7 +66,8 @@ class Dataset:
             raise DataError(
                 f"{self.name}: labels outside [0, {self.class_count})"
             )
-        if images.min() < 0.0 or images.max() > 1.0:
+        # written so that a NaN pixel, which compares false, is refused too
+        if not (images.min() >= 0.0 and images.max() <= 1.0):
             raise DataError(f"{self.name}: pixel values outside [0, 1]")
         images.flags.writeable = False
         labels.flags.writeable = False
@@ -104,6 +105,8 @@ class TransformSpec:
                 raise ConfigError(f"{label} must be an ordered (low, high) range, "
                                   f"got {pair}")
             object.__setattr__(self, label, pair)
+        if self.scale[0] <= 0:
+            raise ConfigError(f"scale bounds must be > 0, got {self.scale}")
 
 
 def _read_bytes(path) -> bytes:

@@ -138,6 +138,11 @@ class ExperimentConfig:
         require_float("scale", self.scale)
         if self.scale <= 0:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
+        if self.sweep is not None and not isinstance(self.sweep, dict):
+            raise ConfigError(f"sweep must be a JSON object, got {self.sweep!r}")
+        for key, values in (self.sweep or {}).items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"sweep key {key!r} must map to a nonempty list")
         if self.sweep and {"scale", "threads"} & set(self.sweep):
             raise ConfigError("scale and threads serve every point of a sweep and "
                               "cannot be swept; use --scale and --threads")
@@ -206,27 +211,24 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
     d = dict(d)
+
+    def section(key, build):
+        value = d.pop(key, None)
+        if value is not None and not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+        return None if value is None else build(**value)
+
+    def noise_config(**fields):
+        if "distribution" in fields:
+            fields["distribution"] = _dist_from_dict(fields["distribution"])
+        return NoiseConfig(**fields)
+
     try:
         variants = [VariantSpec(**v) for v in d.pop("variants", [])]
-        pretrain = d.pop("pretrain", None)
-        if pretrain is not None:
-            pretrain = dict(pretrain)
-            if "distribution" in pretrain:
-                pretrain["distribution"] = _dist_from_dict(pretrain["distribution"])
-            pretrain = NoiseConfig(**pretrain)
-        train = d.pop("train", None)
-        if train is not None:
-            train = TrainConfig(**train)
-        transform = d.pop("eval_transform", None)
-        if transform is not None:
-            if not isinstance(transform, dict):
-                raise ConfigError(
-                    f"eval_transform must be a JSON object, got {transform!r}"
-                )
-            transform = TransformSpec(**transform)
-        meta = d.pop("meta", None)
-        if meta is not None:
-            meta = MetaSettings(**meta)
+        pretrain = section("pretrain", noise_config)
+        train = section("train", TrainConfig)
+        transform = section("eval_transform", TransformSpec)
+        meta = section("meta", MetaSettings)
         capture = tuple(d.pop("capture", ()))
         return ExperimentConfig(
             variants=variants,
@@ -305,6 +307,8 @@ def apply_scale(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
         return replace(cfg, scale=cfg.scale * scale)
 
     def shrink(duration):
+        # a swept value is not checked before its point is built
+        require_int("each swept duration", duration)
         return max(1, round(duration / scale))
 
     swept_durations = ("pretrain.total_samples", "train.epochs")
@@ -317,8 +321,7 @@ def apply_scale(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
         train=None if cfg.train is None else replace(
             cfg.train, epochs=shrink(cfg.train.epochs)),
         sweep=cfg.sweep and {
-            key: [shrink(v) for v in values]
-            if key in swept_durations and isinstance(values, list) else values
+            key: [shrink(v) for v in values] if key in swept_durations else values
             for key, values in cfg.sweep.items()
         },
     )
@@ -344,9 +347,6 @@ def expand_sweep(doc: dict) -> list[tuple[str, dict]]:
     if not sweep:
         raise ConfigError("config has no sweep section")
     keys = sorted(sweep)
-    for k in keys:
-        if not isinstance(sweep[k], list) or not sweep[k]:
-            raise ConfigError(f"sweep key {k!r} must map to a nonempty list")
     points = []
     for combo in itertools.product(*(sweep[k] for k in keys)):
         assignments = [f"{k}={json.dumps(v)}" for k, v in zip(keys, combo)]

@@ -116,13 +116,10 @@ def _in_train_precision(ds: Dataset) -> Dataset:
 
 
 class _ResolvedData:
-    """Splits an experiment actually trains and evaluates on, and the
-    few-shot tasks of its ``meta`` capture.  The splits a run reads whole
-    (the training split, when a data phase runs, and the evaluation and
-    clean test splits) are rounded once to the precision networks train
-    in, after subsets and transforms are drawn from the float64 loads; the
-    training split of a run with no data phase, and the few-shot tasks, of
-    which each episode reads only a few rows, stay as loaded."""
+    """The splits an experiment reads and the few-shot tasks of its
+    ``meta`` capture; the training split is loaded only when a data phase
+    runs.  Each is rounded once to the precision networks train in as soon
+    as its subset or transform is drawn from the float64 load."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.train = None
@@ -137,11 +134,9 @@ class _ResolvedData:
 
         if cfg.dataset is not None:
             sub_seed = derive_entropy(cfg.master_seed, "subset")[0] % 2**63
-            self.train = load(cfg.dataset, "train", cfg.train_size, sub_seed)
             if cfg.train is not None:
-                # only a data phase reads these images; rounding them first
-                # also frees the float64 split before the test split is read
-                self.train = _in_train_precision(self.train)
+                self.train = _in_train_precision(
+                    load(cfg.dataset, "train", cfg.train_size, sub_seed))
             test_ds = load(cfg.dataset, "test", cfg.test_size, sub_seed + 1)
             self.clean_test = self.eval_test = _in_train_precision(test_ds)
             if cfg.eval_dataset is not None:
@@ -153,7 +148,8 @@ class _ResolvedData:
                 ))
             del test_ds  # the float64 split is not held while the tasks load
         if cfg.meta is not None:
-            self.meta_tasks = [load(name, "test") for name in cfg.meta.tasks]
+            self.meta_tasks = [_in_train_precision(load(name, "test"))
+                               for name in cfg.meta.tasks]
 
 
 def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:

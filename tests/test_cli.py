@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from prealign.runner.cli import _build_parser, _Path, main
@@ -69,6 +70,25 @@ class TestPretrainVerb:
         assert code == 0
         header = (tmp_path / "p" / "records.csv").read_text().splitlines()[0]
         assert "angle_mean_l0" not in header
+
+    def test_gram_capture_reads_only_the_test_split(self, tmp_path, capsys):
+        # a noise-only run reads its dataset's test split alone, so the
+        # train files may be absent
+        from test_data import idx_image_bytes, idx_label_bytes
+
+        root = tmp_path / "data" / "mnist"
+        root.mkdir(parents=True)
+        images = np.random.default_rng(0).integers(0, 256, size=(8, 4, 4))
+        (root / "t10k-images-idx3-ubyte").write_bytes(idx_image_bytes(images))
+        (root / "t10k-labels-idx1-ubyte").write_bytes(idx_label_bytes([0, 1, 2, 3] * 2))
+        out_dir = tmp_path / "p"
+        code, _, err = run(capsys, *PRETRAIN_TINY, "--capture", "gram",
+                           "--set", "dataset=mnist",
+                           "--data-dir", str(tmp_path / "data"), "--out", str(out_dir))
+        assert code == 0, err
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["data"]["train"] is None
+        assert manifest["data"]["eval_test"] == {"name": "t10k-images-idx3-ubyte", "n": 8}
 
     def test_uniform_distribution(self, tmp_path, capsys):
         code, _, _ = run(capsys, *PRETRAIN_TINY, "--dist", "uniform",
@@ -543,6 +563,20 @@ class TestRefusedKeys:
                            "--out", str(tmp_path / "x"))
         assert code == 1
         assert "'seed'" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, item", [
+        (PRETRAIN_TINY, "pretrain=abc"),
+        (PRETRAIN_TINY, 'pretrain=[["total_samples",640]]'),
+        (PRETRAIN_TINY, "sweep=[1]"),
+        (PRETRAIN_TINY, 'sweep="abc"'),
+        (TRAIN_TINY, 'eval_transform={"scale":[0,0]}'),
+    ], ids=["pretrain-string", "pretrain-pairs", "sweep-list", "sweep-string",
+            "eval_transform-zero-scale"])
+    def test_malformed_section_refused(self, argv, item, tmp_path, capsys):
+        code, _, err = run(capsys, *argv, "--set", item, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
         assert not (tmp_path / "x").exists()
 
     def test_meta_settings_without_the_meta_capture_refused(self, tmp_path, capsys):

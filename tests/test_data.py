@@ -363,6 +363,10 @@ class TestTransformAffine:
     def test_spec_range_validation(self):
         with pytest.raises(ConfigError):
             TransformSpec(scale=(1.2, 0.8))
+        # a zero scale would divide by zero in the inverse map
+        for bounds in ((0.0, 0.0), (0.0, 1.0), (-1.0, 1.0)):
+            with pytest.raises(ConfigError, match="scale bounds must be > 0"):
+                TransformSpec(scale=bounds)
 
 
 class TestDatasetInvariants:
@@ -392,6 +396,10 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             Dataset(images=np.full((1, 3), -0.1), labels=np.array([0]),
                     class_count=1, name="x")
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(DataError):
+                Dataset(images=np.array([[np.nan, 0.5]], dtype=dtype),
+                        labels=np.array([0]), class_count=1, name="x")
 
     def test_arrays_read_only(self):
         ds = synthetic_blobs(10, 4, 2, seed=0)

@@ -148,6 +148,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match="at most one"):
             full_config(eval_dataset="blobs")
 
+    @pytest.mark.parametrize("section, value", [
+        ("pretrain", "abc"),
+        ("pretrain", [["total_samples", 640]]),
+        ("train", [1]),
+        ("eval_transform", "abc"),
+        ("meta", 3),
+    ], ids=["pretrain-string", "pretrain-pairs", "train-list", "eval_transform-string",
+            "meta-number"])
+    def test_non_object_section_refused(self, section, value):
+        doc = config_to_dict(full_config())
+        doc[section] = value
+        with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("sweep, message", [
+        ([1], "sweep must be a JSON object"),
+        ("abc", "sweep must be a JSON object"),
+        ({"train_size": 64}, "must map to a nonempty list"),
+    ], ids=["list", "string", "scalar"])
+    def test_sweep_shape_refused_when_built(self, sweep, message):
+        with pytest.raises(ConfigError, match=message):
+            full_config(sweep=sweep)
+
     def test_train_needs_dataset(self):
         with pytest.raises(ConfigError):
             full_config(dataset=None)
@@ -343,6 +366,8 @@ class TestApplyScale:
         }), 10.0)
         assert cfg.sweep == {"pretrain.total_samples": [40, 80],
                              "train.epochs": [1, 3], "train_size": [64]}
+        with pytest.raises(ConfigError, match="each swept duration must be an integer"):
+            apply_scale(full_config(sweep={"train.epochs": ["a"]}), 10.0)
 
 
 class TestExpandSweep:
@@ -374,10 +399,11 @@ class TestExpandSweep:
             expand_sweep(config_to_dict(cfg))
 
     def test_missing_or_empty_sweep(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="no sweep section"):
             expand_sweep(config_to_dict(full_config()))
-        with pytest.raises(ConfigError):
-            expand_sweep(config_to_dict(full_config(sweep={"train_size": []})))
+        # an empty list is refused when the config is built
+        with pytest.raises(ConfigError, match="nonempty list"):
+            full_config(sweep={"train_size": []})
 
 
 class TestPresets:
@@ -1093,6 +1119,21 @@ class TestRunExperiment:
                 dataclasses.replace(cfg, dataset="kmnist", meta=None,
                                     capture=())
             )
+
+    @pytest.mark.parametrize("overrides", [
+        # the shape of the fig6a probes: a dataset for the gram capture,
+        # few-shot tasks, and a noise phase only
+        dict(train=None, capture=("gram", "meta"), meta=MetaSettings(tasks=("blobs",))),
+        dict(eval_transform=TransformSpec(rotate_deg=(-10.0, 10.0))),
+        dict(eval_dataset="blobs", test_size=None),
+    ], ids=["noise_only", "eval_transform", "eval_dataset"])
+    def test_resolved_data_holds_the_splits_a_run_reads_in_float32(self, tmp_path,
+                                                                    overrides):
+        cfg = smoke_config(tmp_path, **overrides)
+        data = experiment_mod._ResolvedData(cfg)
+        assert (data.train is None) == (cfg.train is None)
+        held = [data.train, data.eval_test, data.clean_test, *(data.meta_tasks or [])]
+        assert {ds.images.dtype for ds in held if ds is not None} == {np.dtype(np.float32)}
 
     def test_sweep_runs_all_points(self, tmp_path):
         cfg = smoke_config(tmp_path, trials=1,
