@@ -1,10 +1,10 @@
 """Dataset ingestion, subsetting, and affine image transforms.
 
-Loaders parse the distribution formats directly (big-endian IDX, CIFAR-10
-binary records, libsvm text), accept gzip-compressed files
-transparently, and normalize pixels to [0, 1].  Transformed variants of a
-dataset, used for evaluation on shifted inputs, are produced by per-image
-random affine resampling, evaluated a block of images at a time.  No loader
+Loaders parse the distribution formats directly (big-endian IDX, libsvm
+text), accept gzip-compressed files transparently, and normalize pixels to
+[0, 1].  Transformed variants of a dataset, used for evaluation on shifted
+inputs, are produced by per-image random affine resampling, evaluated a
+block of images at a time.  No loader
 touches the network; everything here is a pure function of file content.
 """
 
@@ -24,7 +24,6 @@ __all__ = [
     "Dataset",
     "TransformSpec",
     "load_idx",
-    "load_cifar",
     "load_usps_libsvm",
     "subset",
     "transform_affine",
@@ -38,9 +37,8 @@ class Dataset:
 
     ``images`` is ``(n, input_dim)`` with values in [0, 1], float32 when
     given as float32 and float64 otherwise; ``labels`` is ``(n,)`` integer
-    class indices below ``class_count``.  Every loader and transform here
-    returns float64 images; the runner rounds each split it holds to
-    float32, the precision networks train in, once.
+    class indices below ``class_count``.  ``load_idx`` divides pixels in
+    the precision it is given; the other loaders return float64 images.
     """
 
     images: np.ndarray
@@ -131,10 +129,11 @@ def _stem(path) -> str:
     return name[:-3] if name.endswith(".gz") else name
 
 
-def load_idx(images_path, labels_path) -> Dataset:
+def load_idx(images_path, labels_path, dtype=np.float64) -> Dataset:
     """Parse a big-endian IDX image/label file pair (the MNIST family's
     distribution format): image magic 0x00000803 with (n, rows, cols), label
-    magic 0x00000801 with (n), u8 pixels scaled by 1/255."""
+    magic 0x00000801 with (n), u8 pixels divided by 255 in ``dtype``.  A
+    float32 quotient is the float64 one rounded to float32, for every u8."""
     img_raw = _read_bytes(images_path)
     if len(img_raw) < 16:
         raise FormatError(f"{images_path}: truncated IDX header")
@@ -159,25 +158,11 @@ def load_idx(images_path, labels_path) -> Dataset:
     images = np.frombuffer(img_raw, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lab_raw, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(
-        images=np.divide(images, 255.0, dtype=np.float64),
+        images=np.divide(images, 255.0, dtype=dtype),
         labels=labels,
         class_count=int(labels.max()) + 1 if n else 0,
         name=_stem(images_path),
     )
-
-
-def load_cifar(path) -> Dataset:
-    """Parse a CIFAR-10 binary batch file: 3073-byte records, a label byte
-    followed by 3072 pixels."""
-    raw = _read_bytes(path)
-    if len(raw) == 0 or len(raw) % 3073 != 0:
-        raise FormatError(
-            f"{path}: size {len(raw)} is not a positive multiple of "
-            "3073-byte records"
-        )
-    recs = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3073)
-    return Dataset(images=recs[:, 1:] / 255.0, labels=recs[:, 0].astype(np.int64),
-                   class_count=10, name="cifar-c10")
 
 
 def _resize_bilinear(image: np.ndarray, out_side: int) -> np.ndarray:
@@ -256,7 +241,7 @@ def subset(ds: Dataset, n: int, seed: int) -> Dataset:
 
 
 # images per block of transform_affine; bounds its temporaries, not its output
-_AFFINE_BLOCK = 64
+_AFFINE_BLOCK = 32
 
 
 def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
@@ -266,9 +251,9 @@ def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
     interpolation with zero padding.  Labels are unchanged.
 
     Images are processed in blocks of ``_AFFINE_BLOCK``, with temporaries
-    the size of one block; the output is bitwise equal to evaluating the
-    formula one image at a time (the draws, the inverse map and the four
-    bilinear taps keep that per-pixel operation order)."""
+    the size of one block, allocated once; the output is bitwise equal to
+    evaluating the formula one image at a time (the draws, the inverse map
+    and the four bilinear taps keep that per-pixel operation order)."""
     side = math.isqrt(ds.input_dim)
     if side * side != ds.input_dim:
         raise ConfigError(f"input_dim {ds.input_dim} is not a square; images "
@@ -279,49 +264,56 @@ def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
     lows, highs = zip(spec.translate_frac, spec.translate_frac, spec.scale,
                       spec.rotate_deg)
     draws = rng.uniform(lows, highs, size=(ds.n, 4))
-    tx = draws[:, 0] * side
-    ty = draws[:, 1] * side
-    scale = draws[:, 2]
+    tx, ty, scale = draws[:, 0] * side, draws[:, 1] * side, draws[:, 2]
     theta = np.deg2rad(draws[:, 3])
     cos_t, sin_t = np.cos(-theta), np.sin(-theta)
     center = (side - 1) / 2.0
-    cols, rows = np.meshgrid(np.arange(side, dtype=np.float64),
-                             np.arange(side, dtype=np.float64))
-    cols_c = cols - center
-    rows_c = rows - center
-    # each image sits in a zero border one pixel wide, and tap coordinates
-    # are clamped into that border, so a tap outside the image reads 0.0
-    padded_side = side + 2
+    coords_c = np.arange(side, dtype=np.float64) - center
+    # each image sits in a zero border two pixels wide: a top-left tap
+    # clamped into [-2, side] on each axis moves every tap outside the image
+    # onto a zero and no tap inside it; taps (0,0), (0,1), (1,0) and (1,1)
+    # are read at the top-left tap's index
+    padded_side = side + 4
     padded = np.zeros((_AFFINE_BLOCK, padded_side, padded_side))
+    flat = padded.reshape(-1)
+    taps = (flat, flat[1:], flat[padded_side:], flat[padded_side + 1:])
+    origin = (np.arange(_AFFINE_BLOCK, dtype=np.float64)[:, None, None]
+              * padded_side**2 + 2 * padded_side + 2)  # flat index of pixel (0, 0)
+    # pairs of temporaries, x then y, and the weight and tap of one product
+    coords, corners, one_minus, (weight, tap) = (
+        np.empty((2, _AFFINE_BLOCK, side, side)) for _ in range(4))
+    top_left = np.empty((_AFFINE_BLOCK, side, side), dtype=np.intp)
     images = ds.images.reshape(ds.n, side, side)
     out = np.empty_like(ds.images)
     out_images = out.reshape(ds.n, side, side)
     for lo in range(0, ds.n, _AFFINE_BLOCK):
         hi = min(lo + _AFFINE_BLOCK, ds.n)
-        b = slice(lo, hi)
-        block = padded[:hi - lo]
-        block[:, 1:-1, 1:-1] = images[b]
-        # invert dst = R(theta) * s * (src - c) + c + t about the center
-        ux = cols_c - tx[b, None, None]
-        uy = rows_c - ty[b, None, None]
-        cos_b = cos_t[b, None, None]
-        sin_b = sin_t[b, None, None]
-        src_x = (cos_b * ux - sin_b * uy) / scale[b, None, None] + center
-        src_y = (sin_b * ux + cos_b * uy) / scale[b, None, None] + center
-        x0 = np.floor(src_x).astype(np.int64)
-        y0 = np.floor(src_y).astype(np.int64)
-        fx = src_x - x0
-        fy = src_y - y0
-        base = np.arange(hi - lo)[:, None, None] * (padded_side * padded_side)
-        row_taps = [base + np.clip(y0 + dy + 1, 0, side + 1) * padded_side
-                    for dy in (0, 1)]
-        col_taps = [np.clip(x0 + dx + 1, 0, side + 1) for dx in (0, 1)]
-        flat = block.reshape(-1)
+        b, k = slice(lo, hi), hi - lo
+        padded[:k, 2:-2, 2:-2] = images[b]
+        # invert dst = R(theta) * s * (src - c) + c + t about the center;
+        # ux depends only on a pixel's column and uy only on its row, so
+        # their products are (block, side) terms broadcast over the other
+        ux, uy = coords_c - tx[b, None], coords_c - ty[b, None]
+        cos_b, sin_b = cos_t[b, None], sin_t[b, None]
+        xy, x0y0 = coords[:, :k], corners[:, :k]
+        np.subtract((cos_b * ux)[:, None, :], (sin_b * uy)[:, :, None], out=xy[0])
+        np.add((sin_b * ux)[:, None, :], (cos_b * uy)[:, :, None], out=xy[1])
+        np.divide(xy, scale[b, None, None], out=xy)
+        np.add(xy, center, out=xy)
+        np.floor(xy, out=x0y0)
+        fx, fy = np.subtract(xy, x0y0, out=xy)
+        x0, y0 = np.clip(x0y0, -2, side, out=x0y0)
+        np.multiply(y0, padded_side, out=y0)
+        np.add(y0, x0, out=y0)
+        np.add(y0, origin[:k], out=top_left[:k], casting="unsafe")
+        one_minus_fx, one_minus_fy = np.subtract(1, xy, out=one_minus[:, :k])
         acc = out_images[b]
         acc.fill(0.0)  # a sum from +0.0, so a -0.0 first tap gives +0.0
-        for row, wy in zip(row_taps, (1 - fy, fy)):
-            for col, wx in zip(col_taps, (1 - fx, fx)):
-                acc += wy * wx * flat[row + col]
+        for view, wy, wx in zip(taps, (one_minus_fy, one_minus_fy, fy, fy),
+                                (one_minus_fx, fx, one_minus_fx, fx)):
+            w = np.multiply(wy, wx, out=weight[:k])
+            w *= np.take(view, top_left[:k], mode="clip", out=tap[:k])
+            acc += w
     np.clip(out, 0.0, 1.0, out=out)
     return Dataset(
         images=out,

@@ -28,7 +28,6 @@ import pytest
 from prealign.data import (
     Dataset,
     TransformSpec,
-    load_cifar,
     load_idx,
     load_usps_libsvm,
     transform_affine,
@@ -141,14 +140,16 @@ def test_loaders_and_identity_transform_are_exact(criterion, tmp_path):
         assert np.array_equal(ds.images, images.reshape(3, 16) / 255.0)
         assert np.array_equal(ds.labels, labels)
 
-        pixels = (np.arange(2 * 3072) % 251).astype(np.uint8).reshape(2, 3072)
-        cpath = tmp_path / "data_batch_1.bin"
-        cpath.write_bytes(
-            b"".join(bytes([lab]) + row.tobytes() for lab, row in zip((1, 8), pixels))
-        )
-        cds = load_cifar(cpath)
-        assert np.array_equal(cds.images, pixels / 255.0)
-        assert np.array_equal(cds.labels, np.array([1, 8]))
+        # a float32 parse of every pixel code is the float64 parse rounded
+        codes = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+        code_path = tmp_path / "codes-idx3-ubyte"
+        code_path.write_bytes(struct.pack(">IIII", 0x803, 1, 16, 16) + codes.tobytes())
+        one_label = tmp_path / "one-idx1-ubyte"
+        one_label.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
+        narrow = load_idx(code_path, one_label, np.float32)
+        assert narrow.images.dtype == np.float32
+        assert narrow.images.tobytes() == (
+            load_idx(code_path, one_label).images.astype(np.float32).tobytes())
 
         # constant sparse-text digits survive the [-1,1] remap and the
         # 16x16 -> 28x28 resample without rounding

@@ -11,7 +11,6 @@ from prealign.data import (
     _AFFINE_BLOCK,
     Dataset,
     TransformSpec,
-    load_cifar,
     load_idx,
     load_usps_libsvm,
     subset,
@@ -90,36 +89,26 @@ class TestLoadIdx:
         with pytest.raises(DataError):
             load_idx(ip, lp)
 
+    def test_count_mismatch_in_float32(self, tmp_path):
+        ip = write(tmp_path / "i", idx_image_bytes(np.zeros((2, 2, 2))))
+        lp = write(tmp_path / "l", idx_label_bytes([0]))
+        with pytest.raises(DataError, match="holds 2 images but"):
+            load_idx(ip, lp, np.float32)
+
+    def test_float32_parse_is_the_rounded_float64_parse(self, tmp_path):
+        # every pixel code, so that each u8 / 255 quotient is checked
+        imgs = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        ip = write(tmp_path / "imgs", idx_image_bytes(imgs))
+        lp = write(tmp_path / "labs", idx_label_bytes([0, 1, 2, 3]))
+        narrow = load_idx(ip, lp, np.float32)
+        wide = load_idx(ip, lp)
+        assert narrow.images.dtype == np.float32 and wide.images.dtype == np.float64
+        assert narrow.images.tobytes() == wide.images.astype(np.float32).tobytes()
+        np.testing.assert_array_equal(narrow.labels, wide.labels)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_idx(tmp_path / "absent", tmp_path / "also-absent")
-
-
-class TestLoadCifar:
-    def _c10_file(self, tmp_path, name, labels, values):
-        recs = []
-        for lab, val in zip(labels, values):
-            recs.append(bytes([lab]) + bytes([val]) * 3072)
-        return write(tmp_path / name, b"".join(recs))
-
-    def test_single_path_accepted(self, tmp_path):
-        p = self._c10_file(tmp_path, "one.bin", [3, 7, 1], [10, 20, 30])
-        ds = load_cifar(p)
-        assert ds.n == 3 and ds.input_dim == 3072
-        np.testing.assert_array_equal(ds.labels, [3, 7, 1])
-        np.testing.assert_allclose(ds.images[:, 0], [10 / 255, 20 / 255, 30 / 255])
-        assert ds.class_count == 10
-        assert ds.name == "cifar-c10"
-
-    def test_wrong_record_size(self, tmp_path):
-        p = write(tmp_path / "bad.bin", b"\x00" * 3072)
-        with pytest.raises(FormatError):
-            load_cifar(p)
-
-    def test_empty_file(self, tmp_path):
-        p = write(tmp_path / "empty.bin", b"")
-        with pytest.raises(FormatError):
-            load_cifar(p)
 
 
 class TestLoadUsps:
@@ -333,7 +322,9 @@ class TestTransformAffine:
         assert not np.array_equal(a.images, other.images)
 
     @pytest.mark.parametrize("n", [1, _AFFINE_BLOCK - 1, _AFFINE_BLOCK,
-                                   _AFFINE_BLOCK + 1, 2 * _AFFINE_BLOCK + 1])
+                                   _AFFINE_BLOCK + 1, 2 * _AFFINE_BLOCK - 1,
+                                   2 * _AFFINE_BLOCK, 2 * _AFFINE_BLOCK + 1,
+                                   4 * _AFFINE_BLOCK + 1])
     @pytest.mark.parametrize("spec, seed", [
         (TransformSpec(), 0),
         # fig5b's evaluation transform
@@ -342,7 +333,10 @@ class TestTransformAffine:
         # maps many coordinates far outside the image
         (TransformSpec(translate_frac=(-0.3, 0.3), scale=(0.3, 2.0),
                        rotate_deg=(-180.0, 180.0)), 8),
-    ], ids=["identity", "fig5b", "wide"])
+        # from n = 31 on, the draws put taps past the zero border on every side
+        (TransformSpec(translate_frac=(-0.6, 0.6), scale=(0.3, 3.0),
+                       rotate_deg=(-180.0, 180.0)), 11),
+    ], ids=["identity", "fig5b", "wide", "past_border"])
     def test_bitwise_equal_to_per_image_reference(self, n, spec, seed):
         rng = np.random.default_rng(n)
         images = rng.integers(0, 256, size=(n, 784)) / 255.0
@@ -353,6 +347,28 @@ class TestTransformAffine:
             images, 28, spec.translate_frac, spec.scale, spec.rotate_deg, seed,
         )
         assert out.images.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        TransformSpec(),
+        TransformSpec(translate_frac=(-0.05, 0.05), scale=(0.8, 1.2),
+                      rotate_deg=(-25.0, 25.0)),
+    ], ids=["identity", "fig5b"])
+    def test_negative_zero_pixels_sum_from_positive_zero(self, spec):
+        # an all -0.0 image gives -0.0 taps only: a sum begun at +0.0 reads
+        # +0.0, one begun at the first tap -0.0, which the clip keeps
+        n = _AFFINE_BLOCK + 3
+        rng = np.random.default_rng(12)
+        images = rng.integers(0, 256, size=(n, 784)) / 255.0
+        images[rng.random((n, 784)) < 0.5] = -0.0
+        images[::4] = -0.0
+        ds = Dataset(images=images, labels=np.zeros(n, dtype=np.int64),
+                     class_count=1, name="r")
+        out = transform_affine(ds, spec, seed=6)
+        expected = affine_transform_reference(
+            images, 28, spec.translate_frac, spec.scale, spec.rotate_deg, 6,
+        )
+        assert out.images.tobytes() == expected.tobytes()
+        assert not np.signbit(out.images).any()
 
     def test_non_square_rejected(self):
         ds = Dataset(images=np.ones((1, 12)), labels=np.array([0]),
