@@ -76,29 +76,6 @@ def _openblas_threads():
     return None
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run the body with OpenBLAS on one thread and restore the previous
-    count after it.  ``run_experiment`` holds it around all of its items,
-    serial or pooled, so that no output depends on ``--threads``; the noise
-    loop holds it around each logging epoch's steps, which pins direct calls
-    too.  BLAS threads of concurrent runs, or a two-thread gemm beside the
-    package's own helper threads, spin-wait against each other.  The setting
-    is process-wide.  Yields the count the body runs with (None when it
-    cannot be read; the count is then left as it is)."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield None
-        return
-    set_threads, get_threads = blas
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield 1
-    finally:
-        set_threads(before)
-
-
 def _usable_cores() -> int:
     """The number of cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -125,38 +102,56 @@ class _OnCaller:
 
 
 class _Cores:
-    """The process's cores as the package shares them.  Each item
-    ``run_experiment`` is running holds one core, and a call from outside
-    the runner holds one while it runs; a core no one holds is free, and
-    only there does the package start a helper thread of its own.  There
-    is one, ``_CORES``, because every run in the process shares the cores,
-    as it shares the BLAS setting."""
+    """The process's cores as the package shares them.  Whatever computes
+    for the package holds one: each item of a run, ``prealign eval`` and
+    ``metrics``, each epoch of :func:`train` and of the noise loop, and
+    each ``meta_loss`` call.  While any is held, OpenBLAS runs on one
+    thread, so no result depends on how many threads compute or where.  A
+    core no one holds is free, and only there does the package start a
+    helper thread.  There is one, ``_CORES``, shared by every caller in the
+    process, as the BLAS setting is."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._items = 0
+        self._held = 0
+        self._blas_before = None
+        self._thread = threading.local()
 
     @contextmanager
     def item(self):
-        """Hold a core for the body, one item of a run."""
+        """Hold a core for the body.  A hold nests on its thread: only the
+        outermost one takes a core.  The first core taken pins OpenBLAS to
+        one thread, and the last one given back restores the count the
+        first found, so concurrent callers do not undo each other's pin."""
+        if getattr(self._thread, "holds", False):
+            yield
+            return
+        blas = _openblas_threads()
         with self._lock:
-            self._items += 1
+            self._held += 1
+            if self._held == 1 and blas is not None:
+                self._blas_before = blas[1]()
+                blas[0](1)
+        self._thread.holds = True
         try:
             yield
         finally:
+            self._thread.holds = False
             with self._lock:
-                self._items -= 1
+                self._held -= 1
+                if self._held == 0 and blas is not None:
+                    blas[0](self._blas_before)
 
     def free(self) -> int:
-        """Cores that no running item, or the calling thread, holds."""
-        return _usable_cores() - max(self._items, 1)
+        """Cores that no thread holds."""
+        return _usable_cores() - self._held
 
     @contextmanager
     def helper(self, name: str):
         """A one-worker executor on a free core, named ``name``, or an
-        :class:`_OnCaller` when no core is free.  Callers hold BLAS at one
-        thread around the block, so where a call runs does not change its
-        result.  Leaving the block joins the worker, on every exit path."""
+        :class:`_OnCaller` when no core is free.  Callers hold a core around
+        the block, so where a call runs does not change its result.
+        Leaving the block joins the worker, on every exit path."""
         # a stale count only misplaces a helper; it changes no output
         if self.free() < 1:
             yield _OnCaller()
@@ -413,7 +408,8 @@ def train(
     ``patience`` consecutive epochs without a new best test accuracy; the
     best value seen is logged in each record under ``best_test_acc``.  The
     inputs are cast to the network's precision once, before the first
-    epoch, and pass uncopied when they are in it already.
+    epoch, and pass uncopied when they are in it already.  Each epoch's
+    steps and evaluations hold a core; the hook runs outside the hold.
     """
     x_train = np.asarray(train_inputs, dtype=mlp.params.dtype)
     y_train = np.asarray(train_labels)
@@ -431,16 +427,17 @@ def train(
     best_acc = -np.inf
     stalled = 0
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            # indices come from a permutation of range(n), so "clip" never
-            # clips; it spares the copy "raise" makes when writing to out
-            x = np.take(x_train, idx, axis=0, out=x_batch[: len(idx)], mode="clip")
-            y = np.take(y_train, idx, out=y_batch[: len(idx)], mode="clip")
-            step(mlp, adam, x, y, rule, config.learning_rate)
-        train_loss, train_acc = evaluate(mlp, x_train, y_train)
-        test_loss, test_acc = evaluate(mlp, x_test, y_test)
+        with _CORES.item():
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                # indices come from a permutation of range(n), so "clip" never
+                # clips; it spares the copy "raise" makes when writing to out
+                x = np.take(x_train, idx, axis=0, out=x_batch[: len(idx)], mode="clip")
+                y = np.take(y_train, idx, out=y_batch[: len(idx)], mode="clip")
+                step(mlp, adam, x, y, rule, config.learning_rate)
+            train_loss, train_acc = evaluate(mlp, x_train, y_train)
+            test_loss, test_acc = evaluate(mlp, x_test, y_test)
         if test_acc > best_acc:
             best_acc = test_acc
             stalled = 0

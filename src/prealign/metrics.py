@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, NumericError, ShapeError, require_float, require_int
-from .learn import AdamState, step
+from .learn import _CORES, AdamState, step
 from .net import Mlp, cross_entropy, forward
 from .seeds import rng_for
 
@@ -221,6 +221,8 @@ def meta_loss(mlp: Mlp, tasks: list[Dataset], cfg: MetaConfig = MetaConfig(),
     Adam steps, then evaluate cross-entropy on the disjoint query sample.
     The input network is never mutated, only read, so other readers of it
     may run beside the call (the runner computes its other captures so).
+    The call holds a core (see ``learn._Cores``): on a helper thread of
+    the runner, the core that helper occupies.
     """
     if not tasks:
         raise ConfigError("tasks must be nonempty")
@@ -232,16 +234,17 @@ def meta_loss(mlp: Mlp, tasks: list[Dataset], cfg: MetaConfig = MetaConfig(),
                 f"{mlp.dims}"
             )
     per_task = []
-    for t, task in enumerate(tasks):
-        rng = rng_for(seed, "meta", t)
-        support, query = _episode_split(
-            task, cfg.shots_per_class, cfg.query_per_class, rng
-        )
-        clone = mlp.copy()
-        adam = AdamState.for_mlp(clone)
-        x_s, y_s = task.images[support], task.labels[support]
-        for _ in range(cfg.inner_steps):
-            step(clone, adam, x_s, y_s, "FA", cfg.inner_lr)
-        trace = forward(clone, task.images[query])
-        per_task.append(cross_entropy(trace.probabilities, task.labels[query]))
+    with _CORES.item():
+        for t, task in enumerate(tasks):
+            rng = rng_for(seed, "meta", t)
+            support, query = _episode_split(
+                task, cfg.shots_per_class, cfg.query_per_class, rng
+            )
+            clone = mlp.copy()
+            adam = AdamState.for_mlp(clone)
+            x_s, y_s = task.images[support], task.labels[support]
+            for _ in range(cfg.inner_steps):
+                step(clone, adam, x_s, y_s, "FA", cfg.inner_lr)
+            trace = forward(clone, task.images[query])
+            per_task.append(cross_entropy(trace.probabilities, task.labels[query]))
     return float(sum(per_task)), per_task

@@ -11,23 +11,21 @@ for logging; batches run back to back across epoch boundaries (a total of
 ``ceil(total_samples / batch_size)`` optimizer steps) and each batch is
 attributed to the epoch containing its first sample.
 
-Noise steps run on one thread of the OpenBLAS that numpy bundles: each
-logging epoch's steps run with it pinned to one thread, and the snapshot
-hook then runs at the count the call started with (inside
-``run_experiment``, which pins it for the whole run, that is one).  When a
-core is free (see ``learn._Cores``), a helper thread draws the batches,
-from the same generator in the same order, and keeps two draws in flight
-ahead of the batch that steps; no draw crosses an epoch boundary.  When no
-core is free, the calling thread draws them itself, in the same order.  The
-draws are the same on both paths, and so are the trained weights, bit for
-bit.
+Each logging epoch's steps hold a core (see ``learn._Cores``), and so run
+on one thread of the OpenBLAS that numpy bundles; the snapshot hook runs
+outside the hold, at the caller's BLAS count.  Inside a runner item, which
+holds its core throughout, an epoch takes no other.  When a core is free,
+a helper thread draws the batches, from the same generator in the same
+order, and keeps two draws in flight ahead of the batch that steps; no
+draw crosses an epoch boundary.  When no core is free, the calling thread
+draws them itself, in the same order.  The draws are the same on both
+paths, and so are the trained weights, bit for bit.
 
-Batches are drawn in the network's precision.  At float32, on a 784-100-10
-network with batches of 64 on one BLAS thread of a 2-core host, a step took
-about 0.71 ms and a draw about 0.87 ms (medians of five rounds, which ranged
-over 0.60-0.86 ms and 0.69-0.92 ms), so the draw is the longer half and,
-where a helper thread draws, it sets the pace; the second draw in flight
-keeps it from waiting on the step thread.
+Batches are drawn in the network's precision.  At float32 on a 784-100-10
+network with batches of 64, a draw takes longer than a step (the
+``stage_us`` of ``BENCH_17.json`` has the numbers), so where a helper
+thread draws, it sets the pace; the second draw in flight keeps it from
+waiting on the step thread.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, require_float, require_int
-from .learn import _CORES, AdamState, _one_blas_thread, _snapshot_metrics, step
+from .learn import _CORES, AdamState, _snapshot_metrics, step
 from .net import TRAIN_DTYPE, Mlp, accuracy, cross_entropy
 from .records import RunRecord
 from .seeds import rng_for
@@ -151,9 +149,9 @@ def pretrain_random_noise(
     Returns one :class:`RunRecord` per logging epoch with the sample-weighted
     mean batch loss and accuracy of the noise stream itself (test fields stay
     ``None``; there is no held-out split of noise).  ``snapshot_hook(epoch,
-    mlp)`` may return extra scalars for that epoch's metrics; it runs at the
-    BLAS thread count the call started with.  No helper thread outlives the
-    call, whatever a step or the hook raises.
+    mlp)`` may return extra scalars for that epoch's metrics; it runs
+    outside the epoch's hold on a core, at the caller's BLAS count.  No
+    helper thread outlives the call, whatever a step or the hook raises.
     """
     rng = rng_for(seed, "noise")
     adam = AdamState.for_mlp(mlp)
@@ -175,7 +173,7 @@ def pretrain_random_noise(
         sum_loss = sum_acc = 0.0
         # up to two draws in flight while a batch steps; leaving the block
         # joins the sampler, and result() raises what the draw raised
-        with _one_blas_thread(), _CORES.helper("noise-sampler") as sampler:
+        with _CORES.item(), _CORES.helper("noise-sampler") as sampler:
             ahead = deque()
             for size in sizes:
                 ahead.append(sampler.submit(draw, size))

@@ -13,8 +13,11 @@ given changes nothing.  ``--set scale=...`` is refused: ``scale`` records
 what ``--scale`` did.  ``--dist``, ``--rule`` and ``--pretrain`` pick the
 shape of the default experiment and are refused with ``--config``.
 
-Every verb computes on one BLAS thread, as runs do, so that ``eval`` of a
-checkpoint reproduces the run's own numbers whatever ``--threads`` it used.
+``eval`` and ``metrics`` hold a core (see ``learn._Cores``), as each item
+of a run does, so ``eval`` reproduces a run's own numbers.  The four run
+verbs share one handler and hold no core beside their items': the CLI's
+thread only waits while a pool runs, and would keep its last item from a
+free core.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from ..errors import (
     NumericError,
     ShapeError,
 )
-from ..learn import _one_blas_thread, evaluate
+from ..learn import _CORES, evaluate
 from ..metrics import alignment_angles, effective_rank, weight_feedback_distance
 from ..net import TRAIN_DTYPE, load_mlp
 from .config import (
@@ -201,8 +204,13 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    """``pretrain`` and ``train``."""
+    """``pretrain``, ``train``, ``reproduce`` and ``sweep``."""
     cfg = _build_config(args)
+    if args.verb == "sweep" and not cfg.sweep:
+        raise ConfigError(f"config {args.config} has no sweep section")
+    if args.scale not in (None, 1.0):
+        print(f"note: running at 1/{args.scale:g} duration; use --scale 1 for "
+              "the full protocol")
     manifest = run_experiment(cfg)
     for name, trials in manifest.get("summary", {}).items():
         for trial, s in sorted(trials.items()):
@@ -211,10 +219,12 @@ def _cmd_run(args) -> int:
                     f"{name} trial {trial}: test_acc={s['final_test_acc']:.4f} "
                     f"(best {s['best_test_acc']:.4f})"
                 )
-    print(f"wrote {cfg.output_dir}")
+    points = f"{len(manifest['points'])} sweep points under " if cfg.sweep else ""
+    print(f"wrote {points}{cfg.output_dir}")
     return 0
 
 
+@_CORES.item()
 def _cmd_eval(args) -> int:
     # in the precision runs evaluate in, so that a run's own test split
     # gives the loss and accuracy its records.csv holds
@@ -232,6 +242,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@_CORES.item()
 def _cmd_metrics(args) -> int:
     mlp = load_mlp(args.model)
     layers = []
@@ -249,33 +260,13 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_reproduce(args) -> int:
-    cfg = _build_config(args)
-    if args.scale != 1.0:
-        print(f"note: running at 1/{args.scale:g} duration; use --scale 1 for "
-              "the full protocol")
-    run_experiment(cfg)
-    print(f"wrote {cfg.output_dir}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
-    if not cfg.sweep:
-        raise ConfigError(f"config {args.config} has no sweep section")
-    manifest = run_experiment(cfg)
-    print(f"wrote {len(manifest.get('points', []))} sweep points under "
-          f"{cfg.output_dir}")
-    return 0
-
-
 _COMMANDS = {
     "pretrain": _cmd_run,
     "train": _cmd_run,
     "eval": _cmd_eval,
     "metrics": _cmd_metrics,
-    "reproduce": _cmd_reproduce,
-    "sweep": _cmd_sweep,
+    "reproduce": _cmd_run,
+    "sweep": _cmd_run,
 }
 
 
@@ -283,8 +274,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        with _one_blas_thread():
-            return _COMMANDS[args.verb](args)
+        return _COMMANDS[args.verb](args)
     except SystemExit as e:
         if e.code is None:
             return 0

@@ -109,10 +109,10 @@ class ExperimentConfig:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dims, (list, tuple)):
-            raise ConfigError(f"dims must be a list of integers, got {self.dims!r}")
+        if not isinstance(self.dims, (list, tuple)) or len(self.dims) < 2:
+            raise ConfigError(f"dims must list two or more integers, got {self.dims!r}")
         for d in self.dims:
-            require_int("each of dims", d)
+            require_int("each of dims", d, 1)
         self.dims = tuple(int(d) for d in self.dims)
         require_int("trials", self.trials, 1)
         require_int("master_seed", self.master_seed)

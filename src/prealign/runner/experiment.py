@@ -4,11 +4,12 @@ A run is one list of ``(point, trial, variant)`` items: a config with a
 sweep expands into its points, and a config without one is one point.  Every
 point's datasets are resolved before any item runs, once per distinct data
 spec, so missing files fail before any compute.  The items then run on one
-pool, longest first, or serially in list order, and either way on one BLAS
-thread, so that no output depends on ``--threads``; the package's helper
-threads (the noise sampler, the few-shot adaptation of the ``meta``
-capture) run only on cores that no running item holds, and the bytes do
-not depend on where they ran.  Every variant of a trial
+pool, longest first, or serially in list order.  Each item holds a core of
+``learn._CORES`` while it runs, and so computes on one BLAS thread, so that
+no output depends on ``--threads`` or on other runs in the process; the
+package's helper threads (the noise sampler, the few-shot adaptation of
+the ``meta`` capture) run only on cores that no one holds, and the bytes
+do not depend on where they ran.  Every variant of a trial
 starts from identical initial weights; every random stream of a trial is
 derived from the trial's seed, and every stream a whole point shares (data
 subsets, the evaluation transform, few-shot episodes) from ``master_seed``,
@@ -36,7 +37,7 @@ from .. import __version__
 from ..data import Dataset, load_idx, load_usps_libsvm, subset, synthetic_blobs, \
     transform_affine
 from ..errors import ConfigError, DataError, PrealignError
-from ..learn import _CORES, _one_blas_thread, evaluate, train
+from ..learn import _CORES, _openblas_threads, evaluate, train
 from ..metrics import (
     accuracy_auc,
     alignment_angles,
@@ -319,18 +320,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         return noise + point.train.epochs * data[i].train.n
 
     workers = min(cfg.threads, len(items))
-    # every item computes on one BLAS thread, serial or pooled, so that no
-    # output depends on --threads; helper threads take the cores left free
-    with _one_blas_thread() as blas_threads:
-        if workers > 1:
-            # longest first, so that no worker is left alone with a long item
-            # at the end; the outcomes go back into list order
-            order = sorted(range(len(items)), key=lambda k: work(items[k]), reverse=True)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ranked = pool.map(run_item, [items[k] for k in order])
-                outcomes = [outcome for _, outcome in sorted(zip(order, ranked))]
-        else:
-            outcomes = [run_item(item) for item in items]
+    if workers > 1:
+        # longest first, so that no worker is left alone with a long item
+        # at the end; the outcomes go back into list order
+        order = sorted(range(len(items)), key=lambda k: work(items[k]), reverse=True)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            ranked = pool.map(run_item, [items[k] for k in order])
+            outcomes = [outcome for _, outcome in sorted(zip(order, ranked))]
+    else:
+        outcomes = [run_item(item) for item in items]
+    blas_threads = None if _openblas_threads() is None else 1
 
     first_error: PrealignError | None = None
     for i, point in enumerate(points):

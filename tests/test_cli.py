@@ -107,6 +107,21 @@ class TestPretrainVerb:
         manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
         assert manifest["config"]["pretrain"]["total_samples"] == 60
 
+    @pytest.mark.parametrize("dims", ["784,0,10", "784", "784,-3,10"])
+    def test_invalid_dims_refused_before_any_output(self, dims, tmp_path, capsys):
+        out_dir = tmp_path / "p"
+        code, _, err = run(capsys, "pretrain", "--dims", dims, "--out", str(out_dir))
+        assert code == 1
+        assert "dims" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("scale, noted", [("2", True), ("1", False)])
+    def test_scale_note(self, scale, noted, tmp_path, capsys):
+        code, out, _ = run(capsys, *PRETRAIN_TINY, "--scale", scale,
+                           "--out", str(tmp_path / "p"))
+        assert code == 0
+        assert ("1/2 duration" in out) is noted
+
     def test_traj_layer_outside_dims_refused(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(

@@ -1,10 +1,16 @@
 """Backward rules, Adam, and the training loop."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from prealign.data import synthetic_blobs
 from prealign.errors import ConfigError, NumericError, ShapeError
 from prealign.learn import (
+    _CORES,
+    _usable_cores,
     AdamState,
     Gradients,
     TrainConfig,
@@ -15,6 +21,7 @@ from prealign.learn import (
     step,
     train,
 )
+from prealign.metrics import MetaConfig, meta_loss
 from prealign.net import cross_entropy, forward, init_mlp
 
 from oracles import (
@@ -356,3 +363,78 @@ class TestTrainLoop:
         trace = forward(tiny_mlp, x)
         assert loss == cross_entropy(trace.probabilities, y)
         assert 0.0 <= acc <= 1.0
+
+
+class TestDirectCallsComputeOnOneBlasThread:
+    """A direct call holds a core as a runner item does, so it computes on
+    one BLAS thread whatever count the caller set, and leaves that count
+    as it found it.  784-100-10 is large enough that OpenBLAS threads its
+    products, so a call that kept two threads would differ in the last
+    bits."""
+
+    @pytest.fixture(scope="class")
+    def blobs(self):
+        return synthetic_blobs(3_000, 784, 10, seed=3)
+
+    @staticmethod
+    def at_counts(blas_threads, call):
+        set_threads, get_threads = blas_threads
+        results = []
+        for count in (2, 1):
+            set_threads(count)
+            results.append(call())
+            assert get_threads() == count
+        return results
+
+    def test_train(self, blas_threads, blobs):
+        x, y = blobs.images, blobs.labels
+
+        def call():
+            mlp = init_mlp((784, 100, 10), seed=1)
+            records = train(mlp, x[:2_000], y[:2_000], x[2_000:], y[2_000:],
+                            TrainConfig(learning_rate=1e-3, batch_size=64, epochs=2),
+                            seed=2)
+            return mlp.params, records
+
+        (two, two_records), (one, one_records) = self.at_counts(blas_threads, call)
+        np.testing.assert_array_equal(two, one)
+        assert two_records == one_records
+
+    def test_meta_loss(self, blas_threads, blobs):
+        mlp = init_mlp((784, 100, 10), seed=1)
+        cfg = MetaConfig(shots_per_class=60, query_per_class=30, inner_steps=3)
+        two, one = self.at_counts(blas_threads,
+                                  lambda: meta_loss(mlp, [blobs], cfg, seed=4))
+        assert two == one
+
+
+def test_holds_from_more_threads_than_cores_balance(blas_threads):
+    # every hold, nested or not, computes on one BLAS thread, and once the
+    # last one is given back no core is held and the count is restored
+    _, get_threads = blas_threads
+    with _CORES.item(), _CORES.item():
+        assert _CORES.free() == _usable_cores() - 1
+    n_threads, rounds = 8, 200
+    seen = []
+
+    def holds():
+        for _ in range(rounds):
+            with _CORES.item(), _CORES.item():
+                seen.append((get_threads(), _usable_cores() - _CORES.free()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=holds) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == n_threads * rounds
+    assert {count for count, _ in seen} == {1}
+    assert all(1 <= held <= n_threads for _, held in seen)
+    assert _CORES.free() == _usable_cores()
+    assert get_threads() == 2

@@ -11,7 +11,7 @@ import pytest
 import prealign.learn as learn_mod
 import prealign.noise as noise_mod
 from prealign.errors import ConfigError, NumericError
-from prealign.learn import AdamState, _openblas_threads, adam_step, backward_fa
+from prealign.learn import AdamState, adam_step, backward_fa
 from prealign.net import forward, init_mlp
 from prealign.noise import (
     Gaussian,
@@ -272,18 +272,6 @@ class TestPretrain:
 
 
 @pytest.fixture
-def blas_threads():
-    """``(set, get)`` of the BLAS thread count, restored after the test."""
-    blas = _openblas_threads()
-    if blas is None:
-        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
-    set_threads, get_threads = blas
-    original = get_threads()
-    yield blas
-    set_threads(original)
-
-
-@pytest.fixture
 def cores(monkeypatch):
     """Sets how many cores the package sees the process may use."""
     def set_cores(n: int) -> None:
@@ -304,8 +292,8 @@ class TestSamplerThread:
         (NoiseConfig(distribution=Uniform(-0.5, 0.5), total_samples=448,
                      samples_per_epoch=128, batch_size=64), 5),
     ], ids=["short-last-batch", "total-below-batch", "uniform"])
-    def test_bitwise_equal_to_one_blas_thread(self, blas_threads, cores, monkeypatch,
-                                              cfg, seed):
+    def test_bitwise_equal_at_either_blas_count(self, blas_threads, cores, monkeypatch,
+                                                cfg, seed):
         set_threads, _ = blas_threads
         drawn_on = []
 

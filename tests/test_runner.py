@@ -587,20 +587,6 @@ def write_idx_layout(root, train_images, train_labels, test_images, test_labels)
     (root / "t10k-labels-idx1-ubyte").write_bytes(idx_label_bytes(test_labels))
 
 
-@pytest.fixture
-def blas_at_two():
-    """``(set, get)`` of the BLAS thread count, set to 2 (more than the one
-    runs compute on, even on a one-core host) and restored after the test."""
-    blas = learn_mod._openblas_threads()
-    if blas is None:
-        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
-    set_threads, get_threads = blas
-    original = get_threads()
-    set_threads(2)
-    yield blas
-    set_threads(original)
-
-
 def smoke_config(tmp_path, **overrides):
     base = dict(
         experiment_id="smoke",
@@ -703,7 +689,7 @@ class TestRunExperiment:
         assert set(manifest["summary"]["fa"]) == {"0"}
         assert set(manifest["summary"]["fa_pre"]) == {"0"}
 
-    def test_pool_matches_serial_at_blas_threaded_size(self, tmp_path, blas_at_two):
+    def test_pool_matches_serial_at_blas_threaded_size(self, tmp_path, blas_threads):
         # 784-100-10 is large enough that OpenBLAS threads its gemm, and BLAS
         # starts at two threads, so a serial run that let it keep them would
         # differ in the last bits; the captures cover every BLAS-using hook
@@ -812,11 +798,9 @@ class TestRunExperiment:
             ))
         assert set(threading.enumerate()) == threads_before
 
-    def test_serial_noise_checkpoints_equal_pooled_bytes(self, tmp_path):
+    def test_serial_noise_checkpoints_equal_pooled_bytes(self, tmp_path, blas_threads):
         # noise steps run on one BLAS thread whether the run is serial or
         # pooled, so even the last bits of the weights agree
-        if learn_mod._openblas_threads() is None:
-            pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
 
         def run(threads):
             out = tmp_path / f"threads{threads}"
@@ -857,9 +841,9 @@ class TestRunExperiment:
             manifest = json.loads((tmp_path / "out" / name / "manifest.json").read_text())
             assert set(manifest["summary"]["fa_pre"]) == {"0", "1"}
 
-    def test_pool_restores_blas_threads(self, tmp_path, monkeypatch, blas_at_two):
+    def test_pool_restores_blas_threads(self, tmp_path, monkeypatch, blas_threads):
         # serial runs too: every run computes on one BLAS thread
-        _, get_threads = blas_at_two
+        _, get_threads = blas_threads
         original = experiment_mod._run_single
 
         def fails_on_trial_1(cfg, variant, trial, data, out_dir):
@@ -876,6 +860,67 @@ class TestRunExperiment:
             with pytest.raises(RuntimeError, match="boom"):
                 run_experiment(smoke_config(tmp_path, threads=threads))
             assert get_threads() == 2
+
+    def test_concurrent_runs_write_their_solo_bytes(self, tmp_path, monkeypatch,
+                                                    blas_threads):
+        # a short run starts first and ends while a long one is mid-run; a
+        # pin that the first run to end undid would leave the long run's
+        # later epochs on two BLAS threads, and BLAS at one thread after it
+        _, get_threads = blas_threads
+
+        def config(name, epochs):
+            return smoke_config(
+                tmp_path, dims=(784, 100, 10), trials=1, pretrain=None,
+                variants=[VariantSpec(name="fa")],
+                train=TrainConfig(learning_rate=1e-3, batch_size=64, epochs=epochs),
+                train_size=512, test_size=512, capture=("gram",),
+                output_dir=str(tmp_path / name),
+            )
+
+        run_experiment(config("solo_short", 1))
+        run_experiment(config("solo_long", 4))
+        short_started, long_started, short_done = (threading.Event() for _ in range(3))
+        original_train = experiment_mod.train
+
+        def rendezvous(*args, snapshot_hook, **kwargs):
+            epochs = args[5].epochs
+
+            def hook(epoch, net):
+                if epochs == 1:
+                    short_started.set()
+                    assert long_started.wait(30)
+                elif epoch == 1:
+                    long_started.set()
+                    assert short_done.wait(30)
+                return snapshot_hook(epoch, net)
+
+            return original_train(*args, snapshot_hook=hook, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "train", rendezvous)
+        outcomes = {}
+
+        def run(name, epochs):
+            try:
+                run_experiment(config(name, epochs))
+                outcomes[name] = None
+            except Exception as error:
+                outcomes[name] = error
+
+        short = threading.Thread(target=run, args=("short", 1), daemon=True)
+        long = threading.Thread(target=run, args=("long", 4), daemon=True)
+        short.start()
+        assert short_started.wait(30)
+        long.start()
+        short.join(60)
+        short_done.set()
+        long.join(60)
+        assert outcomes == {"short": None, "long": None}
+        for name in ("short", "long"):
+            for solo in (tmp_path / f"solo_{name}").iterdir():
+                if solo.name != "manifest.json":
+                    concurrent = tmp_path / name / solo.name
+                    assert concurrent.read_bytes() == solo.read_bytes(), (name, solo.name)
+        assert get_threads() == 2
 
     def test_multi_variant_shares_initialization(self, tmp_path):
         cfg = smoke_config(
