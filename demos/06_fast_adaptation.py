@@ -11,7 +11,7 @@ score across all tasks at once.
 import numpy as np
 
 from prealign.data import synthetic_blobs
-from prealign.metrics import MetaConfig, meta_loss
+from prealign.metrics import MetaConfig, draw_episodes, meta_loss
 from prealign.net import init_mlp
 from prealign.noise import NoiseConfig, pretrain_random_noise
 
@@ -26,14 +26,17 @@ def main():
         query_per_class=10,
     )
 
+    # one support and query sample per task, scored at every checkpoint
+    episodes = draw_episodes(tasks, meta_cfg, seed=5)
+
     net = init_mlp((128, 64, 10), seed=6)
-    total_before, per_task_before = meta_loss(net, tasks, meta_cfg, seed=5)
+    total_before, per_task_before = meta_loss(net, episodes, meta_cfg)
 
     checkpoints = [(0, total_before)]
 
     def snap(epoch, mlp):
         if epoch % 20 == 0:
-            checkpoints.append((epoch, meta_loss(mlp, tasks, meta_cfg, seed=5)[0]))
+            checkpoints.append((epoch, meta_loss(mlp, episodes, meta_cfg)[0]))
         return {}
 
     pretrain_random_noise(
@@ -42,7 +45,7 @@ def main():
         snapshot_hook=snap,
         seed=6,
     )
-    total_after, per_task_after = meta_loss(net, tasks, meta_cfg, seed=5)
+    total_after, per_task_after = meta_loss(net, episodes, meta_cfg)
 
     print("adaptation loss during noise training (no task data involved):")
     for epoch, value in checkpoints:

@@ -67,10 +67,26 @@ class Dataset:
         # written so that a NaN pixel, which compares false, is refused too
         if not (images.min() >= 0.0 and images.max() <= 1.0):
             raise DataError(f"{self.name}: pixel values outside [0, 1]")
+        self._freeze(images, labels)
+
+    def _freeze(self, images: np.ndarray, labels: np.ndarray) -> None:
         images.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _derived(cls, images: np.ndarray, labels: np.ndarray, class_count: int,
+                 name: str) -> "Dataset":
+        """A Dataset of arrays derived from a checked one: some of its rows,
+        its images rounded to float32, or a resampling clipped to [0, 1].
+        Such values pass every check by construction, so the scans of
+        ``__post_init__`` are skipped; the arrays are still made read-only."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "class_count", class_count)
+        object.__setattr__(ds, "name", name)
+        ds._freeze(images, labels)
+        return ds
 
     @property
     def n(self) -> int:
@@ -232,12 +248,8 @@ def subset(ds: Dataset, n: int, seed: int) -> Dataset:
     if not 1 <= n <= ds.n:
         raise ConfigError(f"subset size {n} outside [1, {ds.n}]")
     idx = np.random.default_rng(seed).permutation(ds.n)[:n]
-    return Dataset(
-        images=ds.images[idx],
-        labels=ds.labels[idx],
-        class_count=ds.class_count,
-        name=f"{ds.name}-sub{n}",
-    )
+    return Dataset._derived(ds.images[idx], ds.labels[idx], ds.class_count,
+                            f"{ds.name}-sub{n}")
 
 
 # images per block of transform_affine; bounds its temporaries, not its output
@@ -265,6 +277,12 @@ def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
                       spec.rotate_deg)
     draws = rng.uniform(lows, highs, size=(ds.n, 4))
     tx, ty, scale = draws[:, 0] * side, draws[:, 1] * side, draws[:, 2]
+    # every source coordinate lies within ``reach`` of the center; one
+    # beyond float range would make a NaN pixel, which the final clip keeps
+    with np.errstate(over="ignore"):
+        reach = (np.abs(tx) + np.abs(ty) + side) / scale
+    if not np.all(np.isfinite(reach)):
+        raise ConfigError(f"{spec} maps pixels beyond float range")
     theta = np.deg2rad(draws[:, 3])
     cos_t, sin_t = np.cos(-theta), np.sin(-theta)
     center = (side - 1) / 2.0
@@ -315,12 +333,7 @@ def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
             w *= np.take(view, top_left[:k], mode="clip", out=tap[:k])
             acc += w
     np.clip(out, 0.0, 1.0, out=out)
-    return Dataset(
-        images=out,
-        labels=ds.labels.copy(),
-        class_count=ds.class_count,
-        name=f"{ds.name}-affine",
-    )
+    return Dataset._derived(out, ds.labels.copy(), ds.class_count, f"{ds.name}-affine")
 
 
 def synthetic_blobs(

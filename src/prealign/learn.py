@@ -105,11 +105,13 @@ class _Cores:
     """The process's cores as the package shares them.  Whatever computes
     for the package holds one: each item of a run, ``prealign eval`` and
     ``metrics``, each epoch of :func:`train` and of the noise loop, and
-    each ``meta_loss`` call.  While any is held, OpenBLAS runs on one
-    thread, so no result depends on how many threads compute or where.  A
-    core no one holds is free, and only there does the package start a
-    helper thread.  There is one, ``_CORES``, shared by every caller in the
-    process, as the BLAS setting is."""
+    each :func:`evaluate`, ``meta_loss`` and ``gram_effective_dim`` call;
+    ``net.forward``, which runs inside every step, holds none of its own.
+    While any is held, OpenBLAS runs on one thread, so no result depends on
+    how many threads compute or where.  A core no one holds is free, and
+    only there does the package start a helper thread.  There is one,
+    ``_CORES``, shared by every caller in the process, as the BLAS setting
+    is."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -355,8 +357,11 @@ def step(mlp: Mlp, state: AdamState, x: np.ndarray, y: np.ndarray, rule: str,
 
 
 def evaluate(mlp: Mlp, inputs, labels) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy of the network on a full split."""
-    trace = forward(mlp, inputs)
+    """Mean cross-entropy and accuracy of the network on a full split.  The
+    call holds a core, so it gives the runner's bits whatever BLAS count
+    the caller set."""
+    with _CORES.item():
+        trace = forward(mlp, inputs)
     return cross_entropy(trace.probabilities, labels), accuracy(
         trace.probabilities, labels
     )

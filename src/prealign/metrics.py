@@ -5,7 +5,9 @@ the precision of the network or activations it reads; only
 :func:`meta_loss`'s adaptation steps run in the network's own precision,
 as training does.  Angle and similarity conventions are pinned here once:
 zero-norm vectors get the neutral values (angle 90 degrees, cosine 0) so
-ReLU-dead neurons never produce NaN.
+ReLU-dead neurons never produce NaN.  The few-shot loss is split in two:
+:func:`draw_episodes` samples each task's support and query rows once, and
+:func:`meta_loss` scores a network on those rows, as often as it is asked.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .seeds import rng_for
 
 __all__ = [
     "AngleReport",
+    "Episode",
     "MetaConfig",
     "alignment_angles",
     "weight_feedback_distance",
@@ -29,6 +32,7 @@ __all__ = [
     "gram_effective_dim",
     "accuracy_auc",
     "weight_trajectory_pca",
+    "draw_episodes",
     "meta_loss",
 ]
 
@@ -46,11 +50,13 @@ class AngleReport:
 class MetaConfig:
     """Settings for the episodic adaptation loss.
 
-    For each task dataset a clone of the network adapts for ``inner_steps``
-    full-batch Adam steps (feedback-alignment updates, learning rate
-    ``inner_lr``) on a support set of ``shots_per_class`` examples per
-    class, then is scored by cross-entropy on a disjoint query set of
-    ``query_per_class`` examples per class.
+    :func:`draw_episodes` reads ``shots_per_class`` and
+    ``query_per_class``: each task's support set has that many examples per
+    class, and its disjoint query set this many.  :func:`meta_loss` reads
+    the other two: a clone of the network adapts on each support set for
+    ``inner_steps`` full-batch Adam steps (feedback-alignment updates,
+    learning rate ``inner_lr``), then is scored by cross-entropy on the
+    query set.
     """
 
     shots_per_class: int = 10
@@ -131,24 +137,26 @@ def gram_effective_dim(hidden_activations) -> float:
 
     Each neuron's feature vector is its activation column across samples.
     Zero-norm columns give zero similarity to everything, with the diagonal
-    entry kept at 1.
+    entry kept at 1.  The call holds a core (see ``learn._Cores``), so the
+    product gives the runner's bits whatever BLAS count the caller set.
     """
     h = np.asarray(hidden_activations, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] < 2 or h.shape[0] < 2:
         raise ConfigError(
             f"need >= 2 samples and >= 2 neurons, got shape {h.shape}"
         )
-    norms = np.linalg.norm(h, axis=0)
-    ok = norms > 0
-    unit = np.zeros_like(h)
-    np.divide(h, norms, out=unit, where=ok)
-    gram = unit.T @ unit
-    gram[~ok, :] = 0.0
-    gram[:, ~ok] = 0.0
-    np.fill_diagonal(gram, np.where(ok, np.diag(gram), 1.0))
-    # symmetrize away matmul roundoff before the spectrum
-    gram = (gram + gram.T) / 2.0
-    return effective_rank(gram)
+    with _CORES.item():
+        norms = np.linalg.norm(h, axis=0)
+        ok = norms > 0
+        unit = np.zeros_like(h)
+        np.divide(h, norms, out=unit, where=ok)
+        gram = unit.T @ unit
+        gram[~ok, :] = 0.0
+        gram[:, ~ok] = 0.0
+        np.fill_diagonal(gram, np.where(ok, np.diag(gram), 1.0))
+        # symmetrize away matmul roundoff before the spectrum
+        gram = (gram + gram.T) / 2.0
+        return effective_rank(gram)
 
 
 def accuracy_auc(per_epoch_accuracy) -> float:
@@ -196,37 +204,69 @@ def weight_trajectory_pca(snapshots, feedback_point, k: int = 2):
     return coords, components @ (fb - mean)
 
 
-def _episode_split(task: Dataset, shots: int, queries: int,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    support_idx, query_idx = [], []
-    for c in range(task.class_count):
-        pool = np.flatnonzero(task.labels == c)
-        if pool.size < shots + queries:
-            raise ConfigError(
-                f"task {task.name}: class {c} has {pool.size} examples, "
-                f"needs {shots + queries}"
-            )
-        picked = rng.choice(pool, size=shots + queries, replace=False)
-        support_idx.append(picked[:shots])
-        query_idx.append(picked[shots:])
-    return np.concatenate(support_idx), np.concatenate(query_idx)
+@dataclass(frozen=True)
+class Episode:
+    """One task's few-shot episode: ``support`` holds ``shots_per_class``
+    rows per class, to adapt on, and ``query`` a disjoint
+    ``query_per_class`` rows per class, to score.  Both are named after the
+    task."""
+
+    support: Dataset
+    query: Dataset
 
 
-def meta_loss(mlp: Mlp, tasks: list[Dataset], cfg: MetaConfig = MetaConfig(),
-              *, seed: int = 0) -> tuple[float, list[float]]:
-    """Summed post-adaptation query loss across ``tasks``.
-
-    Per task: clone the network, adapt the clone on a support sample drawn
-    from ``seed`` with ``cfg.inner_steps`` full-batch feedback-alignment
-    Adam steps, then evaluate cross-entropy on the disjoint query sample.
-    The input network is never mutated, only read, so other readers of it
-    may run beside the call (the runner computes its other captures so).
-    The call holds a core (see ``learn._Cores``): on a helper thread of
-    the runner, the core that helper occupies.
-    """
-    if not tasks:
-        raise ConfigError("tasks must be nonempty")
+def draw_episodes(tasks, cfg: MetaConfig = MetaConfig(), *,
+                  seed: int = 0) -> list[Episode]:
+    """One episode per task, drawn from ``seed``: task ``t`` draws from the
+    stream ``rng_for(seed, "meta", t)``, class by class, its support and
+    query rows at once.  The episodes copy their rows, so the tasks may be
+    freed once drawn; ``tasks`` may be a lazy iterable, and then holds one
+    task at a time.  Raises :class:`ConfigError` when there are no tasks or
+    a class has fewer than ``shots_per_class + query_per_class`` rows."""
+    shots, queries = cfg.shots_per_class, cfg.query_per_class
+    episodes = []
     for task in tasks:
+        rng = rng_for(seed, "meta", len(episodes))
+        support, query = [], []
+        for c in range(task.class_count):
+            pool = np.flatnonzero(task.labels == c)
+            if pool.size < shots + queries:
+                raise ConfigError(
+                    f"task {task.name}: class {c} has {pool.size} examples, "
+                    f"needs {shots + queries}"
+                )
+            picked = rng.choice(pool, size=shots + queries, replace=False)
+            support.append(picked[:shots])
+            query.append(picked[shots:])
+        episodes.append(Episode(*(
+            Dataset._derived(task.images[rows], task.labels[rows], task.class_count,
+                             task.name)
+            for rows in (np.concatenate(support), np.concatenate(query)))))
+        # a lazily loaded task is freed before the next one loads
+        del task
+    if not episodes:
+        raise ConfigError("tasks must be nonempty")
+    return episodes
+
+
+def meta_loss(mlp: Mlp, episodes: list[Episode],
+              cfg: MetaConfig = MetaConfig()) -> tuple[float, list[float]]:
+    """Summed post-adaptation query loss across ``episodes``, and the loss
+    of each.
+
+    Per episode: clone the network, adapt the clone on the support rows
+    with ``cfg.inner_steps`` full-batch feedback-alignment Adam steps at
+    ``cfg.inner_lr``, then evaluate cross-entropy on the query rows.  The
+    episodes are drawn once, by :func:`draw_episodes`, and may be scored
+    any number of times.  The input network is never mutated, only read,
+    so other readers of it may run beside the call (the runner computes its
+    other captures so).  The call holds a core (see ``learn._Cores``): on a
+    helper thread of the runner, the core that helper occupies.
+    """
+    if not episodes:
+        raise ConfigError("episodes must be nonempty")
+    for episode in episodes:
+        task = episode.support
         if task.input_dim != mlp.dims[0] or task.class_count != mlp.dims[-1]:
             raise ConfigError(
                 f"task {task.name} shape ({task.input_dim} features, "
@@ -235,16 +275,12 @@ def meta_loss(mlp: Mlp, tasks: list[Dataset], cfg: MetaConfig = MetaConfig(),
             )
     per_task = []
     with _CORES.item():
-        for t, task in enumerate(tasks):
-            rng = rng_for(seed, "meta", t)
-            support, query = _episode_split(
-                task, cfg.shots_per_class, cfg.query_per_class, rng
-            )
+        for episode in episodes:
             clone = mlp.copy()
             adam = AdamState.for_mlp(clone)
-            x_s, y_s = task.images[support], task.labels[support]
+            x_s, y_s = episode.support.images, episode.support.labels
             for _ in range(cfg.inner_steps):
                 step(clone, adam, x_s, y_s, "FA", cfg.inner_lr)
-            trace = forward(clone, task.images[query])
-            per_task.append(cross_entropy(trace.probabilities, task.labels[query]))
+            trace = forward(clone, episode.query.images)
+            per_task.append(cross_entropy(trace.probabilities, episode.query.labels))
     return float(sum(per_task)), per_task

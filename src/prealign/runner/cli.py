@@ -13,8 +13,9 @@ given changes nothing.  ``--set scale=...`` is refused: ``scale`` records
 what ``--scale`` did.  ``--dist``, ``--rule`` and ``--pretrain`` pick the
 shape of the default experiment and are refused with ``--config``.
 
-``eval`` and ``metrics`` hold a core (see ``learn._Cores``), as each item
-of a run does, so ``eval`` reproduces a run's own numbers.  The four run
+``metrics`` holds a core (see ``learn._Cores``), as each item of a run
+does, and so does the ``evaluate`` call of ``eval``, so ``eval`` reproduces
+a run's own numbers.  The four run
 verbs share one handler and hold no core beside their items': the CLI's
 thread only waits while a pool runs, and would keep its last item from a
 free core.
@@ -224,7 +225,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-@_CORES.item()
 def _cmd_eval(args) -> int:
     # in the precision runs evaluate in, so that a run's own test split
     # gives the loss and accuracy its records.csv holds

@@ -2,8 +2,9 @@
 
 A run is one list of ``(point, trial, variant)`` items: a config with a
 sweep expands into its points, and a config without one is one point.  Every
-point's datasets are resolved before any item runs, once per distinct data
-spec, so missing files fail before any compute.  The items then run on one
+point's datasets and few-shot episodes are resolved before any item runs,
+once per distinct data spec, so missing files and few-shot classes too
+short for an episode fail before any compute.  The items then run on one
 pool, longest first, or serially in list order.  Each item holds a core of
 ``learn._CORES`` while it runs, and so computes on one BLAS thread, so that
 no output depends on ``--threads`` or on other runs in the process; the
@@ -41,6 +42,7 @@ from ..learn import _CORES, _openblas_threads, evaluate, train
 from ..metrics import (
     accuracy_auc,
     alignment_angles,
+    draw_episodes,
     effective_rank,
     gram_effective_dim,
     meta_loss,
@@ -90,8 +92,8 @@ def load_named_split(
     if name == "blobs":
         full = synthetic_blobs(3072, input_dim, class_count, seed=7)
         rows = slice(None, 2048) if train else slice(2048, None)
-        return Dataset(full.images[rows].copy(), full.labels[rows].copy(),
-                       full.class_count, f"blobs-{split}")
+        return Dataset._derived(full.images[rows].copy(), full.labels[rows].copy(),
+                                full.class_count, f"blobs-{split}")
     root = Path(data_dir) / name
     if name in ("mnist", "fashion-mnist", "kmnist"):
         prefix = "train" if train else "t10k"
@@ -107,8 +109,9 @@ def _data_key(cfg: ExperimentConfig) -> tuple:
     one resolved object, which is safe because dataset arrays are read-only."""
     return (default_data_dir(cfg.data_dir), cfg.dataset, cfg.dims[0], cfg.dims[-1],
             cfg.master_seed, cfg.train_size, cfg.test_size, cfg.eval_dataset,
-            cfg.eval_transform, None if cfg.meta is None else cfg.meta.tasks,
-            cfg.train is None)
+            cfg.eval_transform, cfg.train is None,
+            None if cfg.meta is None
+            else (cfg.meta.tasks, cfg.meta.shots_per_class, cfg.meta.query_per_class))
 
 
 def _in_train_precision(ds: Dataset) -> Dataset:
@@ -116,22 +119,26 @@ def _in_train_precision(ds: Dataset) -> Dataset:
     itself if they are), so that training and evaluation read no copy."""
     if ds.images.dtype == TRAIN_DTYPE:
         return ds
-    return Dataset(ds.images.astype(TRAIN_DTYPE), ds.labels, ds.class_count, ds.name)
+    return Dataset._derived(ds.images.astype(TRAIN_DTYPE), ds.labels, ds.class_count,
+                            ds.name)
 
 
 class _ResolvedData:
-    """The splits an experiment reads and the few-shot tasks of its
+    """The splits an experiment reads and the few-shot episodes of its
     ``meta`` capture; the training split is loaded only when a data phase
     runs.  Each is held in the precision networks train in: IDX pixels are
     divided in it as they are parsed, except in a test split that
     ``eval_transform`` resamples, which is parsed in float64; a float64
-    split is rounded once, after its subset or transform is drawn."""
+    split is rounded once, after its subset or transform is drawn.  Each
+    few-shot task's test split is loaded, its episode drawn and the split
+    freed before the next task loads, so only the episodes' rows are
+    held."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.train = None
         self.eval_test = None
         self.clean_test = None
-        self.meta_tasks = None
+        self.meta_episodes = None
         data_dir = default_data_dir(cfg.data_dir)
 
         def load(name, split, size=None, seed=None, dtype=TRAIN_DTYPE):
@@ -157,18 +164,18 @@ class _ResolvedData:
                 ))
             del test_ds  # a float64 split is not held while the tasks load
         if cfg.meta is not None:
-            self.meta_tasks = [_in_train_precision(load(name, "test"))
-                               for name in cfg.meta.tasks]
+            self.meta_episodes = draw_episodes(
+                (_in_train_precision(load(name, "test")) for name in cfg.meta.tasks),
+                cfg.meta, seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63)
 
 
 def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
     if "meta" not in cfg.capture:
         return _captures_but_meta(cfg, mlp, data)
     with _CORES.helper("meta") as helper:
-        # the few-shot tasks adapt on a free core while this thread computes
-        # the other captures; both only read ``mlp``
-        meta = helper.submit(meta_loss, mlp, data.meta_tasks, cfg.meta,
-                             seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63)
+        # the few-shot episodes adapt on a free core while this thread
+        # computes the other captures; both only read ``mlp``
+        meta = helper.submit(meta_loss, mlp, data.meta_episodes, cfg.meta)
         out = _captures_but_meta(cfg, mlp, data)
         total, per_task = meta.result()
     out["meta_loss"] = total

@@ -265,3 +265,36 @@ def affine_transform_reference(images, side, translate_frac, scale, rotate_deg,
                 result += wy * wx * vals
         out[i] = result.ravel()
     return np.clip(out, 0.0, 1.0)
+
+
+def per_call_meta_loss_reference(mlp, tasks, cfg, seed):
+    """The few-shot adaptation loss with each task's episode drawn inside
+    the call, from ``rng_for(seed, "meta", t)``, as it was computed before
+    episodes were drawn once per run.  Unlike the rest of this module it
+    shares the package's training step: it pins the episode draw, not the
+    arithmetic of the adaptation."""
+    from prealign.learn import _CORES, AdamState, step
+    from prealign.net import cross_entropy, forward
+    from prealign.seeds import rng_for
+
+    shots, queries = cfg.shots_per_class, cfg.query_per_class
+    per_task = []
+    with _CORES.item():
+        for t, task in enumerate(tasks):
+            rng = rng_for(seed, "meta", t)
+            support_idx, query_idx = [], []
+            for c in range(task.class_count):
+                pool = np.flatnonzero(task.labels == c)
+                picked = rng.choice(pool, size=shots + queries, replace=False)
+                support_idx.append(picked[:shots])
+                query_idx.append(picked[shots:])
+            support = np.concatenate(support_idx)
+            query = np.concatenate(query_idx)
+            clone = mlp.copy()
+            adam = AdamState.for_mlp(clone)
+            x_s, y_s = task.images[support], task.labels[support]
+            for _ in range(cfg.inner_steps):
+                step(clone, adam, x_s, y_s, "FA", cfg.inner_lr)
+            trace = forward(clone, task.images[query])
+            per_task.append(cross_entropy(trace.probabilities, task.labels[query]))
+    return float(sum(per_task)), per_task

@@ -376,6 +376,15 @@ class TestTransformAffine:
         with pytest.raises(ConfigError):
             transform_affine(ds, TransformSpec(), seed=0)
 
+    def test_coordinates_beyond_float_range_refused(self):
+        # they would make NaN pixels, which the clip to [0, 1] keeps
+        ds = grid_dataset()
+        for spec in (TransformSpec(scale=(1e-310, 1e-310)),
+                     TransformSpec(translate_frac=(1e306, 1e306), scale=(1e-10, 1e-10),
+                                   rotate_deg=(45.0, 45.0))):
+            with pytest.raises(ConfigError, match="beyond float range"):
+                transform_affine(ds, spec, seed=0)
+
     def test_spec_range_validation(self):
         with pytest.raises(ConfigError):
             TransformSpec(scale=(1.2, 0.8))
@@ -416,6 +425,28 @@ class TestDatasetInvariants:
             with pytest.raises(DataError):
                 Dataset(images=np.array([[np.nan, 0.5]], dtype=dtype),
                         labels=np.array([0]), class_count=1, name="x")
+
+    def test_derivations_of_a_checked_split_skip_the_scans(self, monkeypatch):
+        # rows, a float32 rounding and a clipped resampling of a checked
+        # split pass every check by construction, so none rescans it
+        from prealign.metrics import MetaConfig, draw_episodes
+        from prealign.runner.experiment import _in_train_precision
+
+        ds = synthetic_blobs(64, 16, 2, seed=0)
+
+        def refuse(self):
+            raise AssertionError(f"{self.name} was scanned")
+
+        monkeypatch.setattr(Dataset, "__post_init__", refuse)
+        (episode,) = draw_episodes([ds], MetaConfig(shots_per_class=3,
+                                                    query_per_class=4), seed=3)
+        derived = [subset(ds, 20, seed=1), _in_train_precision(ds),
+                   transform_affine(ds, TransformSpec(rotate_deg=(-30.0, 30.0)), seed=2),
+                   episode.support, episode.query]
+        monkeypatch.undo()
+        for out in derived:
+            assert not out.images.flags.writeable and not out.labels.flags.writeable
+            assert out == Dataset(out.images, out.labels, out.class_count, out.name)
 
     def test_arrays_read_only(self):
         ds = synthetic_blobs(10, 4, 2, seed=0)

@@ -21,7 +21,7 @@ from prealign.learn import (
     step,
     train,
 )
-from prealign.metrics import MetaConfig, meta_loss
+from prealign.metrics import MetaConfig, draw_episodes, gram_effective_dim, meta_loss
 from prealign.net import cross_entropy, forward, init_mlp
 
 from oracles import (
@@ -403,8 +403,24 @@ class TestDirectCallsComputeOnOneBlasThread:
     def test_meta_loss(self, blas_threads, blobs):
         mlp = init_mlp((784, 100, 10), seed=1)
         cfg = MetaConfig(shots_per_class=60, query_per_class=30, inner_steps=3)
+        episodes = draw_episodes([blobs], cfg, seed=4)
         two, one = self.at_counts(blas_threads,
-                                  lambda: meta_loss(mlp, [blobs], cfg, seed=4))
+                                  lambda: meta_loss(mlp, episodes, cfg))
+        assert two == one
+
+    def test_evaluate(self, blas_threads, blobs):
+        mlp = init_mlp((784, 100, 10), seed=1)
+        x, y = blobs.images[:2_000], blobs.labels[:2_000]
+        two, one = self.at_counts(blas_threads, lambda: evaluate(mlp, x, y))
+        assert two == one
+
+    def test_gram_effective_dim(self, blas_threads):
+        mlp = init_mlp((784, 100, 10), seed=1)
+        with _CORES.item():
+            hidden = [forward(mlp, synthetic_blobs(3_000, 784, 10, seed=k).images)
+                      .activations[-1] for k in range(3)]
+        two, one = self.at_counts(blas_threads,
+                                  lambda: [gram_effective_dim(h) for h in hidden])
         assert two == one
 
 

@@ -1,5 +1,7 @@
 """Tests for alignment, rank, curve, trajectory, and adaptation metrics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from prealign.data import Dataset, synthetic_blobs
 from prealign.errors import ConfigError, NumericError, ShapeError
 from prealign.metrics import (
     MetaConfig,
-    _episode_split,
     accuracy_auc,
     alignment_angles,
+    draw_episodes,
     effective_rank,
     gram_effective_dim,
     meta_loss,
@@ -23,6 +25,7 @@ from oracles import (
     gram_cosine_reference,
     jacobi_eigh,
     jacobi_singular_values,
+    per_call_meta_loss_reference,
 )
 
 
@@ -368,67 +371,117 @@ class TestWeightTrajectoryPca:
 class TestEpisodeSplit:
     def test_disjoint_and_balanced(self):
         task = synthetic_blobs(300, 5, 3, seed=0)
-        rng = np.random.default_rng(42)
-        support, query = _episode_split(task, 10, 10, rng)
-        assert support.size == 30 and query.size == 30
-        assert not set(support) & set(query)
+        (episode,) = draw_episodes([task], MetaConfig(), seed=42)
+        support, query = episode.support, episode.query
+        assert support.n == 30 and query.n == 30
+        assert support.name == query.name == task.name
+        rows = {row.tobytes(): k for k, row in enumerate(task.images)}
+        picked_s = [rows[row.tobytes()] for row in support.images]
+        picked_q = [rows[row.tobytes()] for row in query.images]
+        assert not set(picked_s) & set(picked_q)
+        np.testing.assert_array_equal(support.labels, task.labels[picked_s])
+        np.testing.assert_array_equal(query.labels, task.labels[picked_q])
         for c in range(3):
-            assert (task.labels[support] == c).sum() == 10
-            assert (task.labels[query] == c).sum() == 10
+            assert (support.labels == c).sum() == 10
+            assert (query.labels == c).sum() == 10
+        assert not support.images.flags.writeable
+        assert not query.labels.flags.writeable
 
     def test_insufficient_class_raises(self):
         labels = np.array([0] * 5 + [1] * 30 + [2] * 30)
         images = np.random.default_rng(42).uniform(0, 1, size=(65, 5))
         task = Dataset(images=images, labels=labels, class_count=3, name="t")
-        with pytest.raises(ConfigError):
-            _episode_split(task, 10, 10, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="task t: class 0 has 5 examples, "
+                                              "needs 20"):
+            draw_episodes([task], MetaConfig(), seed=0)
+
+    def test_no_tasks_refused(self):
+        with pytest.raises(ConfigError, match="nonempty"):
+            draw_episodes([], MetaConfig())
+
+    def test_each_lazy_task_is_freed_before_the_next_is_drawn(self):
+        # the runner passes its tasks as they load; an episode copies its
+        # rows, so no task outlives its draw
+        refs = []
+
+        def remembered(task):
+            refs.append(weakref.ref(task))
+            return task
+
+        def tasks():
+            for k in range(3):
+                assert all(ref() is None for ref in refs)
+                yield remembered(synthetic_blobs(200, 5, 3, seed=k))
+
+        episodes = draw_episodes(tasks(), MetaConfig(shots_per_class=2,
+                                                     query_per_class=3), seed=1)
+        assert len(episodes) == 3 and len(refs) == 3
+        assert all(ref() is None for ref in refs)
 
 
 class TestMetaLoss:
     def _task(self, seed=0):
         return synthetic_blobs(400, 8, 3, seed=seed)
 
+    def _loss(self, mlp, tasks, cfg, seed=0):
+        return meta_loss(mlp, draw_episodes(tasks, cfg, seed=seed), cfg)
+
     def test_network_untouched(self):
         mlp = init_mlp((8, 6, 3), seed=0)
         before = ([w.copy() for w in mlp.weights],
                   [b.copy() for b in mlp.biases],
                   [f.copy() for f in mlp.feedback])
-        meta_loss(mlp, [self._task()], MetaConfig(inner_steps=3))
+        self._loss(mlp, [self._task()], MetaConfig(inner_steps=3))
         for group, saved in zip((mlp.weights, mlp.biases, mlp.feedback), before):
             for arr, old in zip(group, saved):
                 np.testing.assert_array_equal(arr, old)
 
     def test_total_is_sum_of_tasks(self):
         mlp = init_mlp((8, 6, 3), seed=0)
-        total, per_task = meta_loss(mlp, [self._task(0), self._task(1)],
-                                    MetaConfig(inner_steps=2))
+        total, per_task = self._loss(mlp, [self._task(0), self._task(1)],
+                                     MetaConfig(inner_steps=2))
         assert len(per_task) == 2
         np.testing.assert_allclose(total, sum(per_task))
 
     def test_deterministic(self):
         mlp = init_mlp((8, 6, 3), seed=0)
         tasks, cfg = [self._task()], MetaConfig(inner_steps=3)
-        assert meta_loss(mlp, tasks, cfg, seed=9) == meta_loss(mlp, tasks, cfg, seed=9)
-        assert meta_loss(mlp, tasks, cfg, seed=9) != meta_loss(mlp, tasks, cfg, seed=10)
+        assert self._loss(mlp, tasks, cfg, seed=9) == self._loss(mlp, tasks, cfg, seed=9)
+        assert self._loss(mlp, tasks, cfg, seed=9) != self._loss(mlp, tasks, cfg, seed=10)
+        episodes = draw_episodes(tasks, cfg, seed=9)
+        assert meta_loss(mlp, episodes, cfg) == meta_loss(mlp, episodes, cfg)
 
     def test_adaptation_lowers_query_loss(self):
-        # same seed -> identical episode split; only the inner loop differs
+        # same episodes; only the inner loop differs
         mlp = init_mlp((8, 6, 3), seed=1)
         frozen = MetaConfig(inner_steps=1, inner_lr=1e-9)
         adapted = MetaConfig(inner_steps=40, inner_lr=0.05)
-        tasks = [self._task()]
-        assert (meta_loss(mlp, tasks, adapted, seed=4)[0]
-                < meta_loss(mlp, tasks, frozen, seed=4)[0])
+        episodes = draw_episodes([self._task()], seed=4)
+        assert meta_loss(mlp, episodes, adapted)[0] < meta_loss(mlp, episodes, frozen)[0]
 
     def test_shape_mismatch_rejected(self):
         mlp = init_mlp((8, 6, 3), seed=0)
-        with pytest.raises(ConfigError):
-            meta_loss(mlp, [synthetic_blobs(100, 9, 3, seed=0)])
-        with pytest.raises(ConfigError):
-            meta_loss(mlp, [synthetic_blobs(100, 8, 4, seed=0)])
+        with pytest.raises(ConfigError, match="task blobs shape"):
+            self._loss(mlp, [synthetic_blobs(200, 9, 3, seed=0)], MetaConfig())
+        with pytest.raises(ConfigError, match="task blobs shape"):
+            self._loss(mlp, [synthetic_blobs(200, 8, 4, seed=0)], MetaConfig())
+
+    @pytest.mark.parametrize("n_tasks", [1, 3])
+    @pytest.mark.parametrize("blas_count", [1, 2])
+    def test_equals_the_per_call_draw(self, blas_threads, n_tasks, blas_count):
+        # drawing the episodes once gives the loss the per-call draw gave
+        blas_threads[0](blas_count)
+        tasks = [synthetic_blobs(600, 64, 10, seed=20 + k, spread=0.2)
+                 for k in range(n_tasks)]
+        cfg = MetaConfig(shots_per_class=5, query_per_class=7, inner_steps=3,
+                         inner_lr=1e-2)
+        for net_seed, seed in [(0, 0), (1, 5), (2, 2**62 + 3)]:
+            mlp = init_mlp((64, 32, 10), seed=net_seed)
+            expected = per_call_meta_loss_reference(mlp, tasks, cfg, seed)
+            assert meta_loss(mlp, draw_episodes(tasks, cfg, seed=seed), cfg) == expected
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="nonempty"):
             meta_loss(init_mlp((8, 6, 3), seed=0), [])
         with pytest.raises(ConfigError):
             MetaConfig(shots_per_class=0)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -1158,7 +1159,11 @@ class TestRunExperiment:
                               inner_steps=2),
         )
         data = experiment_mod._ResolvedData(cfg)
-        assert [task.n for task in data.meta_tasks] == [8, 8]
+        # 2 classes x (1 shot + 1 query) rows of each task, not its 8 rows
+        for episode in data.meta_episodes:
+            for rows in (episode.support, episode.query):
+                assert rows.n == 2 and rows.images.dtype == np.float32
+                assert sorted(rows.labels) == [0, 1]
         with pytest.raises(DataError, match="tried"):
             experiment_mod._ResolvedData(
                 dataclasses.replace(cfg, dataset="kmnist", meta=None,
@@ -1177,7 +1182,9 @@ class TestRunExperiment:
         cfg = smoke_config(tmp_path, **overrides)
         data = experiment_mod._ResolvedData(cfg)
         assert (data.train is None) == (cfg.train is None)
-        held = [data.train, data.eval_test, data.clean_test, *(data.meta_tasks or [])]
+        held = [data.train, data.eval_test, data.clean_test,
+                *(rows for episode in data.meta_episodes or []
+                  for rows in (episode.support, episode.query))]
         assert {ds.images.dtype for ds in held if ds is not None} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("overrides, float64_parses", [
@@ -1227,9 +1234,11 @@ class TestRunExperiment:
                 assert held.images.tobytes() == old.images.tobytes(), attr
                 np.testing.assert_array_equal(held.labels, old.labels)
                 assert held.name == old.name
-        for held, old in zip(data.meta_tasks or [], wide.meta_tasks or [], strict=True):
-            assert held.images.dtype == np.float32
-            assert held.images.tobytes() == old.images.tobytes()
+        for held, old in zip(data.meta_episodes or [], wide.meta_episodes or [],
+                             strict=True):
+            for rows, old_rows in ((held.support, old.support), (held.query, old.query)):
+                assert rows.images.dtype == np.float32
+                assert rows.images.tobytes() == old_rows.images.tobytes()
 
     def test_sweep_runs_all_points(self, tmp_path):
         cfg = smoke_config(tmp_path, trials=1,
@@ -1275,16 +1284,16 @@ class TestRunExperiment:
             assert manifest["failures"] == []
             assert set(manifest["summary"]["fa_pre"]) == {"0"}
 
-    def test_points_differing_in_meta_settings_share_their_tasks(self, tmp_path,
-                                                                 monkeypatch):
-        shots = []
+    def test_points_differing_in_meta_settings_draw_their_own_episodes(
+            self, tmp_path, monkeypatch):
+        seen = []
         resolutions = []
         original_loss = experiment_mod.meta_loss
         original_data = experiment_mod._ResolvedData
 
-        def recorded(mlp, tasks, cfg, *, seed):
-            shots.append(cfg.shots_per_class)
-            return original_loss(mlp, tasks, cfg, seed=seed)
+        def recorded(mlp, episodes, cfg):
+            seen.append((cfg.shots_per_class, tuple(e.support.n for e in episodes)))
+            return original_loss(mlp, episodes, cfg)
 
         def counted(cfg):
             resolutions.append(cfg)
@@ -1292,15 +1301,64 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment_mod, "meta_loss", recorded)
         monkeypatch.setattr(experiment_mod, "_ResolvedData", counted)
-        run_experiment(smoke_config(
-            tmp_path, trials=1, train=None, dataset=None, train_size=None,
-            test_size=None, capture=("meta",),
-            meta=MetaSettings(tasks=("blobs",), query_per_class=2, inner_steps=1),
-            sweep={"meta.shots_per_class": [2, 3]},
-        ))
-        # one load of the tasks, and each point adapts with its own settings
-        assert len(resolutions) == 1
-        assert sorted(set(shots)) == [2, 3]
+
+        def run(sweep):
+            run_experiment(smoke_config(
+                tmp_path, trials=1, train=None, dataset=None, train_size=None,
+                test_size=None, capture=("meta",),
+                meta=MetaSettings(tasks=("blobs",), query_per_class=2, inner_steps=1),
+                sweep=sweep, output_dir=str(tmp_path / str(len(resolutions)))))
+
+        run({"meta.shots_per_class": [1, 2]})
+        # the episodes are drawn at resolution, so each point draws its own,
+        # with 4 classes x its shots support rows
+        assert len(resolutions) == 2
+        assert set(seen) == {(1, (4,)), (2, (8,))}
+        # the adaptation settings leave the episodes as they are
+        run({"meta.inner_steps": [1, 2], "meta.inner_lr": [0.1, 0.01]})
+        assert len(resolutions) == 3
+
+    def test_too_short_class_refused_before_any_output(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment_mod, "_run_single",
+                            lambda *args: calls.append(args))
+        # blobs-test holds 1,024 rows of 4 classes; 300 per class is too many
+        cfg = smoke_config(tmp_path, capture=("meta",),
+                           meta=MetaSettings(tasks=("blobs",), shots_per_class=150,
+                                             query_per_class=150),
+                           sweep={"meta.inner_steps": [1, 2]})
+        with pytest.raises(ConfigError, match=r"task blobs-test: class \d has \d+ "
+                                              r"examples, needs 300"):
+            run_experiment(cfg)
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_each_task_split_is_freed_before_the_next_loads(self, tmp_path,
+                                                            monkeypatch):
+        original = experiment_mod.load_named_split
+        loaded = []
+
+        def remembered(name, split, *args):
+            assert all(ref() is None for ref in loaded), f"{name} loaded beside a task"
+            ds = original(name, split, *args)
+            loaded.append(weakref.ref(ds))
+            return ds
+
+        names = ("mnist", "fashion-mnist", "kmnist")
+        rng = np.random.default_rng(2)
+        for name in names:
+            write_idx_layout(tmp_path / name,
+                             rng.integers(0, 256, size=(4, 4, 4), dtype=np.uint8),
+                             [0, 1, 2, 3],
+                             rng.integers(0, 256, size=(32, 4, 4), dtype=np.uint8),
+                             [0, 1, 2, 3] * 8)
+        monkeypatch.setattr(experiment_mod, "load_named_split", remembered)
+        data = experiment_mod._ResolvedData(smoke_config(
+            tmp_path, dataset=None, train=None, train_size=None, test_size=None,
+            data_dir=str(tmp_path), capture=("meta",),
+            meta=MetaSettings(tasks=names, shots_per_class=2, query_per_class=3)))
+        assert len(loaded) == 3
+        assert [(e.support.n, e.query.n) for e in data.meta_episodes] == [(8, 12)] * 3
 
     def test_sweep_resolves_every_point_before_any_run(self, tmp_path, monkeypatch):
         calls = []
