@@ -5,24 +5,28 @@ sweep expands into its points, and a config without one is one point.  Every
 point's datasets and few-shot episodes are resolved before any item runs,
 once per distinct data spec, so missing files and few-shot classes too
 short for an episode fail before any compute.  The items then run on one
-pool, longest first, or serially in list order.  Each item holds a core of
+pool, longest first, or serially in list order; the serial branch runs on
+the calling thread, which is what lets Ctrl-C stop a serial run at once
+(a pool finishes its running items first).  Each item holds a core of
 ``learn._CORES`` while it runs, and so computes on one BLAS thread, so that
 no output depends on ``--threads`` or on other runs in the process; the
 package's helper threads (the noise sampler, the few-shot adaptation of
 the ``meta`` capture) run only on cores that no one holds, and the bytes
-do not depend on where they ran.  Every variant of a trial
-starts from identical initial weights; every random stream of a trial is
-derived from the trial's seed, and every stream a whole point shares (data
-subsets, the evaluation transform, few-shot episodes) from ``master_seed``,
-each with a distinct label, so adding a metric never perturbs training
-randomness.
-Outputs per point: ``records.csv`` (per variant),
-``model_<trial>_<phase>.bin`` checkpoints and a ``manifest.json`` embedding
-the resolved config, seeds, initial-state metrics, per-trial summaries and
-failures; a sweep adds an index manifest above its points.  Errors are written, then raised: a failing pair is
-recorded in its point's manifest, and only after every point's outputs are
-on disk is the first error of the first point in which no pair succeeded
-raised.
+do not depend on where they ran.  One function, ``_capture_metrics``,
+computes a snapshot's captures, with ``meta`` on its helper thread.  Every
+variant of a trial starts from identical initial weights; every random
+stream of a trial is derived from the trial's seed, and every stream a
+whole point shares (data subsets, the evaluation transform, few-shot
+episodes) from ``master_seed``, each with a distinct label, so adding a
+metric never perturbs training randomness.
+Once every item has run, ``_write_point`` writes each point, in list
+order, from its own items' outcomes (results or errors): ``records.csv``
+per variant and a ``manifest.json`` embedding the resolved config, seeds,
+initial-state metrics, per-trial summaries and failures, beside the
+``model_<trial>_<phase>.bin`` checkpoints; a sweep adds an index manifest
+above its points.  Errors are written, then raised: only after every
+point's outputs are on disk is the first error of the first point in which
+no pair succeeded raised.
 """
 
 from __future__ import annotations
@@ -170,39 +174,33 @@ class _ResolvedData:
 
 
 def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
-    if "meta" not in cfg.capture:
-        return _captures_but_meta(cfg, mlp, data)
+    out = {}
     with _CORES.helper("meta") as helper:
         # the few-shot episodes adapt on a free core while this thread
-        # computes the other captures; both only read ``mlp``
-        meta = helper.submit(meta_loss, mlp, data.meta_episodes, cfg.meta)
-        out = _captures_but_meta(cfg, mlp, data)
-        total, per_task = meta.result()
-    out["meta_loss"] = total
-    for name, value in zip(cfg.meta.tasks, per_task):
-        out[f"meta_loss_{name}"] = value
-    return out
-
-
-def _captures_but_meta(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
-    out = {}
-    n_layers = mlp.n_layers
-    if "angles" in cfg.capture:
-        for l in range(n_layers):
-            out[f"angle_mean_l{l}"] = alignment_angles(mlp, l).mean_deg
-    if "distance" in cfg.capture:
-        for l in range(n_layers):
-            out[f"wb_dist_l{l}"] = weight_feedback_distance(mlp, l)
-    if "eff_rank" in cfg.capture:
-        for l in range(n_layers):
-            out[f"eff_rank_l{l}"] = effective_rank(mlp.weights[l])
-    if "gram" in cfg.capture:
-        trace = forward(mlp, data.eval_test.images)
-        out["gram_eff_dim"] = gram_effective_dim(trace.activations[-1])
-    if "clean_test" in cfg.capture:
-        loss, acc = evaluate(mlp, data.clean_test.images, data.clean_test.labels)
-        out["clean_test_loss"] = loss
-        out["clean_test_acc"] = acc
+        # computes the other captures; both only read ``mlp``.  An executor
+        # starts no thread until something is submitted.
+        if cfg.meta is not None:
+            meta = helper.submit(meta_loss, mlp, data.meta_episodes, cfg.meta)
+        if "angles" in cfg.capture:
+            for l in range(mlp.n_layers):
+                out[f"angle_mean_l{l}"] = alignment_angles(mlp, l).mean_deg
+        if "distance" in cfg.capture:
+            for l in range(mlp.n_layers):
+                out[f"wb_dist_l{l}"] = weight_feedback_distance(mlp, l)
+        if "eff_rank" in cfg.capture:
+            for l in range(mlp.n_layers):
+                out[f"eff_rank_l{l}"] = effective_rank(mlp.weights[l])
+        if "gram" in cfg.capture:
+            trace = forward(mlp, data.eval_test.images)
+            out["gram_eff_dim"] = gram_effective_dim(trace.activations[-1])
+        if "clean_test" in cfg.capture:
+            loss, acc = evaluate(mlp, data.clean_test.images, data.clean_test.labels)
+            out["clean_test_loss"] = loss
+            out["clean_test_acc"] = acc
+        if cfg.meta is not None:
+            out["meta_loss"], per_task = meta.result()
+            for name, value in zip(cfg.meta.tasks, per_task):
+                out[f"meta_loss_{name}"] = value
     return out
 
 
@@ -274,6 +272,57 @@ def _run_single(cfg: ExperimentConfig, variant, trial: int,
     return records, initial, summary
 
 
+def _variant_dir(point: ExperimentConfig, variant) -> Path:
+    """Where ``variant``'s outputs of ``point`` go: the point's directory,
+    or a subdirectory named after the variant when the point has several."""
+    out = Path(point.output_dir)
+    return out if len(point.variants) == 1 else out / variant.name
+
+
+def _write_point(point: ExperimentConfig, data: _ResolvedData,
+                 outcomes) -> tuple[dict, list[PrealignError]]:
+    """Write ``point``'s ``records.csv`` files and manifest from its own
+    ``(trial, variant, outcome)`` list, in item order, where an outcome is
+    :func:`_run_single`'s result or the error it raised.  Returns the
+    manifest and the point's errors."""
+    records = {v.name: [] for v in point.variants}
+    initial = {v.name: {} for v in point.variants}
+    summaries = {v.name: {} for v in point.variants}
+    failures = []
+    for trial, v, outcome in outcomes:
+        if isinstance(outcome, PrealignError):
+            failures.append((trial, v.name, outcome))
+            continue
+        rows, initial[v.name][str(trial)], summaries[v.name][str(trial)] = outcome
+        records[v.name] += rows
+    for v in point.variants:
+        if records[v.name]:
+            emit_csv(records[v.name], _variant_dir(point, v) / "records.csv")
+    manifest = {
+        "experiment_id": point.experiment_id,
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "library_version": __version__,
+        "numpy_version": np.__version__,
+        "blas_threads": None if _openblas_threads() is None else 1,
+        "scale": point.scale,
+        "config": config_to_dict(point),
+        "trial_seeds": [derive_trial_seed(point.master_seed, t)
+                        for t in range(point.trials)],
+        "data": {
+            "train": None if data.train is None
+            else {"name": data.train.name, "n": data.train.n},
+            "eval_test": None if data.eval_test is None
+            else {"name": data.eval_test.name, "n": data.eval_test.n},
+        },
+        "initial_metrics": initial,
+        "summary": summaries,
+        "failures": [{"trial": trial, "variant": name, "error": type(e).__name__,
+                      "message": str(e)} for trial, name, e in failures],
+    }
+    write_manifest(manifest, Path(point.output_dir) / "manifest.json")
+    return manifest, [e for _, _, e in failures]
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute a config; returns the manifest payload of the run, or the
     sweep index of a config with a sweep."""
@@ -286,15 +335,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if key not in resolved:
             resolved[key] = _ResolvedData(point)
         data.append(resolved[key])
-    variant_dirs = []
     for point in points:
-        out_root = Path(point.output_dir)
-        single = len(point.variants) == 1
-        dirs = {v.name: out_root if single else out_root / v.name
-                for v in point.variants}
-        for vdir in dirs.values():
-            vdir.mkdir(parents=True, exist_ok=True)
-        variant_dirs.append(dirs)
+        for v in point.variants:
+            _variant_dir(point, v).mkdir(parents=True, exist_ok=True)
     if cfg.sweep:
         index = {
             "experiment_id": cfg.experiment_id,
@@ -313,7 +356,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         i, trial, v = item
         try:
             with _CORES.item():
-                return _run_single(points[i], v, trial, data[i], variant_dirs[i][v.name])
+                return _run_single(points[i], v, trial, data[i], _variant_dir(points[i], v))
         except PrealignError as e:
             return e
 
@@ -336,60 +379,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             outcomes = [outcome for _, outcome in sorted(zip(order, ranked))]
     else:
         outcomes = [run_item(item) for item in items]
-    blas_threads = None if _openblas_threads() is None else 1
 
+    by_point = [[] for _ in points]
+    for (i, trial, v), outcome in zip(items, outcomes):
+        by_point[i].append((trial, v, outcome))
     first_error: PrealignError | None = None
-    for i, point in enumerate(points):
-        by_variant: dict[str, list[RunRecord]] = {v.name: [] for v in point.variants}
-        initial_metrics: dict[str, dict] = {v.name: {} for v in point.variants}
-        summaries: dict[str, dict] = {v.name: {} for v in point.variants}
-        failures: list[dict] = []
-        errors = []
-        for (j, trial, v), outcome in zip(items, outcomes):
-            if j != i:
-                continue
-            if isinstance(outcome, PrealignError):
-                failures.append(
-                    {
-                        "trial": trial,
-                        "variant": v.name,
-                        "error": type(outcome).__name__,
-                        "message": str(outcome),
-                    }
-                )
-                errors.append(outcome)
-                continue
-            records, initial, summary = outcome
-            by_variant[v.name].extend(records)
-            initial_metrics[v.name][str(trial)] = initial
-            summaries[v.name][str(trial)] = summary
-        if first_error is None and len(errors) == point.trials * len(point.variants):
+    for point, point_data, point_outcomes in zip(points, data, by_point):
+        manifest, errors = _write_point(point, point_data, point_outcomes)
+        if first_error is None and len(errors) == len(point_outcomes):
             first_error = errors[0]
-
-        for name, records in by_variant.items():
-            if records:
-                emit_csv(records, variant_dirs[i][name] / "records.csv")
-        manifest = {
-            "experiment_id": point.experiment_id,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "library_version": __version__,
-            "numpy_version": np.__version__,
-            "blas_threads": blas_threads,
-            "scale": point.scale,
-            "config": config_to_dict(point),
-            "trial_seeds": [derive_trial_seed(point.master_seed, t)
-                            for t in range(point.trials)],
-            "data": {
-                "train": None if data[i].train is None
-                else {"name": data[i].train.name, "n": data[i].train.n},
-                "eval_test": None if data[i].eval_test is None
-                else {"name": data[i].eval_test.name, "n": data[i].eval_test.n},
-            },
-            "initial_metrics": initial_metrics,
-            "summary": summaries,
-            "failures": failures,
-        }
-        write_manifest(manifest, Path(point.output_dir) / "manifest.json")
     if first_error is not None:
         raise first_error
     return index if cfg.sweep else manifest

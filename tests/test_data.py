@@ -83,6 +83,18 @@ class TestLoadIdx:
         with pytest.raises(FormatError):
             load_idx(ip, lp)
 
+    def test_truncated_label_header(self, tmp_path):
+        ip = write(tmp_path / "i", idx_image_bytes(np.zeros((1, 1, 1))))
+        lp = write(tmp_path / "l", b"\x00\x00\x08\x01\x00")
+        with pytest.raises(FormatError, match="l: truncated IDX header"):
+            load_idx(ip, lp)
+
+    def test_label_payload_size_mismatch(self, tmp_path):
+        ip = write(tmp_path / "i", idx_image_bytes(np.zeros((2, 1, 1))))
+        lp = write(tmp_path / "l", idx_label_bytes([0, 1]) + b"\x00")
+        with pytest.raises(FormatError, match="does not match header count$"):
+            load_idx(ip, lp)
+
     def test_count_mismatch(self, tmp_path):
         ip = write(tmp_path / "i", idx_image_bytes(np.zeros((2, 2, 2))))
         lp = write(tmp_path / "l", idx_label_bytes([0]))

@@ -156,6 +156,13 @@ class TestAdam:
         with pytest.raises(ShapeError):
             Gradients(tiny_mlp.dims, np.zeros(tiny_mlp.params.size + 1))
 
+    def test_zero_learning_rate_rejected(self, tiny_mlp):
+        state = AdamState.for_mlp(tiny_mlp)
+        grads = Gradients(tiny_mlp.dims, np.zeros_like(tiny_mlp.params))
+        with pytest.raises(ConfigError, match="learning_rate must be > 0"):
+            adam_step(tiny_mlp, state, grads, learning_rate=0.0)
+        assert state.step == 0
+
     def test_nonfinite_update_rejected(self, tiny_mlp):
         state = AdamState.for_mlp(tiny_mlp)
         grads = Gradients(tiny_mlp.dims, np.zeros_like(tiny_mlp.params))
@@ -349,6 +356,19 @@ class TestTrainLoop:
             train(tiny_mlp, np.zeros((0, 5)), np.zeros(0, dtype=int),
                   np.zeros((1, 5)), np.zeros(1, dtype=int),
                   TrainConfig())
+
+    @pytest.mark.parametrize("x, y, message", [
+        (np.zeros((4, 5)), np.zeros(3, dtype=int), "4 inputs but 3 labels"),
+        (np.zeros((4, 6)), np.zeros(4, dtype=int), "feature count 6 != network input 5"),
+    ], ids=["label-count", "feature-count"])
+    def test_mismatched_split_rejected(self, tiny_mlp, x, y, message):
+        with pytest.raises(ConfigError, match=message):
+            train(tiny_mlp, x, y, np.zeros((1, 5)), np.zeros(1, dtype=int),
+                  TrainConfig())
+
+    def test_zero_learning_rate_rejected(self):
+        with pytest.raises(ConfigError, match="learning_rate must be > 0"):
+            TrainConfig(learning_rate=0)
 
     def test_bad_rule_rejected(self, rng, tiny_mlp):
         x = rng.normal(size=(4, 5))

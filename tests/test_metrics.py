@@ -329,6 +329,12 @@ class TestWeightTrajectoryPca:
         with pytest.raises(ShapeError):
             weight_trajectory_pca(snaps, rng.normal(size=6))
 
+    def test_nan_snapshot_rejected(self, rng):
+        snaps = [rng.normal(size=6) for _ in range(3)]
+        snaps[1][2] = np.nan
+        with pytest.raises(NumericError, match="NaN or Inf"):
+            weight_trajectory_pca(snaps, rng.normal(size=6))
+
     @pytest.mark.parametrize("k", [0, 5])
     def test_k_out_of_range_rejected(self, rng, k):
         # 3 snapshots and the feedback point allow at most 4 axes

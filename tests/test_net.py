@@ -1,5 +1,7 @@
 """Network construction, forward pass, loss, and checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,12 @@ class TestInit:
         with pytest.raises(ConfigError):
             init_mlp((5, 0, 3), seed=0)
 
+    def test_misshaped_weight_rejected(self, tiny_mlp):
+        weights = [w.T for w in tiny_mlp.weights]
+        with pytest.raises(ShapeError, match="do not match dims"):
+            Mlp(dims=tiny_mlp.dims, weights=weights, biases=tiny_mlp.biases,
+                feedback=tiny_mlp.feedback)
+
     def test_copy_is_deep(self, tiny_mlp):
         clone = tiny_mlp.copy()
         clone.weights[0][0, 0] += 1.0
@@ -107,6 +115,17 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(tiny_mlp, np.zeros((3, 4)))
 
+    def test_one_dimensional_batch_rejected(self, tiny_mlp):
+        with pytest.raises(ShapeError, match="ndim=1"):
+            forward(tiny_mlp, np.zeros(5))
+
+    def test_overflowing_logits_rejected(self):
+        mlp = init_mlp((4, 3), seed=0)
+        mlp.weights[0][...] = 1.0
+        # each logit sums to inf in float32, and softmax of inf is NaN
+        with pytest.raises(NumericError, match="NaN or Inf probabilities"):
+            forward(mlp, np.full((2, 4), 3e38))
+
     def test_softmax_max_subtraction(self):
         logits = np.array([[1000.0, 1000.0]])
         np.testing.assert_allclose(softmax(logits), [[0.5, 0.5]])
@@ -138,6 +157,11 @@ class TestLoss:
         trace = forward(tiny_mlp, rng.normal(size=(2, 5)))
         with pytest.raises(ShapeError):
             cross_entropy(trace.probabilities, np.array([0]))
+
+    def test_float_labels_rejected(self, tiny_mlp, rng):
+        trace = forward(tiny_mlp, rng.normal(size=(2, 5)))
+        with pytest.raises(ShapeError, match="must be integers"):
+            cross_entropy(trace.probabilities, np.array([0.0, 1.0]))
 
     def test_float32_probabilities_reduce_in_float64(self, tiny_mlp, rng):
         y = rng.integers(0, 3, size=9)
@@ -204,6 +228,12 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(FormatError):
+            load_mlp(path)
+
+    def test_single_layer_size_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"PRLN1" + struct.pack("<II", 1, 3))
+        with pytest.raises(FormatError, match="declares 1 layer sizes"):
             load_mlp(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -172,6 +172,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             full_config(sweep=sweep)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("variants", [], "at least one variant"),
+        ("scale", 0, "scale must be > 0"),
+        ("pretrain", None, "no noise settings"),
+        ("pretrain.distribution.kind", "laplace", "unknown distribution kind 'laplace'"),
+        ("meta.tasks", [], "meta tasks must be nonempty"),
+    ])
+    def test_config_document_refused(self, key, value, message):
+        doc = config_to_dict(full_config(capture=("angles", "meta"), meta=MetaSettings()))
+        *path, last = key.split(".")
+        section = doc
+        for name in path:
+            section = section[name]
+        section[last] = value
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(doc)
+
     def test_train_needs_dataset(self):
         with pytest.raises(ConfigError):
             full_config(dataset=None)
@@ -557,6 +574,10 @@ class TestLoadNamedDataset:
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             load_named_split("imagenet", "test", "data")
+
+    def test_unknown_split(self):
+        with pytest.raises(ConfigError, match="unknown split 'val'"):
+            load_named_split("blobs", "val", "unused", 16, 4)
 
     def test_missing_files_list_what_was_tried(self, tmp_path):
         with pytest.raises(DataError, match="tried"):
@@ -976,11 +997,15 @@ class TestRunExperiment:
             return original(cfg, variant, trial, data, out_dir)
 
         monkeypatch.setattr(experiment_mod, "_run_single", flaky)
-        manifest = run_experiment(smoke_config(tmp_path))
-        assert [f["trial"] for f in manifest["failures"]] == [1]
-        assert manifest["failures"][0]["error"] == "NumericError"
-        rows = (tmp_path / "out" / "records.csv").read_text().splitlines()[1:]
-        assert {r.split(",")[0] for r in rows} == {"0", "2"}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            manifest = run_experiment(smoke_config(tmp_path, threads=threads,
+                                                   output_dir=str(out)))
+            assert [f["trial"] for f in manifest["failures"]] == [1]
+            assert manifest["failures"][0]["error"] == "NumericError"
+            assert set(manifest["summary"]["fa_pre"]) == {"0", "2"}
+            rows = (out / "records.csv").read_text().splitlines()[1:]
+            assert {r.split(",")[0] for r in rows} == {"0", "2"}
 
     def test_dead_layer_rank_recorded_as_failure(self, tmp_path, monkeypatch):
         original = experiment_mod.init_mlp
@@ -1379,10 +1404,12 @@ class TestRunExperiment:
             return original(cfg, variant, trial, data, out_dir)
 
         monkeypatch.setattr(experiment_mod, "_run_single", first_point_fails)
-        with pytest.raises(NumericError, match="boom"):
-            run_experiment(smoke_config(tmp_path, sweep={"train_size": [64, 128]}))
-        out = tmp_path / "out"
-        assert (out / "train_size=128" / "records.csv").exists()
-        assert not (out / "train_size=64" / "records.csv").exists()
-        failed = json.loads((out / "train_size=64" / "manifest.json").read_text())
-        assert [f["trial"] for f in failed["failures"]] == [0, 1, 2]
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            with pytest.raises(NumericError, match="boom"):
+                run_experiment(smoke_config(tmp_path, sweep={"train_size": [64, 128]},
+                                            threads=threads, output_dir=str(out)))
+            assert (out / "train_size=128" / "records.csv").exists()
+            assert not (out / "train_size=64" / "records.csv").exists()
+            failed = json.loads((out / "train_size=64" / "manifest.json").read_text())
+            assert [f["trial"] for f in failed["failures"]] == [0, 1, 2]
