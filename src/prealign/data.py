@@ -339,9 +339,10 @@ def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
 def synthetic_blobs(
     n: int, input_dim: int, class_count: int, seed: int, spread: float = 0.08
 ) -> Dataset:
-    """Gaussian class blobs with pixels in [0, 1]; a data-free stand-in for
-    demos and smoke runs.  Class centers are drawn uniformly in
-    [0.25, 0.75] per dimension; samples add N(0, spread^2) noise and clip."""
+    """Gaussian class blobs with pixels in [0, 1]; the data-free ``blobs``
+    dataset of README's examples and the tests.  Class centers are drawn
+    uniformly in [0.25, 0.75] per dimension; samples add N(0, spread^2)
+    noise and clip."""
     if n < 1 or input_dim < 1 or class_count < 1:
         raise ConfigError(
             f"need positive sizes, got n={n}, input_dim={input_dim}, "

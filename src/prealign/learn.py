@@ -83,22 +83,28 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-class _Done:
-    """The result of a call that has already run."""
+class _Deferred:
+    """A call that runs on the calling thread when its result is first
+    read."""
 
-    def __init__(self, value) -> None:
-        self._value = value
+    def __init__(self, fn, args, kwargs) -> None:
+        self._call = (fn, args, kwargs)
 
     def result(self):
+        if self._call is not None:
+            fn, args, kwargs = self._call
+            self._call = None
+            self._value = fn(*args, **kwargs)
         return self._value
 
 
 class _OnCaller:
-    """Stands in for a helper thread when no core is free: ``submit`` runs
-    the call at once on the calling thread."""
+    """Stands in for a helper thread when no core is free: ``submit``
+    defers the call until its result is read, so that a caller who submits
+    ahead holds no result before it needs it."""
 
-    def submit(self, fn, /, *args, **kwargs) -> _Done:
-        return _Done(fn(*args, **kwargs))
+    def submit(self, fn, /, *args, **kwargs) -> _Deferred:
+        return _Deferred(fn, args, kwargs)
 
 
 class _Cores:

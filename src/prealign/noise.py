@@ -14,24 +14,31 @@ attributed to the epoch containing its first sample.
 Each logging epoch's steps hold a core (see ``learn._Cores``), and so run
 on one thread of the OpenBLAS that numpy bundles; the snapshot hook runs
 outside the hold, at the caller's BLAS count.  Inside a runner item, which
-holds its core throughout, an epoch takes no other.  When a core is free,
-a helper thread draws the batches, from the same generator in the same
-order, and keeps two draws in flight ahead of the batch that steps; no
-draw crosses an epoch boundary.  When no core is free, the calling thread
-draws them itself, in the same order.  The draws are the same on both
-paths, and so are the trained weights, bit for bit.
+holds its core throughout, an epoch takes no other.  An epoch's batches are
+drawn up to four at a time, one draw of inputs and one of labels per group,
+from two streams of the seed: ``noise`` for the inputs and ``labels`` for
+the labels, so that where one group ends does not move the other stream.
+When a core is free, a helper thread makes the draws and keeps one ahead of
+the group that steps; no draw crosses an epoch boundary.  When no core is
+free, the calling thread makes each draw itself as its group comes up to
+step, in the same groups and order.  The draws are the same on both paths,
+and so are the trained weights, bit for bit.
 
-Batches are drawn in the network's precision.  At float32 on a 784-100-10
-network with batches of 64, a draw takes longer than a step (the
-``stage_us`` of ``BENCH_17.json`` has the numbers), so where a helper
-thread draws, it sets the pace; the second draw in flight keeps it from
-waiting on the step thread.
+Batches are drawn in the network's precision.  Float32 Gaussian batches
+come from the Box-Muller transform (Box & Muller, 1958) on raw 64-bit
+words of the generator: the high 24 bits k of word i set the radius
+``sqrt(-2 ln((k + 1) 2**-24))``, which bounds every value by
+``sqrt(48 ln 2)``, about 5.77; the low 24 bits set the angle; and the
+cosine and sine terms fill flat positions 2i and 2i + 1.  Its float32
+``log``, ``sin`` and ``cos`` are numpy's, whose kernels numpy picks by CPU
+feature, so those bytes hold for one host (README's "Determinism" says what
+was compared).  Float64 batches are ``standard_normal``, and uniform ones
+``random``, of the network's width.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +106,12 @@ class NoiseConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
+# batches per draw: a helper's numpy calls contend with the stepping thread
+# for the interpreter lock, and drawing four batches at once makes them few
+# per batch
+_BATCHES_PER_DRAW = 4
+
+
 def _epoch_batches(config: NoiseConfig) -> list[tuple[int, list[int]]]:
     """``(epoch, batch sizes)`` for each logging epoch of ``config``: the
     epochs in which a batch starts, numbered from 1."""
@@ -109,14 +122,62 @@ def _epoch_batches(config: NoiseConfig) -> list[tuple[int, list[int]]]:
             for epoch, group in starts]
 
 
+# Box-Muller: 24-bit integers to the radius's uniform on (0, 1] and to the
+# angle on [0, 2 pi)
+_UNIT = np.float32(2.0**-24)
+_TURN = np.float32(2 * np.pi * 2.0**-24)
+# words per pass: each of the three float32-wide temporaries is 128 KiB at
+# most, whatever the draw's size (larger ones raised the peak RSS of two
+# pooled noise trials by about 2 MB)
+_PASS_WORDS = 1 << 15
+# columns of a word's low and high 32 bits in its uint32 view
+_LOW, _HIGH = (0, 1) if np.little_endian else (1, 0)
+
+
+def _box_muller(count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` float32 standard normal values from ``ceil(count / 2)``
+    raw words of ``rng``'s bit generator.  The words' buffer becomes the
+    output: each pass reads its words before it writes their values."""
+    pairs = -(-count // 2)
+    words = rng.bit_generator.random_raw(pairs)
+    halves = words.view(np.uint32).reshape(pairs, 2)
+    out = words.view(np.float32).reshape(pairs, 2)
+    size = min(pairs, _PASS_WORDS)
+    ints, radius, angle = (np.empty(size, np.uint32), np.empty(size, np.float32),
+                           np.empty(size, np.float32))
+    for start in range(0, pairs, size):
+        stop = min(start + size, pairs)
+        k, r, a = ints[:stop - start], radius[:stop - start], angle[:stop - start]
+        np.right_shift(halves[start:stop, _HIGH], 8, out=k)
+        k += 1
+        np.multiply(k, _UNIT, out=r, dtype=np.float32)
+        np.log(r, out=r)
+        r *= np.float32(-2)
+        np.sqrt(r, out=r)
+        np.bitwise_and(halves[start:stop, _LOW], 0xFFFFFF, out=k)
+        np.multiply(k, _TURN, out=a, dtype=np.float32)
+        cos = np.cos(a, out=k.view(np.float32))
+        np.sin(a, out=a)
+        np.multiply(cos, r, out=out[start:stop, 0])
+        np.multiply(a, r, out=out[start:stop, 1])
+    return out.reshape(-1)[:count]
+
+
 def sample_noise_batch(n: int, dim: int, distribution, rng: np.random.Generator,
                        dtype=TRAIN_DTYPE) -> np.ndarray:
     """Draw an ``(n, dim)`` batch of noise inputs in ``dtype`` (float32 or
-    float64): standard draws of that width, scaled and shifted in place."""
+    float64), scaled and shifted in place: Box-Muller values for float32
+    Gaussian batches, ``standard_normal`` for float64 ones and ``random``
+    for uniform ones.  ``n`` rows drawn at once are the rows of consecutive
+    draws from the same stream whenever each of those draws holds an even
+    number of values."""
     if n < 1 or dim < 1:
         raise ConfigError(f"batch shape must be positive, got ({n}, {dim})")
     if isinstance(distribution, Gaussian):
-        x = rng.standard_normal((n, dim), dtype=dtype)
+        if np.dtype(dtype) == np.float32:
+            x = _box_muller(n * dim, rng).reshape(n, dim)
+        else:
+            x = rng.standard_normal((n, dim), dtype=dtype)
         x *= float(distribution.std)
         x += float(distribution.mean)
         return x
@@ -144,7 +205,7 @@ def pretrain_random_noise(
     seed: int = 0,
 ) -> list[RunRecord]:
     """Train ``mlp`` in place on fresh noise with random labels, drawn from
-    the stream that ``seed`` picks.
+    the streams that ``seed`` picks.
 
     Returns one :class:`RunRecord` per logging epoch with the sample-weighted
     mean batch loss and accuracy of the noise stream itself (test fields stay
@@ -153,15 +214,18 @@ def pretrain_random_noise(
     outside the epoch's hold on a core, at the caller's BLAS count.  No
     helper thread outlives the call, whatever a step or the hook raises.
     """
-    rng = rng_for(seed, "noise")
+    inputs, labels = rng_for(seed, "noise"), rng_for(seed, "labels")
     adam = AdamState.for_mlp(mlp)
     dim, n_classes = mlp.dims[0], mlp.dims[-1]
     records: list[RunRecord] = []
     sum_loss = sum_acc = 0.0
 
-    def draw(size: int):
-        x = sample_noise_batch(size, dim, config.distribution, rng, mlp.params.dtype)
-        return x, sample_random_labels(size, n_classes, rng)
+    def draw(sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        n = sum(sizes)
+        x = sample_noise_batch(n, dim, config.distribution, inputs, mlp.params.dtype)
+        y = sample_random_labels(n, n_classes, labels)
+        offsets = list(itertools.accumulate(sizes[:-1]))
+        return list(zip(np.split(x, offsets), np.split(y, offsets)))
 
     def train_step(x: np.ndarray, y: np.ndarray) -> None:
         nonlocal sum_loss, sum_acc
@@ -169,18 +233,22 @@ def pretrain_random_noise(
         sum_loss += len(y) * cross_entropy(trace.probabilities, y)
         sum_acc += len(y) * accuracy(trace.probabilities, y)
 
+    def train_group(drawn) -> None:
+        for batch in drawn.result():
+            train_step(*batch)
+
     for epoch, sizes in _epoch_batches(config):
         sum_loss = sum_acc = 0.0
-        # up to two draws in flight while a batch steps; leaving the block
-        # joins the sampler, and result() raises what the draw raised
+        groups = [sizes[start:start + _BATCHES_PER_DRAW]
+                  for start in range(0, len(sizes), _BATCHES_PER_DRAW)]
+        # the next group's draw is in flight while a group steps; leaving
+        # the block joins the sampler, and result() raises what a draw raised
         with _CORES.item(), _CORES.helper("noise-sampler") as sampler:
-            ahead = deque()
-            for size in sizes:
-                ahead.append(sampler.submit(draw, size))
-                if len(ahead) > 2:
-                    train_step(*ahead.popleft().result())
-            while ahead:
-                train_step(*ahead.popleft().result())
+            pending = sampler.submit(draw, groups[0])
+            for group in groups[1:]:
+                drawn, pending = pending, sampler.submit(draw, group)
+                train_group(drawn)
+            train_group(pending)
         seen = sum(sizes)
         records.append(
             RunRecord(

@@ -182,7 +182,7 @@ def test_preset_rerun_is_byte_identical(criterion, tmp_path):
     reason="the one-fifth-duration angle bound is not reached: trials 0-2 at "
     "1e5 noise samples reach 86.5 deg as configured (batch 64, lr 1e-4, 1,563 "
     "Adam steps); at equal steps the larger batch aligns more (1,563 steps: "
-    "87.9 deg at batch 16, 86.5 at batch 64; 6,250 steps: 86.5 at batch 4, "
+    "88.0 deg at batch 16, 86.5 at batch 64; 6,250 steps: 86.5 at batch 4, "
     "81.5 at batch 16), and rows with equal steps*sqrt(batch) agree within "
     "0.2 deg; the full-duration bound and the loss decrease both hold",
     strict=False,

@@ -2,8 +2,13 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +109,89 @@ class TestSampling:
             sample_random_labels(3, 0, rng)
 
 
+def _raw_words(*words: int):
+    """A stand-in generator whose bit generator returns ``words`` raw."""
+    return SimpleNamespace(bit_generator=SimpleNamespace(
+        random_raw=lambda n: np.array(words[:n], dtype=np.uint64)))
+
+
+def _x86_v4() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+# prints whether numpy dispatches X86_V4 kernels, and the SHA-256 of 1.6M
+# float32 Gaussian values
+_DRAW_DIGEST = """
+import hashlib
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from prealign.noise import Gaussian, sample_noise_batch
+x = sample_noise_batch(2048, 784, Gaussian(), np.random.default_rng(3))
+print(__cpu_features__["X86_V4"], hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+class TestBoxMuller:
+    """Float32 Gaussian batches: Box-Muller on raw 64-bit words."""
+
+    def test_word_bits_set_radius_and_angle(self):
+        # word i's high 24 bits k give the radius sqrt(-2 ln((k + 1) 2**-24))
+        # and its low 24 bits j the angle 2 pi j 2**-24; bits 24-39 are
+        # unused; the cosine term goes first
+        k_max, quarter_turn = (1 << 24) - 1, 1 << 22
+        x = sample_noise_batch(2, 3, Gaussian(), _raw_words(
+            0, (k_max << 40) | 12345, ((k_max - 1) << 40) | (0xFFFF << 24) | quarter_turn))
+        assert x.dtype == np.float32
+        top, small = math.sqrt(48 * math.log(2)), math.sqrt(-2 * math.log1p(-2.0**-24))
+        np.testing.assert_allclose(x.ravel(), [top, 0, 0, 0, 0, small], rtol=1e-5, atol=1e-10)
+        assert x[0, 1] == 0 and x[0, 2] == 0 and x[1, 0] == 0
+
+    def test_moments_and_bound(self):
+        x = sample_noise_batch(1024, 1024, Gaussian(), np.random.default_rng(11))
+        z = x.astype(np.float64).ravel()
+        assert z.size >= 1_000_000
+        mean, std = z.mean(), z.std()
+        kurtosis = float(np.mean((z - mean) ** 4)) / std**4
+        assert abs(mean) < 0.005  # standard errors: 0.001, 0.0007 and 0.005
+        assert abs(std - 1) < 0.005
+        assert abs(kurtosis - 3) < 0.025
+        assert np.abs(x).max() <= math.sqrt(48 * math.log(2)) * (1 + 1e-6)
+
+    def test_one_draw_of_four_batches_is_four_draws(self):
+        one = sample_noise_batch(4 * 64, 784, Gaussian(0.5, 2.0), rng_for(2, "noise"))
+        rng = rng_for(2, "noise")
+        four = [sample_noise_batch(64, 784, Gaussian(0.5, 2.0), rng) for _ in range(4)]
+        np.testing.assert_array_equal(one, np.concatenate(four), strict=True)
+
+    def test_odd_value_count_uses_a_whole_last_word(self):
+        rng = np.random.default_rng(4)
+        odd = sample_noise_batch(3, 5, Gaussian(), rng)
+        after = rng.bit_generator.random_raw()
+        fresh = np.random.default_rng(4)
+        even = sample_noise_batch(4, 4, Gaussian(), fresh)
+        assert odd.shape == (3, 5) and odd.flags.c_contiguous
+        np.testing.assert_array_equal(odd.ravel(), even.ravel()[:15])
+        assert after == fresh.bit_generator.random_raw()
+
+    @pytest.mark.skipif(not _x86_v4(), reason="numpy finds no X86_V4 on this CPU")
+    def test_same_bytes_without_avx512_kernels(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+            env = dict(os.environ, PYTHONPATH=str(src))
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            result = subprocess.run([sys.executable, "-c", _DRAW_DIGEST], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout.split())
+        (v4_default, default), (v4_disabled, disabled) = outputs
+        assert (v4_default, v4_disabled) == ("True", "False")
+        assert default == disabled
+
+
 class TestNoiseConfig:
     def test_defaults(self):
         cfg = NoiseConfig()
@@ -179,19 +267,20 @@ class TestPretrain:
             assert 0.0 <= r.train_acc <= 1.0
 
     def test_batches_run_across_epoch_boundaries(self):
-        # replay the exact rng stream by hand: batch sizes 64, 64, 2 with no
-        # reset at the epoch-2 and epoch-3 boundaries
+        # replay the exact rng streams by hand: batch sizes 64, 64, 2, one
+        # draw each (one batch per epoch), with no reset at the epoch-2 and
+        # epoch-3 boundaries
         cfg = NoiseConfig(total_samples=130, samples_per_epoch=50, batch_size=64,
                           learning_rate=1e-3)
         mlp = init_mlp((6, 5, 3), seed=1)
         manual = mlp.copy()
         pretrain_random_noise(mlp, cfg, seed=3)
 
-        rng = rng_for(3, "noise")
+        inputs, labels = rng_for(3, "noise"), rng_for(3, "labels")
         adam = AdamState.for_mlp(manual)
         for size in (64, 64, 2):
-            x = sample_noise_batch(size, 6, cfg.distribution, rng)
-            y = sample_random_labels(size, 3, rng)
+            x = sample_noise_batch(size, 6, cfg.distribution, inputs)
+            y = sample_random_labels(size, 3, labels)
             grads = backward_fa(manual, forward(manual, x), y)
             adam_step(manual, adam, grads, cfg.learning_rate)
         for a, b in zip(mlp.weights, manual.weights):
@@ -200,20 +289,22 @@ class TestPretrain:
             np.testing.assert_array_equal(a, b)
 
     def test_mean_loss_weighted_by_batch_size(self):
-        # epoch 1 sees batches of 40 and 20 samples; recompute the weighted
-        # mean from a hand replay and compare exactly
+        # epoch 1 sees batches of 40 and 20 samples, drawn as one group of
+        # 60; recompute the weighted mean from a hand replay and compare
+        # exactly
         cfg = NoiseConfig(total_samples=60, samples_per_epoch=60, batch_size=40,
                           learning_rate=1e-3)
         mlp = init_mlp((6, 5, 3), seed=2)
         manual = mlp.copy()
         records = pretrain_random_noise(mlp, cfg, seed=5)
 
-        rng = rng_for(5, "noise")
+        xs = sample_noise_batch(60, 6, cfg.distribution, rng_for(5, "noise"))
+        ys = sample_random_labels(60, 3, rng_for(5, "labels"))
         adam = AdamState.for_mlp(manual)
         total = 0.0
-        for size in (40, 20):
-            x = sample_noise_batch(size, 6, cfg.distribution, rng)
-            y = sample_random_labels(size, 3, rng)
+        for rows in (slice(0, 40), slice(40, 60)):
+            x, y = xs[rows], ys[rows]
+            size = len(y)
             trace = forward(manual, x)
             # the loss reduces in float64 whatever the network's precision
             p_true = trace.probabilities[np.arange(size), y].astype(np.float64)
@@ -327,13 +418,15 @@ class TestSamplerThread:
         cfg = NoiseConfig(total_samples=640, samples_per_epoch=320, batch_size=64)
         if failure is ConfigError:
             cfg = dataclasses.replace(cfg, distribution="not a distribution")
-        drawing_4 = threading.Event()
+        # each epoch's 5 batches are drawn in groups of 4 and 1: the second
+        # draw is in flight while the first group's batches step
+        drawing_2 = threading.Event()
         draws, steps = [], []
 
-        def slow_draw_4(*args):
+        def slow_draw_2(*args):
             draws.append(None)
-            if len(draws) == 4:
-                drawing_4.set()
+            if len(draws) == 2:
+                drawing_2.set()
                 time.sleep(0.2)  # still drawing when step 3 raises
             return sample_noise_batch(*args)
 
@@ -342,11 +435,11 @@ class TestSamplerThread:
         def raises_on_step_3(*args):
             steps.append(None)
             if failure is NumericError and len(steps) == 3:
-                assert drawing_4.wait(10)
+                assert drawing_2.wait(10)
                 raise NumericError("boom")
             return original_step(*args)
 
-        monkeypatch.setattr(noise_mod, "sample_noise_batch", slow_draw_4)
+        monkeypatch.setattr(noise_mod, "sample_noise_batch", slow_draw_2)
         monkeypatch.setattr(noise_mod, "step", raises_on_step_3)
         outcome = []
 

@@ -787,6 +787,7 @@ class TestRunExperiment:
             pretrain=NoiseConfig(total_samples=128, samples_per_epoch=64, batch_size=64),
             sweep={"pretrain.total_samples": [128, 640]},
         ))
+        # each epoch holds one batch, so one draw: 2 epochs, then 10
         assert len(draws) == 2 + 10
         assert {free for helped, free in draws if helped} == {1}
         assert {helped for helped, free in draws if free == 0} == {False}
