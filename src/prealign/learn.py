@@ -8,10 +8,11 @@ random feedback matrices:
     BP:  delta_l = (delta_{l+1} @ W_{l+1})   * relu'(o_l)
     FA:  delta_l = (delta_{l+1} @ B_{l+1}.T) * relu'(o_l)
 
-with ``relu'(0) := 0``.  The output delta is ``probabilities - one_hot``
-divided by the batch size, the fused gradient of mean cross-entropy through
-softmax.  Setting ``B = W.T`` makes the two rules bitwise identical, which
-the tests assert.
+with ``relu'(0) := 0``, read off the ReLU output ``max(o_l, 0)``, which is
+positive exactly where ``o_l`` is.  The output delta is ``probabilities -
+one_hot`` divided by the batch size, the fused gradient of mean
+cross-entropy through softmax.  Setting ``B = W.T`` makes the two rules
+bitwise identical, which the tests assert.
 """
 
 from __future__ import annotations
@@ -259,9 +260,9 @@ def _backward(mlp: Mlp, trace: ForwardTrace, labels, use_feedback: bool,
               buffers: _Buffers | None) -> Gradients:
     y = _check_labels(trace.probabilities, labels)
     n = trace.probabilities.shape[0]
-    if len(trace.pre_activations) != mlp.n_layers:
+    if len(trace.activations) != mlp.n_layers:
         raise ShapeError(
-            f"trace has {len(trace.pre_activations)} layers, network has "
+            f"trace has {len(trace.activations)} layers, network has "
             f"{mlp.n_layers}"
         )
     if buffers is None:
@@ -281,7 +282,7 @@ def _backward(mlp: Mlp, trace: ForwardTrace, labels, use_feedback: bool,
             else:
                 np.matmul(delta, mlp.weights[l], out=carried)
             mask = buffers.masks[l - 1][:n]
-            np.greater(trace.pre_activations[l - 1], 0, out=mask)
+            np.greater(trace.activations[l], 0, out=mask)
             carried *= mask
             delta = carried
     return grads

@@ -14,10 +14,10 @@ with a handful of whole-vector operations.  Gradients and optimizer state
 use the same layout.
 
 Networks train in float32 (:data:`TRAIN_DTYPE`): the vector's dtype sets the
-precision of the forward pass, the backward pass, Adam and the noise draws,
-and a float64 network runs the same code in float64.  Losses and every
-metric reduce in float64, and checkpoints store float64 whatever the
-network's precision, so a float32 network round-trips exactly.
+precision of the forward pass, the backward pass and Adam, and a float64
+network runs the same code in float64, on noise drawn in float32 and widened.
+Losses and every metric reduce in float64, and checkpoints store float64
+whatever the network's precision, so a float32 network round-trips exactly.
 """
 
 from __future__ import annotations
@@ -115,13 +115,13 @@ class Mlp:
 class ForwardTrace:
     """Intermediate state of one forward pass, kept for the backward pass.
 
-    ``activations[l]`` is the input to layer ``l`` (``activations[0]`` is the
-    batch itself), ``pre_activations[l]`` the affine output ``o`` of layer
-    ``l`` before its nonlinearity, and ``probabilities`` the softmax output.
+    ``activations[l]`` is the input to layer ``l``: ``activations[0]`` is
+    the batch itself, and each later one the ReLU output of the layer
+    before, which is positive exactly where that layer's affine output is.
+    ``probabilities`` is the softmax output of the last layer.
     """
 
     activations: list[np.ndarray]
-    pre_activations: list[np.ndarray]
     probabilities: np.ndarray
 
 
@@ -180,26 +180,22 @@ def forward(mlp: Mlp, batch, out: ForwardTrace | None = None) -> ForwardTrace:
     n = x.shape[0]
     if out is None:
         out = _empty_trace(mlp.dims, n, mlp.params.dtype)
-    pre_activations = [o[:n] for o in out.pre_activations]
     activations = [x] + [h[:n] for h in out.activations[1:]]
     probabilities = out.probabilities[:n]
     last = mlp.n_layers - 1
+    # each layer's affine output is transformed in its output buffer;
     # overflow here surfaces as NumericError below, not a runtime warning
     with np.errstate(over="ignore"):
-        for l in range(mlp.n_layers):
-            o = np.matmul(activations[l], mlp.weights[l].T, out=pre_activations[l])
+        for l, o in enumerate(activations[1:] + [probabilities]):
+            np.matmul(activations[l], mlp.weights[l].T, out=o)
             o += mlp.biases[l]
             if l == last:
-                softmax(o, out=probabilities)
+                softmax(o, out=o)
             else:
-                np.maximum(o, 0.0, out=activations[l + 1])
+                np.maximum(o, 0.0, out=o)
     if not np.all(np.isfinite(probabilities)):
         raise NumericError("forward pass produced NaN or Inf probabilities")
-    return ForwardTrace(
-        activations=activations,
-        pre_activations=pre_activations,
-        probabilities=probabilities,
-    )
+    return ForwardTrace(activations=activations, probabilities=probabilities)
 
 
 def _empty_trace(dims, rows: int, dtype) -> ForwardTrace:
@@ -207,7 +203,6 @@ def _empty_trace(dims, rows: int, dtype) -> ForwardTrace:
     ``activations[0]``, the batch itself, is left as ``None``."""
     return ForwardTrace(
         activations=[None] + [np.empty((rows, d), dtype=dtype) for d in dims[1:-1]],
-        pre_activations=[np.empty((rows, d), dtype=dtype) for d in dims[1:]],
         probabilities=np.empty((rows, dims[-1]), dtype=dtype),
     )
 

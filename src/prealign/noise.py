@@ -24,16 +24,17 @@ free, the calling thread makes each draw itself as its group comes up to
 step, in the same groups and order.  The draws are the same on both paths,
 and so are the trained weights, bit for bit.
 
-Batches are drawn in the network's precision.  Float32 Gaussian batches
-come from the Box-Muller transform (Box & Muller, 1958) on raw 64-bit
-words of the generator: the high 24 bits k of word i set the radius
-``sqrt(-2 ln((k + 1) 2**-24))``, which bounds every value by
-``sqrt(48 ln 2)``, about 5.77; the low 24 bits set the angle; and the
-cosine and sine terms fill flat positions 2i and 2i + 1.  Its float32
-``log``, ``sin`` and ``cos`` are numpy's, whose kernels numpy picks by CPU
-feature, so those bytes hold for one host (README's "Determinism" says what
-was compared).  Float64 batches are ``standard_normal``, and uniform ones
-``random``, of the network's width.
+Batches are drawn in float32 whatever the network's precision, so a
+float64 network, which widens each batch in ``forward``, trains on the same
+noise as a float32 one.  Gaussian batches come from the Box-Muller
+transform (Box & Muller, 1958) on raw 64-bit words of the generator: the
+high 24 bits k of word i set the radius ``sqrt(-2 ln((k + 1) 2**-24))``,
+which bounds every value by ``sqrt(48 ln 2)``, about 5.77; the low 24 bits
+set the angle; and the cosine and sine terms fill flat positions 2i and
+2i + 1.  Its float32 ``log``, ``sin`` and ``cos`` are numpy's, whose kernels
+numpy picks by CPU feature, so those bytes hold for one host (README's
+"Determinism" says what was compared).  Uniform batches are float32
+``random``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, require_float, require_int
 from .learn import _CORES, AdamState, _snapshot_metrics, step
-from .net import TRAIN_DTYPE, Mlp, accuracy, cross_entropy
+from .net import Mlp, accuracy, cross_entropy
 from .records import RunRecord
 from .seeds import rng_for
 
@@ -163,26 +164,22 @@ def _box_muller(count: int, rng: np.random.Generator) -> np.ndarray:
     return out.reshape(-1)[:count]
 
 
-def sample_noise_batch(n: int, dim: int, distribution, rng: np.random.Generator,
-                       dtype=TRAIN_DTYPE) -> np.ndarray:
-    """Draw an ``(n, dim)`` batch of noise inputs in ``dtype`` (float32 or
-    float64), scaled and shifted in place: Box-Muller values for float32
-    Gaussian batches, ``standard_normal`` for float64 ones and ``random``
+def sample_noise_batch(n: int, dim: int, distribution,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Draw an ``(n, dim)`` float32 batch of noise inputs, scaled and
+    shifted in place: Box-Muller values for Gaussian batches and ``random``
     for uniform ones.  ``n`` rows drawn at once are the rows of consecutive
     draws from the same stream whenever each of those draws holds an even
     number of values."""
     if n < 1 or dim < 1:
         raise ConfigError(f"batch shape must be positive, got ({n}, {dim})")
     if isinstance(distribution, Gaussian):
-        if np.dtype(dtype) == np.float32:
-            x = _box_muller(n * dim, rng).reshape(n, dim)
-        else:
-            x = rng.standard_normal((n, dim), dtype=dtype)
+        x = _box_muller(n * dim, rng).reshape(n, dim)
         x *= float(distribution.std)
         x += float(distribution.mean)
         return x
     if isinstance(distribution, Uniform):
-        x = rng.random((n, dim), dtype=dtype)
+        x = rng.random((n, dim), dtype=np.float32)
         x *= float(distribution.high - distribution.low)
         x += float(distribution.low)
         return x
@@ -222,7 +219,7 @@ def pretrain_random_noise(
 
     def draw(sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
         n = sum(sizes)
-        x = sample_noise_batch(n, dim, config.distribution, inputs, mlp.params.dtype)
+        x = sample_noise_batch(n, dim, config.distribution, inputs)
         y = sample_random_labels(n, n_classes, labels)
         offsets = list(itertools.accumulate(sizes[:-1]))
         return list(zip(np.split(x, offsets), np.split(y, offsets)))

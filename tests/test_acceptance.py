@@ -8,8 +8,10 @@ exact-equality tolerances float32 cannot meet); 6-14 run presets through
 manifests, so they check what ``prealign reproduce`` runs.  1-7 and 10 run everywhere; 8, 9, 11, 12, and 13 train on
 real datasets and skip when ``PREALIGN_DATA_DIR`` does not provide them; 14
 is the multi-hour full-duration tier and also needs
-``PREALIGN_RUN_FULL_SCALE=1``.  The last, unnumbered test runs the
-real-data criteria's configurations on generated data at 1/5000 duration.
+``PREALIGN_RUN_FULL_SCALE=1``.  A data-free check that stands in for part
+of a criterion prints ``proxy NN ...`` instead (``proxy  7a``, beside 7).
+The last, unnumbered test runs the real-data criteria's configurations on
+generated data at 1/5000 duration.
 """
 
 import contextlib
@@ -46,24 +48,33 @@ MASTER = 0
 FIG_DIMS = (784, 100, 10)
 
 
+@contextlib.contextmanager
+def _report_line(capsys, head: str, summary: str):
+    """Prints ``<head> PASS|FAIL|SKIP <summary>`` as the body exits, with
+    the body's status."""
+    status = "FAIL"
+    try:
+        yield
+        status = "PASS"
+    except pytest.skip.Exception:
+        status = "SKIP"
+        raise
+    finally:
+        with capsys.disabled():
+            print(f"{head} {status:<4} {summary}")
+
+
 @pytest.fixture
 def criterion(capsys):
     """Report-line printer: ``with criterion(3, "..."): <asserts>``."""
+    return lambda num, summary: _report_line(capsys, f"criterion {num:2d}", summary)
 
-    @contextlib.contextmanager
-    def _criterion(num: int, summary: str):
-        status = "FAIL"
-        try:
-            yield
-            status = "PASS"
-        except pytest.skip.Exception:
-            status = "SKIP"
-            raise
-        finally:
-            with capsys.disabled():
-                print(f"criterion {num:2d} {status:<4} {summary}")
 
-    return _criterion
+@pytest.fixture
+def proxy(capsys):
+    """Report-line printer of a data-free check that stands in for part of
+    a criterion: ``with proxy("7a", "..."): <asserts>``."""
+    return lambda name, summary: _report_line(capsys, f"proxy {name:>3}", summary)
 
 
 def test_backward_pass_matches_finite_differences(criterion):
@@ -213,6 +224,32 @@ def test_noise_training_aligns_the_last_layer(criterion, tmp_path):
             f"samples, {full:.2f} deg at 5e5"
         )
         assert all(loss_drops) and full < 75.0 and fifth < 80.0, detail
+
+
+def test_batch_and_steps_set_the_noise_angle_together(proxy, tmp_path):
+    with proxy("7a", "equal steps*sqrt(batch) give equal angles; at equal "
+                     "steps the larger batch aligns more (noise, no data)"):
+        # criterion 7's run at three (batch, samples) rows: 1,563 steps at
+        # batch 16, 391 at 256 and 1,563 at 64.  Over trials 3-5 the first
+        # two rows' last-layer angles differed by 0.26 deg at most, and the
+        # first and third by 1.33 deg at least; 0.5 deg lies between.
+        tolerance = 0.5
+        rows = ((16, 25_000), (256, 100_000), (64, 100_000))
+        base = reproduce("fig1e")
+        angles = []
+        for batch, samples in rows:
+            out = tmp_path / f"batch={batch},samples={samples}"
+            run_experiment(replace(
+                base, master_seed=MASTER, trials=3, threads=2, output_dir=str(out),
+                pretrain=replace(base.pretrain, total_samples=samples, batch_size=batch),
+            ))
+            summary = json.loads((out / "manifest.json").read_text())["summary"]
+            angles.append([summary["fa_pre"][str(t)]["final_metrics"]["angle_mean_l1"]
+                           for t in range(3)])
+        b16, b256, b64 = np.array(angles)
+        detail = f"angles per trial at {rows}: {np.round(angles, 3).tolist()}"
+        assert np.all(np.abs(b256 - b16) <= tolerance), detail
+        assert np.all(b16 - b64 > tolerance), detail
 
 
 # The runs of the real-data criteria: name -> (preset, what the criteria

@@ -247,8 +247,7 @@ class TestPrecision:
         for name, group in (("weights", mlp.weights), ("biases", mlp.biases),
                             ("feedback", mlp.feedback), ("d_weights", grads.d_weights),
                             ("d_biases", grads.d_biases), ("deltas", buffers.deltas),
-                            ("activations", trace.activations[1:]),
-                            ("pre_activations", trace.pre_activations)):
+                            ("activations", trace.activations[1:])):
             arrays.update((f"{name}[{l}]", a) for l, a in enumerate(group))
         assert {name: a.dtype for name, a in arrays.items()
                 if a.dtype != np.float32} == {}
@@ -256,7 +255,7 @@ class TestPrecision:
     def test_forward_of_a_float64_batch_is_float32(self, rng):
         mlp = init_mlp((784, 100, 10), seed=0)
         trace = forward(mlp, rng.normal(size=(5, 784)))
-        for a in trace.activations + trace.pre_activations + [trace.probabilities]:
+        for a in trace.activations + [trace.probabilities]:
             assert a.dtype == np.float32
 
     def test_train_keeps_the_network_float32(self, rng):

@@ -19,7 +19,7 @@ from prealign.net import (
 
 from prealign.learn import AdamState, step
 
-from oracles import softmax_cross_entropy_reference
+from oracles import forward_unfused, softmax_cross_entropy_reference
 
 
 class TestInit:
@@ -94,16 +94,15 @@ class TestForward:
                                    atol=1e-12, rtol=0)
 
     def test_relu_gates_negative_preactivations(self, tiny_mlp, rng):
-        trace = forward(tiny_mlp, rng.normal(size=(6, 5)))
-        hidden = trace.activations[1]
-        pre = trace.pre_activations[0]
-        np.testing.assert_array_equal(hidden, np.maximum(pre, 0.0))
-        assert (pre < 0).any()
+        x = rng.normal(size=(6, 5)).astype(np.float32)
+        trace = forward(tiny_mlp, x)
+        _, pre, _ = forward_unfused(tiny_mlp.weights, tiny_mlp.biases, x)
+        np.testing.assert_array_equal(trace.activations[1], np.maximum(pre[0], 0.0))
+        assert (pre[0] < 0).any()
 
     def test_trace_shapes(self, tiny_mlp, rng):
         trace = forward(tiny_mlp, rng.normal(size=(6, 5)))
-        assert len(trace.activations) == 2
-        assert len(trace.pre_activations) == 2
+        assert [a.shape for a in trace.activations] == [(6, 5), (6, 4)]
         assert trace.probabilities.shape == (6, 3)
 
     def test_large_logits_stay_finite(self):
@@ -133,10 +132,11 @@ class TestForward:
 
 class TestLoss:
     def test_matches_reference(self, tiny_mlp, rng):
-        x = rng.normal(size=(9, 5))
+        x = rng.normal(size=(9, 5)).astype(np.float32)
         y = rng.integers(0, 3, size=9)
         trace = forward(tiny_mlp, x)
-        expected = softmax_cross_entropy_reference(trace.pre_activations[-1], y)
+        _, pre, _ = forward_unfused(tiny_mlp.weights, tiny_mlp.biases, x)
+        expected = softmax_cross_entropy_reference(pre[-1], y)
         assert abs(cross_entropy(trace.probabilities, y) - expected) < 1e-10
 
     def test_perfect_prediction_near_zero(self):
