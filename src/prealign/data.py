@@ -2,10 +2,13 @@
 
 Loaders parse the distribution formats directly (big-endian IDX, libsvm
 text), accept gzip-compressed files transparently, and normalize pixels to
-[0, 1].  Transformed variants of a dataset, used for evaluation on shifted
-inputs, are produced by per-image random affine resampling, evaluated a
-block of images at a time.  No loader
-touches the network; everything here is a pure function of file content.
+[0, 1].  Every dataset holds its images in the precision networks train in
+(:data:`~prealign.net.TRAIN_DTYPE`, float32): :class:`Dataset` rounds the
+values it is given once, after checking them, so no caller chooses a
+precision.  Transformed variants of a dataset, used for evaluation on
+shifted inputs, are produced by per-image random affine resampling,
+evaluated a block of images at a time.  No loader touches the network;
+everything here is a pure function of file content.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, require_float
+from .net import TRAIN_DTYPE
 
 __all__ = [
     "Dataset",
@@ -35,10 +39,10 @@ __all__ = [
 class Dataset:
     """Immutable image classification data.
 
-    ``images`` is ``(n, input_dim)`` with values in [0, 1], float32 when
-    given as float32 and float64 otherwise; ``labels`` is ``(n,)`` integer
-    class indices below ``class_count``.  ``load_idx`` divides pixels in
-    the precision it is given; the other loaders return float64 images.
+    ``images`` is ``(n, input_dim)`` with values in [0, 1]; ``labels`` is
+    ``(n,)`` integer class indices below ``class_count``.  The values given
+    are checked, then rounded once to :data:`~prealign.net.TRAIN_DTYPE`;
+    a float32 array is held uncopied.
     """
 
     images: np.ndarray
@@ -48,8 +52,6 @@ class Dataset:
 
     def __post_init__(self) -> None:
         images = np.asarray(self.images)
-        if images.dtype != np.float32:
-            images = np.asarray(images, dtype=np.float64)
         labels = np.asarray(self.labels)
         if images.ndim != 2 or images.shape[0] == 0:
             raise DataError(f"{self.name}: images must be nonempty 2-D")
@@ -67,7 +69,8 @@ class Dataset:
         # written so that a NaN pixel, which compares false, is refused too
         if not (images.min() >= 0.0 and images.max() <= 1.0):
             raise DataError(f"{self.name}: pixel values outside [0, 1]")
-        self._freeze(images, labels)
+        # rounding keeps [0, 1]: both ends are float32 values
+        self._freeze(images.astype(TRAIN_DTYPE, copy=False), labels)
 
     def _freeze(self, images: np.ndarray, labels: np.ndarray) -> None:
         images.flags.writeable = False
@@ -79,8 +82,8 @@ class Dataset:
     def _derived(cls, images: np.ndarray, labels: np.ndarray, class_count: int,
                  name: str) -> "Dataset":
         """A Dataset of arrays derived from a checked one: some of its rows,
-        its images rounded to float32, or a resampling clipped to [0, 1].
-        Such values pass every check by construction, so the scans of
+        or a float32 resampling clipped to [0, 1].  Such values pass every
+        check by construction, so the scans and the rounding of
         ``__post_init__`` are skipped; the arrays are still made read-only."""
         ds = object.__new__(cls)
         object.__setattr__(ds, "class_count", class_count)
@@ -145,11 +148,11 @@ def _stem(path) -> str:
     return name[:-3] if name.endswith(".gz") else name
 
 
-def load_idx(images_path, labels_path, dtype=np.float64) -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse a big-endian IDX image/label file pair (the MNIST family's
     distribution format): image magic 0x00000803 with (n, rows, cols), label
-    magic 0x00000801 with (n), u8 pixels divided by 255 in ``dtype``.  A
-    float32 quotient is the float64 one rounded to float32, for every u8."""
+    magic 0x00000801 with (n), u8 pixels divided by 255 in float32.  For
+    every u8, that quotient is the float64 one rounded to float32."""
     img_raw = _read_bytes(images_path)
     if len(img_raw) < 16:
         raise FormatError(f"{images_path}: truncated IDX header")
@@ -174,7 +177,7 @@ def load_idx(images_path, labels_path, dtype=np.float64) -> Dataset:
     images = np.frombuffer(img_raw, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lab_raw, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(
-        images=np.divide(images, 255.0, dtype=dtype),
+        images=np.divide(images, 255.0, dtype=TRAIN_DTYPE),
         labels=labels,
         class_count=int(labels.max()) + 1 if n else 0,
         name=_stem(images_path),
@@ -262,9 +265,11 @@ def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
     the spec's ranges with generator ``seed``, using inverse-mapped bilinear
     interpolation with zero padding.  Labels are unchanged.
 
-    Images are processed in blocks of ``_AFFINE_BLOCK``, with temporaries
-    the size of one block, allocated once; the output is bitwise equal to
-    evaluating the formula one image at a time (the draws, the inverse map
+    Images are processed in blocks of ``_AFFINE_BLOCK``, with float64
+    temporaries the size of one block, allocated once; each pixel's sum of
+    its four taps is rounded once into the float32 output.  So the output is
+    bitwise equal to evaluating the formula in float64 one image at a time,
+    on the widened images, and rounding it once (the draws, the inverse map
     and the four bilinear taps keep that per-pixel operation order)."""
     side = math.isqrt(ds.input_dim)
     if side * side != ds.input_dim:
@@ -300,6 +305,7 @@ def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
     # pairs of temporaries, x then y, and the weight and tap of one product
     coords, corners, one_minus, (weight, tap) = (
         np.empty((2, _AFFINE_BLOCK, side, side)) for _ in range(4))
+    total = np.empty((_AFFINE_BLOCK, side, side))  # each pixel's sum of taps
     top_left = np.empty((_AFFINE_BLOCK, side, side), dtype=np.intp)
     images = ds.images.reshape(ds.n, side, side)
     out = np.empty_like(ds.images)
@@ -325,13 +331,14 @@ def transform_affine(ds: Dataset, spec: TransformSpec, *, seed: int) -> Dataset:
         np.add(y0, x0, out=y0)
         np.add(y0, origin[:k], out=top_left[:k], casting="unsafe")
         one_minus_fx, one_minus_fy = np.subtract(1, xy, out=one_minus[:, :k])
-        acc = out_images[b]
+        acc = total[:k]
         acc.fill(0.0)  # a sum from +0.0, so a -0.0 first tap gives +0.0
         for view, wy, wx in zip(taps, (one_minus_fy, one_minus_fy, fy, fy),
                                 (one_minus_fx, fx, one_minus_fx, fx)):
             w = np.multiply(wy, wx, out=weight[:k])
             w *= np.take(view, top_left[:k], mode="clip", out=tap[:k])
             acc += w
+        out_images[b] = acc
     np.clip(out, 0.0, 1.0, out=out)
     return Dataset._derived(out, ds.labels.copy(), ds.class_count, f"{ds.name}-affine")
 

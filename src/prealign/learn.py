@@ -112,7 +112,8 @@ class _Cores:
     """The process's cores as the package shares them.  Whatever computes
     for the package holds one: each item of a run, ``prealign eval`` and
     ``metrics``, each epoch of :func:`train` and of the noise loop, and
-    each :func:`evaluate`, ``meta_loss`` and ``gram_effective_dim`` call;
+    each :func:`evaluate`, ``meta_loss``, ``effective_rank``,
+    ``gram_effective_dim`` and ``weight_trajectory_pca`` call;
     ``net.forward``, which runs inside every step, holds none of its own.
     While any is held, OpenBLAS runs on one thread, so no result depends on
     how many threads compute or where.  A core no one holds is free, and

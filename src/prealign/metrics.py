@@ -112,11 +112,13 @@ def weight_feedback_distance(mlp: Mlp, layer: int) -> float:
     return float(np.linalg.norm(w - b.T))
 
 
+@_CORES.item()
 def effective_rank(m) -> float:
     """Exponential of the Shannon entropy of the normalized singular values:
     ``exp(-sum sbar_i ln sbar_i)`` with ``sbar = s / sum(s)`` and
     ``0 * ln 0 := 0``.  Raises :class:`ShapeError` unless ``m`` is a nonempty
-    2-D matrix and :class:`NumericError` on NaN, Inf or an all-zero matrix."""
+    2-D matrix and :class:`NumericError` on NaN, Inf or an all-zero matrix.
+    The call holds a core, as :func:`gram_effective_dim` does."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ShapeError(f"need a nonempty 2-D matrix, got shape {a.shape}")
@@ -171,6 +173,7 @@ def accuracy_auc(per_epoch_accuracy) -> float:
     return float(np.trapezoid(a) / (a.size - 1))
 
 
+@_CORES.item()
 def weight_trajectory_pca(snapshots, feedback_point, k: int = 2):
     """Project a weight trajectory and its feedback target to ``k``
     principal components.
@@ -180,7 +183,8 @@ def weight_trajectory_pca(snapshots, feedback_point, k: int = 2):
     top ``k`` right singular vectors of the centred points, each with its
     sign flipped so that its first nonzero entry is positive.  Returns
     ``(coords, feedback_coord)``: an ``(n_snapshots, k)`` array and a
-    ``(k,)`` vector.
+    ``(k,)`` vector.  The call holds a core, as :func:`gram_effective_dim`
+    does.
     """
     snaps = [np.asarray(s, dtype=np.float64).ravel() for s in snapshots]
     if len(snaps) < 3:

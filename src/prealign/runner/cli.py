@@ -226,14 +226,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # in the precision runs evaluate in, so that a run's own test split
-    # gives the loss and accuracy its records.csv holds; IDX pixels parse
-    # straight to it, as they do for a run
+    # a float32 network, as runs evaluate, so that a run's own test split
+    # gives the loss and accuracy its records.csv holds
     mlp = load_mlp(args.model, TRAIN_DTYPE)
-    ds = load_named_split(
-        args.dataset, args.split, default_data_dir(args.data_dir), mlp.dims[0],
-        mlp.dims[-1], TRAIN_DTYPE
-    )
+    ds = load_named_split(args.dataset, args.split, default_data_dir(args.data_dir),
+                          mlp.dims[0], mlp.dims[-1])
     loss, acc = evaluate(mlp, ds.images, ds.labels)
     print(json.dumps(
         {"dataset": ds.name, "split": args.split, "n": ds.n,

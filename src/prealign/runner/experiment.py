@@ -53,7 +53,7 @@ from ..metrics import (
     weight_feedback_distance,
     weight_trajectory_pca,
 )
-from ..net import TRAIN_DTYPE, forward, init_mlp, save_mlp
+from ..net import forward, init_mlp, save_mlp
 from ..noise import pretrain_random_noise
 from ..records import RunRecord
 from ..seeds import derive_entropy, derive_trial_seed, rng_for
@@ -84,12 +84,11 @@ def _find(root: Path, name: str) -> Path:
 
 def load_named_split(
     name: str, split: str, data_dir, input_dim: int = 784, class_count: int = 10,
-    dtype=np.float64,
 ) -> Dataset:
     """Load one split, ``"train"`` or ``"test"``, of a dataset by name from
     its conventional layout under ``data_dir``; only that split's files are
-    read.  IDX pixels are divided in ``dtype``.  ``blobs`` is synthetic and
-    needs no files (``input_dim``/``class_count`` apply only to it)."""
+    read.  ``blobs`` is synthetic and needs no files
+    (``input_dim``/``class_count`` apply only to it)."""
     if split not in ("train", "test"):
         raise ConfigError(f"unknown split {split!r}; valid: train, test")
     train = split == "train"
@@ -102,7 +101,7 @@ def load_named_split(
     if name in ("mnist", "fashion-mnist", "kmnist"):
         prefix = "train" if train else "t10k"
         return load_idx(_find(root, f"{prefix}-images-idx3-ubyte"),
-                        _find(root, f"{prefix}-labels-idx1-ubyte"), dtype)
+                        _find(root, f"{prefix}-labels-idx1-ubyte"))
     if name == "usps":
         return load_usps_libsvm(_find(root, "usps" if train else "usps.t"))
     raise ConfigError(f"unknown dataset {name!r}; valid: {DATASET_NAMES}")
@@ -118,25 +117,12 @@ def _data_key(cfg: ExperimentConfig) -> tuple:
             else (cfg.meta.tasks, cfg.meta.shots_per_class, cfg.meta.query_per_class))
 
 
-def _in_train_precision(ds: Dataset) -> Dataset:
-    """``ds`` with its images in the precision networks train in (``ds``
-    itself if they are), so that training and evaluation read no copy."""
-    if ds.images.dtype == TRAIN_DTYPE:
-        return ds
-    return Dataset._derived(ds.images.astype(TRAIN_DTYPE), ds.labels, ds.class_count,
-                            ds.name)
-
-
 class _ResolvedData:
     """The splits an experiment reads and the few-shot episodes of its
     ``meta`` capture; the training split is loaded only when a data phase
-    runs.  Each is held in the precision networks train in: IDX pixels are
-    divided in it as they are parsed, except in a test split that
-    ``eval_transform`` resamples, which is parsed in float64; a float64
-    split is rounded once, after its subset or transform is drawn.  Each
-    few-shot task's test split is loaded, its episode drawn and the split
-    freed before the next task loads, so only the episodes' rows are
-    held."""
+    runs.  Each is float32, as every dataset is.  Each few-shot task's test
+    split is loaded, its episode drawn and the split freed before the next
+    task loads, so only the episodes' rows are held."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.train = None
@@ -145,31 +131,26 @@ class _ResolvedData:
         self.meta_episodes = None
         data_dir = default_data_dir(cfg.data_dir)
 
-        def load(name, split, size=None, seed=None, dtype=TRAIN_DTYPE):
-            ds = load_named_split(name, split, data_dir, cfg.dims[0], cfg.dims[-1],
-                                  dtype)
+        def load(name, split, size=None, seed=None):
+            ds = load_named_split(name, split, data_dir, cfg.dims[0], cfg.dims[-1])
             return ds if size is None else subset(ds, size, seed)
 
         if cfg.dataset is not None:
             sub_seed = derive_entropy(cfg.master_seed, "subset")[0] % 2**63
             if cfg.train is not None:
-                self.train = _in_train_precision(
-                    load(cfg.dataset, "train", cfg.train_size, sub_seed))
-            resampled = cfg.eval_dataset is None and cfg.eval_transform is not None
-            test_ds = load(cfg.dataset, "test", cfg.test_size, sub_seed + 1,
-                           np.float64 if resampled else TRAIN_DTYPE)
-            self.clean_test = self.eval_test = _in_train_precision(test_ds)
+                self.train = load(cfg.dataset, "train", cfg.train_size, sub_seed)
+            self.clean_test = self.eval_test = load(cfg.dataset, "test", cfg.test_size,
+                                                    sub_seed + 1)
             if cfg.eval_dataset is not None:
-                self.eval_test = _in_train_precision(load(cfg.eval_dataset, "test"))
-            elif resampled:
-                self.eval_test = _in_train_precision(transform_affine(
-                    test_ds, cfg.eval_transform,
+                self.eval_test = load(cfg.eval_dataset, "test")
+            elif cfg.eval_transform is not None:
+                self.eval_test = transform_affine(
+                    self.clean_test, cfg.eval_transform,
                     seed=derive_entropy(cfg.master_seed, "transform")[0] % 2**63,
-                ))
-            del test_ds  # a float64 split is not held while the tasks load
+                )
         if cfg.meta is not None:
             self.meta_episodes = draw_episodes(
-                (_in_train_precision(load(name, "test")) for name in cfg.meta.tasks),
+                (load(name, "test") for name in cfg.meta.tasks),
                 cfg.meta, seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63)
 
 

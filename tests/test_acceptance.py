@@ -148,19 +148,20 @@ def test_loaders_and_identity_transform_are_exact(criterion, tmp_path):
         img_path.write_bytes(struct.pack(">IIII", 0x803, 3, 4, 4) + images.tobytes())
         lbl_path.write_bytes(struct.pack(">II", 0x801, 3) + labels.tobytes())
         ds = load_idx(img_path, lbl_path)
-        assert np.array_equal(ds.images, images.reshape(3, 16) / 255.0)
+        assert ds.images.tobytes() == (
+            (images.reshape(3, 16) / 255.0).astype(np.float32).tobytes())
         assert np.array_equal(ds.labels, labels)
 
-        # a float32 parse of every pixel code is the float64 parse rounded
+        # the float32 parse of every pixel code is the float64 quotient rounded
         codes = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
         code_path = tmp_path / "codes-idx3-ubyte"
         code_path.write_bytes(struct.pack(">IIII", 0x803, 1, 16, 16) + codes.tobytes())
         one_label = tmp_path / "one-idx1-ubyte"
         one_label.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
-        narrow = load_idx(code_path, one_label, np.float32)
-        assert narrow.images.dtype == np.float32
-        assert narrow.images.tobytes() == (
-            load_idx(code_path, one_label).images.astype(np.float32).tobytes())
+        parsed = load_idx(code_path, one_label)
+        assert parsed.images.dtype == np.float32
+        assert parsed.images.tobytes() == (
+            (codes.reshape(1, 256) / 255.0).astype(np.float32).tobytes())
 
         # constant sparse-text digits survive the [-1,1] remap and the
         # 16x16 -> 28x28 resample without rounding
@@ -189,6 +190,27 @@ def test_preset_rerun_is_byte_identical(criterion, tmp_path):
         assert dumps[0] == dumps[1]
 
 
+@pytest.fixture(scope="module")
+def noise_angle_run(tmp_path_factory):
+    """Criterion 7's run, fig1e's noise phase at 1e5 and 5e5 samples over
+    trials 0-2, which ``proxy  7a`` reads as its batch-64 row too.  Returns
+    ``{samples: (fa_pre's manifest summary, records.csv rows)}``."""
+    # 3 trials per duration: the margins dwarf the ~2 deg trial spread
+    durations = (100_000, 500_000)
+    out = tmp_path_factory.mktemp("fig1e")
+    run_experiment(replace(
+        reproduce("fig1e"), master_seed=MASTER, trials=3, threads=2,
+        output_dir=str(out), sweep={"pretrain.total_samples": list(durations)},
+    ))
+    runs = {}
+    for samples in durations:
+        point = out / f"total_samples={samples}"
+        summary = json.loads((point / "manifest.json").read_text())["summary"]
+        with open(point / "records.csv", newline="") as f:
+            runs[samples] = summary["fa_pre"], list(csv.DictReader(f))
+    return runs
+
+
 @pytest.mark.xfail(
     reason="the one-fifth-duration angle bound is not reached: trials 0-2 at "
     "1e5 noise samples reach 86.5 deg as configured (batch 64, lr 1e-4, 1,563 "
@@ -198,24 +220,14 @@ def test_preset_rerun_is_byte_identical(criterion, tmp_path):
     "0.2 deg; the full-duration bound and the loss decrease both hold",
     strict=False,
 )
-def test_noise_training_aligns_the_last_layer(criterion, tmp_path):
+def test_noise_training_aligns_the_last_layer(criterion, noise_angle_run):
     with criterion(7, "noise training lowers loss and aligns the last layer"):
-        # 3 trials per duration: the margins dwarf the ~2 deg trial spread
-        durations = (100_000, 500_000)
-        run_experiment(replace(
-            reproduce("fig1e"), master_seed=MASTER, trials=3, threads=2,
-            output_dir=str(tmp_path), sweep={"pretrain.total_samples": list(durations)},
-        ))
         angles, loss_drops = {}, []
-        for samples in durations:
-            point = tmp_path / f"total_samples={samples}"
-            summary = json.loads((point / "manifest.json").read_text())["summary"]
+        for samples, (summary, rows) in noise_angle_run.items():
             angles[samples] = float(np.mean([
-                s["final_metrics"]["angle_mean_l1"] for s in summary["fa_pre"].values()
+                s["final_metrics"]["angle_mean_l1"] for s in summary.values()
             ]))
-            with open(point / "records.csv", newline="") as f:
-                rows = list(csv.DictReader(f))
-            for trial in summary["fa_pre"]:
+            for trial in summary:
                 losses = [float(r["train_loss"]) for r in rows if r["trial"] == trial]
                 loss_drops.append(losses[-1] < losses[0])
         fifth, full = angles[100_000], angles[500_000]
@@ -226,7 +238,8 @@ def test_noise_training_aligns_the_last_layer(criterion, tmp_path):
         assert all(loss_drops) and full < 75.0 and fifth < 80.0, detail
 
 
-def test_batch_and_steps_set_the_noise_angle_together(proxy, tmp_path):
+def test_batch_and_steps_set_the_noise_angle_together(proxy, tmp_path,
+                                                      noise_angle_run):
     with proxy("7a", "equal steps*sqrt(batch) give equal angles; at equal "
                      "steps the larger batch aligns more (noise, no data)"):
         # criterion 7's run at three (batch, samples) rows: 1,563 steps at
@@ -236,16 +249,19 @@ def test_batch_and_steps_set_the_noise_angle_together(proxy, tmp_path):
         tolerance = 0.5
         rows = ((16, 25_000), (256, 100_000), (64, 100_000))
         base = reproduce("fig1e")
-        angles = []
-        for batch, samples in rows:
+        summaries = []
+        for batch, samples in rows[:2]:
             out = tmp_path / f"batch={batch},samples={samples}"
             run_experiment(replace(
                 base, master_seed=MASTER, trials=3, threads=2, output_dir=str(out),
                 pretrain=replace(base.pretrain, total_samples=samples, batch_size=batch),
             ))
-            summary = json.loads((out / "manifest.json").read_text())["summary"]
-            angles.append([summary["fa_pre"][str(t)]["final_metrics"]["angle_mean_l1"]
-                           for t in range(3)])
+            summaries.append(
+                json.loads((out / "manifest.json").read_text())["summary"]["fa_pre"])
+        # the last row, at fig1e's batch of 64, is criterion 7's 1e5 point
+        summaries.append(noise_angle_run[100_000][0])
+        angles = [[summary[str(t)]["final_metrics"]["angle_mean_l1"] for t in range(3)]
+                  for summary in summaries]
         b16, b256, b64 = np.array(angles)
         detail = f"angles per trial at {rows}: {np.round(angles, 3).tolist()}"
         assert np.all(np.abs(b256 - b16) <= tolerance), detail

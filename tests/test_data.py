@@ -105,18 +105,18 @@ class TestLoadIdx:
         ip = write(tmp_path / "i", idx_image_bytes(np.zeros((2, 2, 2))))
         lp = write(tmp_path / "l", idx_label_bytes([0]))
         with pytest.raises(DataError, match="holds 2 images but"):
-            load_idx(ip, lp, np.float32)
+            load_idx(ip, lp)
 
     def test_float32_parse_is_the_rounded_float64_parse(self, tmp_path):
         # every pixel code, so that each u8 / 255 quotient is checked
         imgs = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
         ip = write(tmp_path / "imgs", idx_image_bytes(imgs))
         lp = write(tmp_path / "labs", idx_label_bytes([0, 1, 2, 3]))
-        narrow = load_idx(ip, lp, np.float32)
-        wide = load_idx(ip, lp)
-        assert narrow.images.dtype == np.float32 and wide.images.dtype == np.float64
-        assert narrow.images.tobytes() == wide.images.astype(np.float32).tobytes()
-        np.testing.assert_array_equal(narrow.labels, wide.labels)
+        ds = load_idx(ip, lp)
+        assert ds.images.dtype == np.float32
+        assert ds.images.tobytes() == (
+            (imgs.reshape(4, 64) / 255.0).astype(np.float32).tobytes())
+        np.testing.assert_array_equal(ds.labels, [0, 1, 2, 3])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -356,9 +356,27 @@ class TestTransformAffine:
                      class_count=1, name="r")
         out = transform_affine(ds, spec, seed=seed)
         expected = affine_transform_reference(
-            images, 28, spec.translate_frac, spec.scale, spec.rotate_deg, seed,
+            ds.images.astype(np.float64), 28, spec.translate_frac, spec.scale,
+            spec.rotate_deg, seed,
         )
-        assert out.images.tobytes() == expected.tobytes()
+        assert out.images.tobytes() == expected.astype(np.float32).tobytes()
+
+    def test_float32_images_sum_in_float64_and_round_once(self):
+        # fig5b's transform on float32 pixels: a sum of taps rounded to
+        # float32 after each tap differs from the once-rounded formula
+        n = 200
+        images = np.random.default_rng(2).random((n, 784), dtype=np.float32)
+        ds = Dataset(images=images, labels=np.zeros(n, dtype=np.int64),
+                     class_count=1, name="r")
+        spec = TransformSpec(translate_frac=(-0.05, 0.05), scale=(0.8, 1.2),
+                             rotate_deg=(-25.0, 25.0))
+        out = transform_affine(ds, spec, seed=3)
+        expected = affine_transform_reference(
+            images.astype(np.float64), 28, spec.translate_frac, spec.scale,
+            spec.rotate_deg, 3,
+        )
+        assert out.images.dtype == np.float32
+        assert out.images.tobytes() == expected.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("spec", [
         TransformSpec(),
@@ -377,9 +395,10 @@ class TestTransformAffine:
                      class_count=1, name="r")
         out = transform_affine(ds, spec, seed=6)
         expected = affine_transform_reference(
-            images, 28, spec.translate_frac, spec.scale, spec.rotate_deg, 6,
+            ds.images.astype(np.float64), 28, spec.translate_frac, spec.scale,
+            spec.rotate_deg, 6,
         )
-        assert out.images.tobytes() == expected.tobytes()
+        assert out.images.tobytes() == expected.astype(np.float32).tobytes()
         assert not np.signbit(out.images).any()
 
     def test_non_square_rejected(self):
@@ -433,16 +452,30 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             Dataset(images=np.full((1, 3), -0.1), labels=np.array([0]),
                     class_count=1, name="x")
+        # checked as given: its float32 rounding would be 1.0
+        with pytest.raises(DataError):
+            Dataset(images=np.full((1, 3), 1 + 1e-12), labels=np.array([0]),
+                    class_count=1, name="x")
         for dtype in (np.float64, np.float32):
             with pytest.raises(DataError):
                 Dataset(images=np.array([[np.nan, 0.5]], dtype=dtype),
                         labels=np.array([0]), class_count=1, name="x")
 
+    def test_images_are_held_in_float32(self):
+        # float64 values are rounded once; a float32 array is held uncopied
+        wide = np.random.default_rng(3).random((4, 6))
+        ds = Dataset(images=wide, labels=np.zeros(4, dtype=np.int64),
+                     class_count=1, name="x")
+        assert ds.images.dtype == np.float32
+        assert ds.images.tobytes() == wide.astype(np.float32).tobytes()
+        narrow = wide.astype(np.float32)
+        assert Dataset(images=narrow, labels=np.zeros(4, dtype=np.int64),
+                       class_count=1, name="x").images is narrow
+
     def test_derivations_of_a_checked_split_skip_the_scans(self, monkeypatch):
-        # rows, a float32 rounding and a clipped resampling of a checked
-        # split pass every check by construction, so none rescans it
+        # rows and a clipped resampling of a checked split pass every check
+        # by construction, so none rescans it
         from prealign.metrics import MetaConfig, draw_episodes
-        from prealign.runner.experiment import _in_train_precision
 
         ds = synthetic_blobs(64, 16, 2, seed=0)
 
@@ -452,7 +485,7 @@ class TestDatasetInvariants:
         monkeypatch.setattr(Dataset, "__post_init__", refuse)
         (episode,) = draw_episodes([ds], MetaConfig(shots_per_class=3,
                                                     query_per_class=4), seed=3)
-        derived = [subset(ds, 20, seed=1), _in_train_precision(ds),
+        derived = [subset(ds, 20, seed=1),
                    transform_affine(ds, TransformSpec(rotate_deg=(-30.0, 30.0)), seed=2),
                    episode.support, episode.query]
         monkeypatch.undo()

@@ -21,7 +21,14 @@ from prealign.learn import (
     step,
     train,
 )
-from prealign.metrics import MetaConfig, draw_episodes, gram_effective_dim, meta_loss
+from prealign.metrics import (
+    MetaConfig,
+    draw_episodes,
+    effective_rank,
+    gram_effective_dim,
+    meta_loss,
+    weight_trajectory_pca,
+)
 from prealign.net import cross_entropy, forward, init_mlp
 
 from oracles import (
@@ -441,6 +448,22 @@ class TestDirectCallsComputeOnOneBlasThread:
         two, one = self.at_counts(blas_threads,
                                   lambda: [gram_effective_dim(h) for h in hidden])
         assert two == one
+
+    def test_effective_rank(self, blas_threads):
+        rng = np.random.default_rng(5)
+        matrices = [rng.normal(size=(300, 784)) for _ in range(5)]
+        two, one = self.at_counts(blas_threads,
+                                  lambda: [effective_rank(m) for m in matrices])
+        assert two == one
+
+    def test_weight_trajectory_pca(self, blas_threads):
+        # 20 snapshots of fig2e's size, a 784-100 layer
+        rng = np.random.default_rng(6)
+        snapshots = np.cumsum(rng.normal(size=(20, 78_400)), axis=0)
+        feedback = rng.normal(size=78_400)
+        (two, two_fb), (one, one_fb) = self.at_counts(
+            blas_threads, lambda: weight_trajectory_pca(snapshots, feedback))
+        assert two.tobytes() == one.tobytes() and two_fb.tobytes() == one_fb.tobytes()
 
 
 def test_holds_from_more_threads_than_cores_balance(blas_threads):

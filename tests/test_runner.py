@@ -1213,59 +1213,6 @@ class TestRunExperiment:
                   for rows in (episode.support, episode.query))]
         assert {ds.images.dtype for ds in held if ds is not None} == {np.dtype(np.float32)}
 
-    @pytest.mark.parametrize("overrides, float64_parses", [
-        # the shape of the fig6a probes: the gram capture's test split and
-        # IDX few-shot tasks, no transform
-        (dict(train=None, capture=("gram", "meta"),
-              meta=MetaSettings(tasks=("fashion-mnist", "kmnist"), shots_per_class=1,
-                                query_per_class=1, inner_steps=2)), []),
-        # the shape of fig5b: the test split is resampled, so only it parses wide
-        (dict(eval_transform=TransformSpec(translate_frac=(-0.05, 0.05),
-                                           scale=(0.8, 1.2), rotate_deg=(-25.0, 25.0)),
-              capture=("clean_test",)), [("mnist", "t10k-images-idx3-ubyte")]),
-    ], ids=["probes", "fig5b"])
-    def test_only_a_resampled_split_parses_in_float64(self, tmp_path, monkeypatch,
-                                                      overrides, float64_parses):
-        rng = np.random.default_rng(5)
-        for name in ("mnist", "fashion-mnist", "kmnist"):
-            write_idx_layout(tmp_path / name,
-                             rng.integers(0, 256, size=(64, 4, 4), dtype=np.uint8),
-                             [0, 1, 2, 3] * 16,
-                             rng.integers(0, 256, size=(32, 4, 4), dtype=np.uint8),
-                             [0, 1, 2, 3] * 8)
-        cfg = smoke_config(tmp_path, dataset="mnist", data_dir=str(tmp_path),
-                           train_size=48, test_size=24, **overrides)
-        load_idx = experiment_mod.load_idx
-        parses = []
-
-        def spy(images_path, labels_path, dtype=np.float64):
-            parses.append((images_path.parent.name, images_path.name, np.dtype(dtype)))
-            return load_idx(images_path, labels_path, dtype)
-
-        monkeypatch.setattr(experiment_mod, "load_idx", spy)
-        data = experiment_mod._ResolvedData(cfg)
-        assert parses and [(d, f) for d, f, dtype in parses
-                           if dtype == np.float64] == float64_parses
-        # the route before the float32 parse: every IDX split parsed in
-        # float64, then its subset drawn, then rounded once
-        monkeypatch.setattr(experiment_mod, "load_idx",
-                            lambda images_path, labels_path, dtype: load_idx(
-                                images_path, labels_path))
-        wide = experiment_mod._ResolvedData(cfg)
-        for attr in ("train", "eval_test", "clean_test"):
-            held, old = getattr(data, attr), getattr(wide, attr)
-            assert (held is None) == (old is None), attr
-            if held is not None:
-                assert held.images.dtype == np.float32, attr
-                assert held.images.tobytes() == old.images.tobytes(), attr
-                np.testing.assert_array_equal(held.labels, old.labels)
-                assert held.name == old.name
-        for held, old in zip(data.meta_episodes or [], wide.meta_episodes or [],
-                             strict=True):
-            for rows, old_rows in ((held.support, old.support), (held.query, old.query)):
-                assert rows.images.dtype == np.float32
-                assert rows.images.tobytes() == old_rows.images.tobytes()
-
     def test_sweep_runs_all_points(self, tmp_path):
         cfg = smoke_config(tmp_path, trials=1,
                            sweep={"train_size": [64, 128]})
