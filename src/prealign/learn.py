@@ -110,16 +110,15 @@ class _OnCaller:
 
 class _Cores:
     """The process's cores as the package shares them.  Whatever computes
-    for the package holds one: each item of a run, ``prealign eval`` and
-    ``metrics``, each epoch of :func:`train` and of the noise loop, and
-    each :func:`evaluate`, ``meta_loss``, ``effective_rank``,
-    ``gram_effective_dim`` and ``weight_trajectory_pca`` call;
-    ``net.forward``, which runs inside every step, holds none of its own.
-    While any is held, OpenBLAS runs on one thread, so no result depends on
-    how many threads compute or where.  A core no one holds is free, and
-    only there does the package start a helper thread.  There is one,
-    ``_CORES``, shared by every caller in the process, as the BLAS setting
-    is."""
+    for the package holds one: each item of a run, and each call of
+    :func:`train`, the noise loop, :func:`evaluate`, ``meta_loss``,
+    ``effective_rank``, ``gram_effective_dim``, ``weight_feedback_distance``
+    and ``weight_trajectory_pca``, hooks included; ``net.forward``, which
+    runs inside every step, holds none of its own.  While any is held,
+    OpenBLAS runs on one thread, so no result depends on how many threads
+    compute or where.  A core no one holds is free, and only there does the
+    package start a helper thread.  There is one, ``_CORES``, shared by
+    every caller in the process, as the BLAS setting is."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -397,6 +396,7 @@ def _check_split(name: str, x: np.ndarray, y: np.ndarray, mlp: Mlp) -> None:
         )
 
 
+@_CORES.item()
 def train(
     mlp: Mlp,
     train_inputs,
@@ -421,8 +421,8 @@ def train(
     ``patience`` consecutive epochs without a new best test accuracy; the
     best value seen is logged in each record under ``best_test_acc``.  The
     inputs are cast to the network's precision once, before the first
-    epoch, and pass uncopied when they are in it already.  Each epoch's
-    steps and evaluations hold a core; the hook runs outside the hold.
+    epoch, and pass uncopied when they are in it already.  The call holds a
+    core, hook included, as a runner item does.
     """
     x_train = np.asarray(train_inputs, dtype=mlp.params.dtype)
     y_train = np.asarray(train_labels)
@@ -440,17 +440,16 @@ def train(
     best_acc = -np.inf
     stalled = 0
     for epoch in range(1, config.epochs + 1):
-        with _CORES.item():
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                # indices come from a permutation of range(n), so "clip" never
-                # clips; it spares the copy "raise" makes when writing to out
-                x = np.take(x_train, idx, axis=0, out=x_batch[: len(idx)], mode="clip")
-                y = np.take(y_train, idx, out=y_batch[: len(idx)], mode="clip")
-                step(mlp, adam, x, y, rule, config.learning_rate)
-            train_loss, train_acc = evaluate(mlp, x_train, y_train)
-            test_loss, test_acc = evaluate(mlp, x_test, y_test)
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            # indices come from a permutation of range(n), so "clip" never
+            # clips; it spares the copy "raise" makes when writing to out
+            x = np.take(x_train, idx, axis=0, out=x_batch[: len(idx)], mode="clip")
+            y = np.take(y_train, idx, out=y_batch[: len(idx)], mode="clip")
+            step(mlp, adam, x, y, rule, config.learning_rate)
+        train_loss, train_acc = evaluate(mlp, x_train, y_train)
+        test_loss, test_acc = evaluate(mlp, x_test, y_test)
         if test_acc > best_acc:
             best_acc = test_acc
             stalled = 0

@@ -104,8 +104,10 @@ def alignment_angles(mlp: Mlp, layer: int) -> AngleReport:
     )
 
 
+@_CORES.item()
 def weight_feedback_distance(mlp: Mlp, layer: int) -> float:
-    """Frobenius norm of ``W_layer - B_layer.T``, computed in float64."""
+    """Frobenius norm of ``W_layer - B_layer.T``, computed in float64.  The
+    call holds a core, as :func:`gram_effective_dim` does."""
     _check_layer(mlp, layer)
     w = np.asarray(mlp.weights[layer], dtype=np.float64)
     b = np.asarray(mlp.feedback[layer], dtype=np.float64)

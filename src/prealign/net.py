@@ -16,8 +16,8 @@ use the same layout.
 Networks train in float32 (:data:`TRAIN_DTYPE`): the vector's dtype sets the
 precision of the forward pass, the backward pass and Adam, and a float64
 network runs the same code in float64, on noise drawn in float32 and widened.
-Losses and every metric reduce in float64, and checkpoints store float64
-whatever the network's precision, so a float32 network round-trips exactly.
+Losses and every metric reduce in float64; checkpoints store float64 and
+load as float32, so a float32 network round-trips exactly.
 """
 
 from __future__ import annotations
@@ -255,12 +255,12 @@ def save_mlp(mlp: Mlp, path) -> None:
                 f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def load_mlp(path, dtype=np.float64) -> Mlp:
-    """Read a checkpoint written by :func:`save_mlp` into a ``dtype``
-    network: float64, as stored, or :data:`TRAIN_DTYPE`, which holds a
-    checkpoint of a run's float32 network exactly.  Raises
+def load_mlp(path) -> Mlp:
+    """Read a checkpoint written by :func:`save_mlp` into a
+    :data:`TRAIN_DTYPE` network, as runs train, rounding the stored float64
+    values: exact for a float32 network's checkpoint.  Raises
     :class:`FormatError` on a bad magic, truncation, or trailing bytes, and
-    :class:`NumericError` if any value is not finite."""
+    :class:`NumericError` if any value is not finite in float32."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -283,18 +283,20 @@ def load_mlp(path, dtype=np.float64) -> Mlp:
         raise FormatError(f"checkpoint {path} declares {n_dims} layer sizes")
     dims = struct.unpack(f"<{n_dims}I", take(4 * n_dims))
     weights, biases, feedback = [], [], []
-    for l in range(n_dims - 1):
-        n_out, n_in = dims[l + 1], dims[l]
-        w = np.frombuffer(take(8 * n_out * n_in), dtype="<f8").reshape(n_out, n_in)
-        b = np.frombuffer(take(8 * n_out), dtype="<f8")
-        bk = np.frombuffer(take(8 * n_in * n_out), dtype="<f8").reshape(n_in, n_out)
-        weights.append(w.astype(dtype))
-        biases.append(b.astype(dtype))
-        feedback.append(bk.astype(dtype))
+    # a value beyond float32's range rounds to Inf, refused below
+    with np.errstate(over="ignore"):
+        for l in range(n_dims - 1):
+            n_out, n_in = dims[l + 1], dims[l]
+            w = np.frombuffer(take(8 * n_out * n_in), dtype="<f8").reshape(n_out, n_in)
+            b = np.frombuffer(take(8 * n_out), dtype="<f8")
+            bk = np.frombuffer(take(8 * n_in * n_out), dtype="<f8").reshape(n_in, n_out)
+            weights.append(w.astype(TRAIN_DTYPE))
+            biases.append(b.astype(TRAIN_DTYPE))
+            feedback.append(bk.astype(TRAIN_DTYPE))
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes in checkpoint {path}")
     mlp = Mlp(dims=dims, weights=weights, biases=biases, feedback=feedback)
     for a in [mlp.params] + mlp.feedback:
         if not np.all(np.isfinite(a)):
-            raise NumericError(f"checkpoint {path} holds NaN or Inf values")
+            raise NumericError(f"checkpoint {path} holds NaN or Inf in float32")
     return mlp

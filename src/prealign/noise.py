@@ -11,10 +11,8 @@ for logging; batches run back to back across epoch boundaries (a total of
 ``ceil(total_samples / batch_size)`` optimizer steps) and each batch is
 attributed to the epoch containing its first sample.
 
-Each logging epoch's steps hold a core (see ``learn._Cores``), and so run
-on one thread of the OpenBLAS that numpy bundles; the snapshot hook runs
-outside the hold, at the caller's BLAS count.  Inside a runner item, which
-holds its core throughout, an epoch takes no other.  An epoch's batches are
+The call holds a core (see ``learn._Cores``), hook included, so it computes
+on one thread of the OpenBLAS that numpy bundles.  An epoch's batches are
 drawn up to four at a time, one draw of inputs and one of labels per group,
 from two streams of the seed: ``noise`` for the inputs and ``labels`` for
 the labels, so that where one group ends does not move the other stream.
@@ -99,6 +97,8 @@ class NoiseConfig:
     learning_rate: float = 1e-4
 
     def __post_init__(self) -> None:
+        if not isinstance(self.distribution, (Gaussian, Uniform)):
+            raise ConfigError(f"unknown distribution {self.distribution!r}")
         require_int("total_samples", self.total_samples, 1)
         require_int("samples_per_epoch", self.samples_per_epoch, 1)
         require_int("batch_size", self.batch_size, 1)
@@ -193,6 +193,7 @@ def sample_random_labels(n: int, n_classes: int, rng: np.random.Generator) -> np
     return rng.integers(0, n_classes, size=n)
 
 
+@_CORES.item()
 def pretrain_random_noise(
     mlp: Mlp,
     config: NoiseConfig,
@@ -207,9 +208,9 @@ def pretrain_random_noise(
     Returns one :class:`RunRecord` per logging epoch with the sample-weighted
     mean batch loss and accuracy of the noise stream itself (test fields stay
     ``None``; there is no held-out split of noise).  ``snapshot_hook(epoch,
-    mlp)`` may return extra scalars for that epoch's metrics; it runs
-    outside the epoch's hold on a core, at the caller's BLAS count.  No
-    helper thread outlives the call, whatever a step or the hook raises.
+    mlp)`` may return extra scalars for that epoch's metrics.  The call
+    holds a core, hook included, as a runner item does.  No helper thread
+    outlives its epoch, whatever a step or the hook raises.
     """
     inputs, labels = rng_for(seed, "noise"), rng_for(seed, "labels")
     adam = AdamState.for_mlp(mlp)
@@ -240,7 +241,7 @@ def pretrain_random_noise(
                   for start in range(0, len(sizes), _BATCHES_PER_DRAW)]
         # the next group's draw is in flight while a group steps; leaving
         # the block joins the sampler, and result() raises what a draw raised
-        with _CORES.item(), _CORES.helper("noise-sampler") as sampler:
+        with _CORES.helper("noise-sampler") as sampler:
             pending = sampler.submit(draw, groups[0])
             for group in groups[1:]:
                 drawn, pending = pending, sampler.submit(draw, group)

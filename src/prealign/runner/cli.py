@@ -13,12 +13,11 @@ given changes nothing.  ``--set scale=...`` is refused: ``scale`` records
 what ``--scale`` did.  ``--dist``, ``--rule`` and ``--pretrain`` pick the
 shape of the default experiment and are refused with ``--config``.
 
-``metrics`` holds a core (see ``learn._Cores``), as each item of a run
-does, and so does the ``evaluate`` call of ``eval``, so ``eval`` reproduces
-a run's own numbers.  The four run
-verbs share one handler and hold no core beside their items': the CLI's
-thread only waits while a pool runs, and would keep its last item from a
-free core.
+``eval`` and ``metrics`` call the package's functions as a reader would:
+each holds a core (see ``learn._Cores``) as a run's items do, so the two
+verbs reproduce a run's own numbers.  The four run verbs share one handler
+and hold no core beside their items': the CLI's thread only waits while a
+pool runs, and would keep its last item from a free core.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from ..errors import (
     NumericError,
     ShapeError,
 )
-from ..learn import _CORES, evaluate
+from ..learn import evaluate
 from ..metrics import alignment_angles, effective_rank, weight_feedback_distance
-from ..net import TRAIN_DTYPE, load_mlp
+from ..net import load_mlp
 from .config import (
     ExperimentConfig,
     apply_overrides,
@@ -226,9 +225,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # a float32 network, as runs evaluate, so that a run's own test split
-    # gives the loss and accuracy its records.csv holds
-    mlp = load_mlp(args.model, TRAIN_DTYPE)
+    mlp = load_mlp(args.model)
     ds = load_named_split(args.dataset, args.split, default_data_dir(args.data_dir),
                           mlp.dims[0], mlp.dims[-1])
     loss, acc = evaluate(mlp, ds.images, ds.labels)
@@ -240,7 +237,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-@_CORES.item()
 def _cmd_metrics(args) -> int:
     mlp = load_mlp(args.model)
     layers = []

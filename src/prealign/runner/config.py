@@ -58,7 +58,7 @@ class VariantSpec:
     order: str = "noise_first"
 
     def __post_init__(self) -> None:
-        if not self.name or any(c in self.name for c in "/\\ "):
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\ "):
             raise ConfigError(f"variant name {self.name!r} must be path-safe")
         if self.rule not in ("FA", "BP"):
             raise ConfigError(f"variant rule must be FA or BP, got {self.rule!r}")
@@ -179,11 +179,10 @@ class ExperimentConfig:
 
 
 def _dist_to_dict(d) -> dict:
+    # NoiseConfig admits only these two
     if isinstance(d, Gaussian):
         return {"kind": "gaussian", "mean": d.mean, "std": d.std}
-    if isinstance(d, Uniform):
-        return {"kind": "uniform", "low": d.low, "high": d.high}
-    raise ConfigError(f"unknown distribution {d!r}")
+    return {"kind": "uniform", "low": d.low, "high": d.high}
 
 
 def _dist_from_dict(d: dict):
@@ -308,7 +307,7 @@ def apply_scale(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
 
     def shrink(duration):
         # a swept value is not checked before its point is built
-        require_int("each swept duration", duration)
+        require_int("each swept duration", duration, 1)
         return max(1, round(duration / scale))
 
     swept_durations = ("pretrain.total_samples", "train.epochs")

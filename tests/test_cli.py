@@ -235,7 +235,7 @@ class TestCheckpointVerbs:
     def test_eval_parses_its_split_in_float32(self, model_path, tmp_path, capsys):
         from prealign.data import load_idx
         from prealign.learn import evaluate
-        from prealign.net import TRAIN_DTYPE, load_mlp
+        from prealign.net import load_mlp
         from test_data import idx_image_bytes, idx_label_bytes
 
         root = tmp_path / "data" / "mnist"
@@ -249,7 +249,7 @@ class TestCheckpointVerbs:
         assert code == 0, err
         # the loss and accuracy of the float32 network on the float32 parse
         ds = load_idx(root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
-        loss, acc = evaluate(load_mlp(model_path, TRAIN_DTYPE), ds.images, ds.labels)
+        loss, acc = evaluate(load_mlp(model_path), ds.images, ds.labels)
         payload = json.loads(out)
         assert (payload["loss"], payload["accuracy"]) == (loss, acc)
 
@@ -268,6 +268,22 @@ class TestCheckpointVerbs:
         for layer in payload["layers"]:
             assert 0.0 <= layer["mean_angle_deg"] <= 180.0
             assert layer["effective_rank"] >= 1.0
+
+    def test_metrics_output_does_not_depend_on_the_blas_count(self, blas_threads,
+                                                              tmp_path, capsys):
+        from prealign.net import init_mlp, save_mlp
+
+        path = tmp_path / "model.bin"
+        save_mlp(init_mlp((784, 100, 100, 10), seed=0), path)
+        set_threads, get_threads = blas_threads
+        outputs = []
+        for count in (2, 1):
+            set_threads(count)
+            code, out, err = run(capsys, "metrics", "--model", str(path))
+            assert code == 0, err
+            assert get_threads() == count
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_metrics_rejects_run_flags(self, model_path, capsys):
         code, _, _ = run(capsys, "metrics", "--model", str(model_path),

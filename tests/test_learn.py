@@ -27,6 +27,7 @@ from prealign.metrics import (
     effective_rank,
     gram_effective_dim,
     meta_loss,
+    weight_feedback_distance,
     weight_trajectory_pca,
 )
 from prealign.net import cross_entropy, forward, init_mlp
@@ -454,6 +455,13 @@ class TestDirectCallsComputeOnOneBlasThread:
         matrices = [rng.normal(size=(300, 784)) for _ in range(5)]
         two, one = self.at_counts(blas_threads,
                                   lambda: [effective_rank(m) for m in matrices])
+        assert two == one
+
+    def test_weight_feedback_distance(self, blas_threads):
+        # layer 0 of 784-100-100-10: its 78,400-term norm is a threaded dot
+        nets = [init_mlp((784, 100, 100, 10), seed=k) for k in range(5)]
+        two, one = self.at_counts(
+            blas_threads, lambda: [weight_feedback_distance(mlp, 0) for mlp in nets])
         assert two == one
 
     def test_weight_trajectory_pca(self, blas_threads):

@@ -205,11 +205,9 @@ class TestCheckpoint:
             b.size for b in mlp.feedback))
         assert raw == (tmp_path / "wide.bin").read_bytes()
         loaded = load_mlp(tmp_path / "narrow.bin")
-        assert loaded.params.dtype == np.float64
-        np.testing.assert_array_equal(loaded.params, mlp.params.astype(np.float64),
-                                      strict=True)
+        np.testing.assert_array_equal(loaded.params, mlp.params, strict=True)
         for got, want in zip(loaded.feedback, mlp.feedback):
-            np.testing.assert_array_equal(got, want.astype(np.float64), strict=True)
+            np.testing.assert_array_equal(got, want, strict=True)
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -269,4 +267,13 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_mlp(mlp, path)
         with pytest.raises(NumericError):
+            load_mlp(path)
+
+    def test_value_beyond_float32_range_rejected(self, tmp_path):
+        # finite as stored, Inf once rounded to float32, with no overflow warning
+        mlp = init_mlp((3, 2), seed=0, dtype=np.float64)
+        mlp.weights[0][0, 0] = 1e300
+        path = tmp_path / "model.bin"
+        save_mlp(mlp, path)
+        with pytest.raises(NumericError, match="NaN or Inf in float32"):
             load_mlp(path)

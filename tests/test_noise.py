@@ -15,8 +15,9 @@ import pytest
 
 import prealign.learn as learn_mod
 import prealign.noise as noise_mod
+from prealign.data import synthetic_blobs
 from prealign.errors import ConfigError, NumericError
-from prealign.learn import AdamState, adam_step, backward_fa
+from prealign.learn import AdamState, TrainConfig, adam_step, backward_fa, train
 from prealign.metrics import alignment_angles
 from prealign.net import forward, init_mlp
 from prealign.noise import (
@@ -211,6 +212,11 @@ class TestNoiseConfig:
                      lambda v: Uniform(high=v)):
             with pytest.raises(ConfigError, match="finite number"):
                 make(bad)
+
+    @pytest.mark.parametrize("bad", ["gaussian", {"kind": "gaussian"}, Gaussian, None])
+    def test_distribution_must_be_gaussian_or_uniform(self, bad):
+        with pytest.raises(ConfigError, match="unknown distribution"):
+            NoiseConfig(distribution=bad)
 
     def test_integer_float_settings_kept_as_given(self):
         cfg = NoiseConfig(distribution=Uniform(-1, 1), learning_rate=1)
@@ -429,7 +435,8 @@ class TestSamplerThread:
         cores(2)
         cfg = NoiseConfig(total_samples=640, samples_per_epoch=320, batch_size=64)
         if failure is ConfigError:
-            cfg = dataclasses.replace(cfg, distribution="not a distribution")
+            # set past the config's check, so that the sampler raises
+            cfg.distribution = "not a distribution"
         # each epoch's 5 batches are drawn in groups of 4 and 1: the second
         # draw is in flight while the first group's batches step
         drawing_2 = threading.Event()
@@ -473,11 +480,23 @@ class TestSamplerThread:
         assert get_threads() == 2
         assert set(threading.enumerate()) == threads_before
 
-    def test_hook_runs_at_the_starting_count(self, blas_threads):
+    def test_hook_runs_on_one_thread_and_the_count_is_restored(self, blas_threads):
         set_threads, get_threads = blas_threads
         set_threads(2)
         seen = []
         cfg = NoiseConfig(total_samples=192, samples_per_epoch=64, batch_size=64)
         pretrain_random_noise(init_mlp((784, 100, 10), seed=0), cfg,
                               snapshot_hook=lambda epoch, net: seen.append(get_threads()))
-        assert seen == [2, 2, 2]
+        assert seen == [1, 1, 1]
+        assert get_threads() == 2
+
+    def test_train_hook_runs_on_one_thread_and_the_count_is_restored(self, blas_threads):
+        set_threads, get_threads = blas_threads
+        set_threads(2)
+        seen = []
+        blobs = synthetic_blobs(96, 784, 10, seed=0)
+        train(init_mlp((784, 100, 10), seed=0), blobs.images, blobs.labels,
+              blobs.images, blobs.labels, TrainConfig(epochs=2),
+              snapshot_hook=lambda epoch, net: seen.append(get_threads()))
+        assert seen == [1, 1]
+        assert get_threads() == 2

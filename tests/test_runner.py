@@ -13,7 +13,7 @@ import pytest
 
 from prealign.data import TransformSpec
 from prealign.errors import ConfigError, DataError, NumericError
-from prealign.learn import TrainConfig
+from prealign.learn import TrainConfig, evaluate
 from prealign.net import init_mlp, load_mlp
 from prealign.noise import Gaussian, NoiseConfig, Uniform, pretrain_random_noise
 from prealign.runner.config import (
@@ -196,8 +196,9 @@ class TestValidation:
     def test_variant_name_path_safety(self):
         with pytest.raises(ConfigError):
             VariantSpec(name="a/b")
-        with pytest.raises(ConfigError):
-            VariantSpec(name="")
+        for name in ("", ".", ".."):
+            with pytest.raises(ConfigError, match="must be path-safe"):
+                VariantSpec(name=name)
 
     def test_variant_rule_and_order(self):
         with pytest.raises(ConfigError):
@@ -386,6 +387,11 @@ class TestApplyScale:
                              "train.epochs": [1, 3], "train_size": [64]}
         with pytest.raises(ConfigError, match="each swept duration must be an integer"):
             apply_scale(full_config(sweep={"train.epochs": ["a"]}), 10.0)
+        # refused as at scale 1, not clamped up to one
+        for key, values in (("pretrain.total_samples", [-100, 5000]),
+                            ("train.epochs", [0, 10])):
+            with pytest.raises(ConfigError, match="each swept duration must be >= 1"):
+                apply_scale(full_config(sweep={key: values}), 5.0)
 
 
 class TestExpandSweep:
@@ -683,6 +689,19 @@ class TestRunExperiment:
             for phase in ("pretrain", "train"):
                 mlp = load_mlp(tmp_path / "out" / f"model_{trial}_{phase}.bin")
                 assert mlp.dims == (16, 8, 4)
+
+    def test_a_checkpoint_reproduces_its_runs_last_test_record(self, tmp_path):
+        # 784-100-10 is large enough that a float64 evaluation of the
+        # float32 network differs in the ninth digit
+        run_experiment(smoke_config(
+            tmp_path, dims=(784, 100, 10), trials=1, test_size=None,
+            pretrain=NoiseConfig(total_samples=2_000, samples_per_epoch=1_000)))
+        with open(tmp_path / "out" / "records.csv", newline="") as f:
+            last = list(csv.DictReader(f))[-1]
+        split = load_named_split("blobs", "test", tmp_path, 784, 10)
+        loss, acc = evaluate(load_mlp(tmp_path / "out" / "model_0_train.bin"),
+                             split.images, split.labels)
+        assert (f"{loss:.9g}", f"{acc:.9g}") == (last["test_loss"], last["test_acc"])
 
     def test_deterministic_and_thread_invariant(self, tmp_path):
         run_experiment(smoke_config(tmp_path, output_dir=str(tmp_path / "a")))
