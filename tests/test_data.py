@@ -98,6 +98,12 @@ class TestLoadIdx:
     def test_count_mismatch(self, tmp_path):
         ip = write(tmp_path / "i", idx_image_bytes(np.zeros((2, 2, 2))))
         lp = write(tmp_path / "l", idx_label_bytes([0]))
+        with pytest.raises(DataError):
+            load_idx(ip, lp)
+
+    def test_count_mismatch_in_float32(self, tmp_path):
+        ip = write(tmp_path / "i", idx_image_bytes(np.zeros((2, 2, 2))))
+        lp = write(tmp_path / "l", idx_label_bytes([0]))
         with pytest.raises(DataError, match="holds 2 images but"):
             load_idx(ip, lp)
 
