@@ -90,12 +90,20 @@ class _Deferred:
 
     def __init__(self, fn, args, kwargs) -> None:
         self._call = (fn, args, kwargs)
+        self._error = None
 
     def result(self):
+        """The call's return value; as a ``Future``'s, every read of a
+        call that raised raises its error again."""
         if self._call is not None:
             fn, args, kwargs = self._call
             self._call = None
-            self._value = fn(*args, **kwargs)
+            try:
+                self._value = fn(*args, **kwargs)
+            except BaseException as error:
+                self._error = error
+        if self._error is not None:
+            raise self._error
         return self._value
 
 
@@ -117,8 +125,10 @@ class _Cores:
     runs inside every step, holds none of its own.  While any is held,
     OpenBLAS runs on one thread, so no result depends on how many threads
     compute or where.  A core no one holds is free, and only there does the
-    package start a helper thread.  There is one, ``_CORES``, shared by
-    every caller in the process, as the BLAS setting is."""
+    package start a helper thread.  A snapshot's independent reads of a
+    network share the held core and a free one (:meth:`run_reads`); its
+    hook stays on the caller.  There is one, ``_CORES``, shared by every
+    caller in the process, as the BLAS setting is."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -170,6 +180,49 @@ class _Cores:
 
         with ThreadPoolExecutor(1, name) as executor:
             yield executor
+
+    def run_reads(self, calls: list) -> list:
+        """The results of ``calls``, zero-argument callables that only read
+        what they share, in list order.  The calling thread takes the calls
+        in list order, and so does one :meth:`helper` when a core is free;
+        each call runs whole on the thread that takes it, holding a core,
+        so where it ran does not change its result.  With no free core the
+        caller runs them all.  Once a call raises, no thread takes another,
+        the calls already running finish, and the error of the lowest-index
+        call that raised is raised."""
+        results = [None] * len(calls)
+        errors: dict[int, Exception] = {}
+        indices = iter(range(len(calls)))
+        lock = threading.Lock()
+        stopped = False
+
+        def take() -> None:
+            with self.item():
+                while True:
+                    with lock:
+                        i = None if stopped or errors else next(indices, None)
+                    if i is None:
+                        return
+                    try:
+                        results[i] = calls[i]()
+                    except Exception as error:
+                        with lock:
+                            errors[i] = error
+                        return
+
+        # the caller holds its core before it looks for a free one
+        with self.item(), self.helper("reads") as helper:
+            try:
+                pending = helper.submit(take) if len(calls) > 1 else None
+                take()
+                if pending is not None:
+                    pending.result()
+            finally:
+                # an interrupt of the caller stops the helper after its call
+                stopped = True
+        if errors:
+            raise errors[min(errors)]
+        return results
 
 
 _CORES = _Cores()
@@ -366,7 +419,8 @@ def step(mlp: Mlp, state: AdamState, x: np.ndarray, y: np.ndarray, rule: str,
 def evaluate(mlp: Mlp, inputs, labels) -> tuple[float, float]:
     """Mean cross-entropy and accuracy of the network on a full split.  The
     call holds a core, so it gives the runner's bits whatever BLAS count
-    the caller set."""
+    the caller set, and on whichever thread it runs: :func:`train` runs
+    its two per-epoch calls side by side when a core is free."""
     with _CORES.item():
         trace = forward(mlp, inputs)
     return cross_entropy(trace.probabilities, labels), accuracy(
@@ -415,8 +469,11 @@ def train(
     ``rule`` picks the backward pass (``"BP"`` or ``"FA"``) and ``seed`` the
     shuffling stream.  Each epoch visits every training sample once in a
     freshly shuffled order (the last batch may be short), then evaluates
-    both splits and appends one :class:`RunRecord`.  ``snapshot_hook(epoch,
-    mlp)`` may return extra scalars to merge into that epoch's metrics.
+    both splits, side by side when a core is free (``_Cores.run_reads``),
+    and appends one :class:`RunRecord`.
+    ``snapshot_hook(epoch, mlp)``, called on the calling thread once both
+    evaluations are done, may return extra scalars to merge into that
+    epoch's metrics.
     Early stopping, when ``config.patience`` is set, triggers after
     ``patience`` consecutive epochs without a new best test accuracy; the
     best value seen is logged in each record under ``best_test_acc``.  The
@@ -448,8 +505,10 @@ def train(
             x = np.take(x_train, idx, axis=0, out=x_batch[: len(idx)], mode="clip")
             y = np.take(y_train, idx, out=y_batch[: len(idx)], mode="clip")
             step(mlp, adam, x, y, rule, config.learning_rate)
-        train_loss, train_acc = evaluate(mlp, x_train, y_train)
-        test_loss, test_acc = evaluate(mlp, x_test, y_test)
+        (train_loss, train_acc), (test_loss, test_acc) = _CORES.run_reads([
+            lambda: evaluate(mlp, x_train, y_train),
+            lambda: evaluate(mlp, x_test, y_test),
+        ])
         if test_acc > best_acc:
             best_acc = test_acc
             stalled = 0

@@ -266,8 +266,9 @@ def meta_loss(mlp: Mlp, episodes: list[Episode],
     episodes are drawn once, by :func:`draw_episodes`, and may be scored
     any number of times.  The input network is never mutated, only read,
     so other readers of it may run beside the call (the runner computes its
-    other captures so).  The call holds a core (see ``learn._Cores``): on a
-    helper thread of the runner, the core that helper occupies.
+    other captures so).  The call holds a core (see ``learn._Cores``): the
+    core of whichever thread ``_Cores.run_reads`` gave it, the caller's or
+    a helper's on a free core.
     """
     if not episodes:
         raise ConfigError("episodes must be nonempty")

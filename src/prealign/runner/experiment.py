@@ -10,11 +10,15 @@ the calling thread, which is what lets Ctrl-C stop a serial run at once
 (a pool finishes its running items first).  Each item holds a core of
 ``learn._CORES`` while it runs, and so computes on one BLAS thread, so that
 no output depends on ``--threads`` or on other runs in the process; the
-package's helper threads (the noise sampler, the few-shot adaptation of
-the ``meta`` capture) run only on cores that no one holds, and the bytes
-do not depend on where they ran.  One function, ``_capture_metrics``,
-computes a snapshot's captures, with ``meta`` on its helper thread.  Every
-variant of a trial starts from identical initial weights; every random
+package's helper threads (the noise sampler, and the second thread of a
+snapshot's reads) run only on cores that no one holds, and the bytes do
+not depend on where they ran.  One function, ``_capture_metrics``,
+computes a snapshot: its captures, and for the initial snapshot the test
+loss and accuracy, are independent reads of the network that
+``learn._CORES.run_reads`` shares between the item's core and a free one;
+the hook that calls it stays on the item's thread.  Every variant of a
+trial starts from identical initial weights, and its initial snapshot is
+computed once per trial and shared between the variants; every random
 stream of a trial is derived from the trial's seed, and every stream a
 whole point shares (data subsets, the evaluation transform, few-shot
 episodes) from ``master_seed``, each with a distinct label, so adding a
@@ -122,9 +126,12 @@ class _ResolvedData:
     ``meta`` capture; the training split is loaded only when a data phase
     runs.  Each is float32, as every dataset is.  Each few-shot task's test
     split is loaded, its episode drawn and the split freed before the next
-    task loads, so only the episodes' rows are held."""
+    task loads, so only the episodes' rows are held.  ``initial_snapshots``
+    holds the initial snapshot of each trial, keyed on what else it depends
+    on, so that a trial's variants compute it once."""
 
     def __init__(self, cfg: ExperimentConfig):
+        self.initial_snapshots: dict[tuple, dict] = {}
         self.train = None
         self.eval_test = None
         self.clean_test = None
@@ -154,34 +161,46 @@ class _ResolvedData:
                 cfg.meta, seed=derive_entropy(cfg.master_seed, "meta")[0] % 2**63)
 
 
-def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData) -> dict:
+def _split_metrics(prefix: str, mlp, split: Dataset) -> dict:
+    loss, acc = evaluate(mlp, split.images, split.labels)
+    return {f"{prefix}loss": loss, f"{prefix}acc": acc}
+
+
+def _meta_metrics(mlp, episodes, meta) -> dict:
+    total, per_task = meta_loss(mlp, episodes, meta)
+    return {"meta_loss": total,
+            **{f"meta_loss_{name}": value for name, value in zip(meta.tasks, per_task)}}
+
+
+def _capture_metrics(cfg: ExperimentConfig, mlp, data: _ResolvedData,
+                     eval_test: bool = False) -> dict:
+    """A snapshot of ``mlp``: its captures and, with ``eval_test``, its loss
+    and accuracy on ``data.eval_test``.  Each group is one read of ``mlp``,
+    and ``_CORES.run_reads`` runs them on this thread and a free core; the
+    few-shot adaptation, the longest, is taken first."""
+    layers = range(mlp.n_layers)
+    reads = []
+    if cfg.meta is not None:
+        reads.append(lambda: _meta_metrics(mlp, data.meta_episodes, cfg.meta))
+    if "angles" in cfg.capture:
+        reads.append(lambda: {f"angle_mean_l{l}": alignment_angles(mlp, l).mean_deg
+                              for l in layers})
+    if "distance" in cfg.capture:
+        reads.append(lambda: {f"wb_dist_l{l}": weight_feedback_distance(mlp, l)
+                              for l in layers})
+    if "eff_rank" in cfg.capture:
+        reads.append(lambda: {f"eff_rank_l{l}": effective_rank(mlp.weights[l])
+                              for l in layers})
+    if "gram" in cfg.capture:
+        reads.append(lambda: {"gram_eff_dim": gram_effective_dim(
+            forward(mlp, data.eval_test.images).activations[-1])})
+    if "clean_test" in cfg.capture:
+        reads.append(lambda: _split_metrics("clean_test_", mlp, data.clean_test))
+    if eval_test:
+        reads.append(lambda: _split_metrics("test_", mlp, data.eval_test))
     out = {}
-    with _CORES.helper("meta") as helper:
-        # the few-shot episodes adapt on a free core while this thread
-        # computes the other captures; both only read ``mlp``.  An executor
-        # starts no thread until something is submitted.
-        if cfg.meta is not None:
-            meta = helper.submit(meta_loss, mlp, data.meta_episodes, cfg.meta)
-        if "angles" in cfg.capture:
-            for l in range(mlp.n_layers):
-                out[f"angle_mean_l{l}"] = alignment_angles(mlp, l).mean_deg
-        if "distance" in cfg.capture:
-            for l in range(mlp.n_layers):
-                out[f"wb_dist_l{l}"] = weight_feedback_distance(mlp, l)
-        if "eff_rank" in cfg.capture:
-            for l in range(mlp.n_layers):
-                out[f"eff_rank_l{l}"] = effective_rank(mlp.weights[l])
-        if "gram" in cfg.capture:
-            trace = forward(mlp, data.eval_test.images)
-            out["gram_eff_dim"] = gram_effective_dim(trace.activations[-1])
-        if "clean_test" in cfg.capture:
-            loss, acc = evaluate(mlp, data.clean_test.images, data.clean_test.labels)
-            out["clean_test_loss"] = loss
-            out["clean_test_acc"] = acc
-        if cfg.meta is not None:
-            out["meta_loss"], per_task = meta.result()
-            for name, value in zip(cfg.meta.tasks, per_task):
-                out[f"meta_loss_{name}"] = value
+    for metrics in _CORES.run_reads(reads):
+        out.update(metrics)
     return out
 
 
@@ -198,11 +217,14 @@ def _run_single(cfg: ExperimentConfig, variant, trial: int,
             trajectory.append(net.weights[cfg.traj_layer].ravel().copy())
         return metrics
 
-    initial = _capture_metrics(cfg, mlp, data)
-    if data.eval_test is not None:
-        loss, acc = evaluate(mlp, data.eval_test.images, data.eval_test.labels)
-        initial["test_loss"] = loss
-        initial["test_acc"] = acc
+    # every variant of the trial starts from this network; the first to
+    # get here computes the snapshot, and siblings that start together
+    # compute the same values
+    key = (seed_t, cfg.dims, cfg.capture, cfg.meta)
+    initial = data.initial_snapshots.get(key)
+    if initial is None:
+        initial = data.initial_snapshots[key] = _capture_metrics(
+            cfg, mlp, data, eval_test=data.eval_test is not None)
 
     phases = []
     if variant.pretrain:

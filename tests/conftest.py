@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import prealign.learn as learn_mod
 from prealign.learn import _openblas_threads
 from prealign.net import init_mlp
 
@@ -32,3 +33,11 @@ def blas_threads():
     set_threads(2)
     yield blas
     set_threads(original)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets how many cores the package sees the process may use."""
+    def set_cores(n: int) -> None:
+        monkeypatch.setattr(learn_mod, "_usable_cores", lambda: n)
+    return set_cores

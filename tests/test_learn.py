@@ -2,14 +2,17 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import prealign.learn as learn_mod
 from prealign.data import synthetic_blobs
 from prealign.errors import ConfigError, NumericError, ShapeError
 from prealign.learn import (
     _CORES,
+    _OnCaller,
     _usable_cores,
     AdamState,
     Gradients,
@@ -504,3 +507,212 @@ def test_holds_from_more_threads_than_cores_balance(blas_threads):
     assert all(1 <= held <= n_threads for _, held in seen)
     assert _CORES.free() == _usable_cores()
     assert get_threads() == 2
+
+
+@pytest.mark.parametrize("n_cores", [1, 2], ids=["on-caller", "executor"])
+def test_a_helpers_failed_call_raises_its_error_on_every_read(cores, n_cores):
+    cores(n_cores)
+
+    def fails():
+        raise NumericError("boom")
+
+    with _CORES.item(), _CORES.helper("test") as helper:
+        assert isinstance(helper, _OnCaller) == (n_cores == 1)
+        pending = helper.submit(fails)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(NumericError, match="boom") as info:
+                pending.result()
+            raised.append(info.value)
+    assert raised[0] is raised[1] is raised[2]
+
+
+class TestRunReads:
+    """``_CORES.run_reads`` runs a list of independent reads on the held core
+    and, when a core is free, one helper thread, and returns their results
+    in list order."""
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_results_come_back_in_list_order(self, cores, n_cores):
+        cores(n_cores)
+
+        def read(i):
+            time.sleep(0.002 * (6 - i))  # the later calls finish sooner
+            return i
+
+        assert _CORES.run_reads([lambda i=i: read(i) for i in range(6)]) == list(range(6))
+
+    @pytest.mark.parametrize("first_to_fail", [0, 1])
+    def test_the_lowest_index_failure_is_raised(self, cores, first_to_fail):
+        # calls 0 and 1 wait for each other, so the two threads run them;
+        # whichever fails first, both stop, and call 2 is never taken
+        cores(2)
+        barrier = threading.Barrier(2, timeout=10)
+        threads, later = {}, []
+
+        def fails(i):
+            threads[i] = threading.get_ident()
+            barrier.wait()
+            if i != first_to_fail:
+                time.sleep(0.05)
+            raise NumericError(str(i))
+
+        calls = [lambda: fails(0), lambda: fails(1), lambda: later.append(2)]
+        with pytest.raises(NumericError, match="0"):
+            _CORES.run_reads(calls)
+        assert threads[0] != threads[1]
+        assert later == []
+
+    def test_a_failure_stops_later_calls_being_taken(self, cores):
+        cores(2)
+        failed = threading.Event()
+        ran = []
+
+        def waits():
+            assert failed.wait(10)
+            time.sleep(0.1)  # the other thread records its failure meanwhile
+            ran.append(0)
+
+        def fails():
+            failed.set()
+            raise NumericError("1")
+
+        calls = [waits, fails] + [lambda i=i: ran.append(i) for i in range(2, 5)]
+        with pytest.raises(NumericError, match="1"):
+            _CORES.run_reads(calls)
+        assert ran == [0]
+
+    def test_with_no_free_core_the_caller_runs_every_call_in_order(self, cores):
+        cores(1)
+        ran = []
+
+        def read(i):
+            ran.append((i, threading.current_thread() is threading.main_thread()))
+            if i == 3:
+                raise NumericError("3")
+            return i
+
+        calls = [lambda i=i: read(i) for i in range(6)]
+        assert _CORES.run_reads(calls[:3]) == [0, 1, 2]
+        with pytest.raises(NumericError, match="3"):
+            _CORES.run_reads(calls)
+        assert ran == [(i, True) for i in (0, 1, 2, 0, 1, 2, 3)]
+
+    @pytest.mark.parametrize("failing", [None, 0, 1], ids=["returns", "call-0", "call-1"])
+    def test_no_helper_outlives_the_call(self, cores, failing):
+        cores(2)
+        barrier = threading.Barrier(2, timeout=10)
+
+        def read(i):
+            barrier.wait()  # both threads are running
+            if i == failing:
+                raise NumericError(str(i))
+            return i
+
+        threads_before = set(threading.enumerate())
+        calls = [lambda i=i: read(i) for i in range(2)]
+        if failing is None:
+            assert _CORES.run_reads(calls) == [0, 1]
+        else:
+            with pytest.raises(NumericError):
+                _CORES.run_reads(calls)
+        assert set(threading.enumerate()) == threads_before
+        assert _CORES.free() == _usable_cores()
+
+    def test_callers_on_more_threads_than_cores_run_each_call_once(self, cores):
+        # each caller's calls are taken from one shared index by two threads
+        cores(4)
+        n_callers, n_calls = 8, 300
+        ran, lost = [], []
+
+        def caller(k):
+            calls = [lambda i=i: ran.append((k, i)) or i for i in range(n_calls)]
+            if _CORES.run_reads(calls) != list(range(n_calls)):
+                lost.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(n_callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert lost == []
+        assert sorted(ran) == [(k, i) for k in range(n_callers) for i in range(n_calls)]
+        assert _CORES.free() == 4
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_each_call_computes_on_one_blas_thread(self, blas_threads, cores, n_cores):
+        _, get_threads = blas_threads
+        cores(n_cores)
+        seen = _CORES.run_reads([get_threads] * 4)
+        assert seen == [1, 1, 1, 1]
+        assert get_threads() == 2
+
+
+class TestTrainEvaluatesOnTwoCores:
+    """``train`` evaluates its two splits side by side when a core is free;
+    the records, the weights and where the hook runs do not change."""
+
+    @staticmethod
+    def run(hook=None, epochs=2):
+        blobs = synthetic_blobs(600, 784, 10, seed=3)
+        x, y = blobs.images, blobs.labels
+        mlp = init_mlp((784, 100, 10), seed=1)
+        records = train(mlp, x[:400], y[:400], x[400:], y[400:],
+                        TrainConfig(learning_rate=1e-3, epochs=epochs),
+                        snapshot_hook=hook, seed=2)
+        return mlp, records
+
+    def test_bitwise_equal_with_one_or_two_cores(self, blas_threads, cores):
+        def hook(epoch, net):
+            return {"norm": np.linalg.norm(forward(net, np.eye(784, dtype=np.float32))
+                                           .probabilities)}
+
+        runs = []
+        for n_cores in (1, 2):
+            cores(n_cores)
+            runs.append(self.run(hook))
+        (one, one_records), (two, two_records) = runs
+        np.testing.assert_array_equal(one.params, two.params)
+        assert one_records == two_records
+
+    def test_the_hook_runs_on_the_caller_after_both_evaluations(self, cores, monkeypatch):
+        cores(2)
+        done, hooked = [], []
+        original = learn_mod.evaluate
+
+        def recorded(*args):
+            result = original(*args)
+            done.append(threading.get_ident())
+            return result
+
+        def hook(epoch, net):
+            hooked.append((epoch, len(done), threading.get_ident()))
+
+        monkeypatch.setattr(learn_mod, "evaluate", recorded)
+        self.run(hook, epochs=3)
+        caller = threading.get_ident()
+        assert hooked == [(1, 2, caller), (2, 4, caller), (3, 6, caller)]
+
+    def test_the_two_evaluations_run_on_two_threads_when_a_core_is_free(
+            self, cores, monkeypatch):
+        cores(2)
+        # each evaluation waits for the other, so they must run side by side
+        barrier = threading.Barrier(2, timeout=10)
+        threads = []
+        original = learn_mod.evaluate
+
+        def side_by_side(*args):
+            threads.append(threading.get_ident())
+            barrier.wait()
+            return original(*args)
+
+        monkeypatch.setattr(learn_mod, "evaluate", side_by_side)
+        self.run()
+        assert len(threads) == 4 and threading.get_ident() in threads
+        assert len(set(threads[:2])) == len(set(threads[2:])) == 2

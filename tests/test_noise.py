@@ -13,7 +13,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import prealign.learn as learn_mod
 import prealign.noise as noise_mod
 from prealign.data import synthetic_blobs
 from prealign.errors import ConfigError, NumericError
@@ -378,14 +377,6 @@ class TestPretrain:
             (losses32, angles32), (losses64, angles64) = runs
             np.testing.assert_allclose(losses32, losses64, rtol=0, atol=1e-5)
             np.testing.assert_allclose(angles32, angles64, rtol=0, atol=2e-4)
-
-
-@pytest.fixture
-def cores(monkeypatch):
-    """Sets how many cores the package sees the process may use."""
-    def set_cores(n: int) -> None:
-        monkeypatch.setattr(learn_mod, "_usable_cores", lambda: n)
-    return set_cores
 
 
 class TestSamplerThread:

@@ -4,6 +4,7 @@ the package imports nothing but the standard library and numpy."""
 import ast
 import importlib
 import pkgutil
+import subprocess
 import sys
 import types
 from collections import Counter
@@ -55,3 +56,13 @@ def test_imports_only_the_standard_library_and_numpy():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_import_loads_no_thread_pool_module():
+    # the helper threads import it when first started; it adds several ms
+    # to the import
+    probe = "import sys, prealign; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60,
+                         cwd=Path(prealign.__file__).parent.parent)
+    assert out.stdout.strip() == "False"

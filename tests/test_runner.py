@@ -983,6 +983,48 @@ class TestRunExperiment:
             }
             assert len(accs) == 1
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_trials_variants_share_one_initial_snapshot(self, tmp_path, monkeypatch,
+                                                          threads):
+        original_capture = experiment_mod._capture_metrics
+        original_data = experiment_mod._ResolvedData
+        snapshots = []
+
+        def counted(cfg, mlp, data, eval_test=False):
+            if eval_test:
+                snapshots.append(None)
+            return original_capture(cfg, mlp, data, eval_test)
+
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        def uncached(cfg):
+            data = original_data(cfg)
+            data.initial_snapshots = Forgetful()
+            return data
+
+        monkeypatch.setattr(experiment_mod, "_capture_metrics", counted)
+        manifests = []
+        for name, make_data in (("cached", original_data), ("uncached", uncached)):
+            monkeypatch.setattr(experiment_mod, "_ResolvedData", make_data)
+            snapshots.clear()
+            cfg = smoke_config(
+                tmp_path, trials=2, threads=threads, output_dir=str(tmp_path / name),
+                capture=("angles", "distance", "eff_rank", "gram", "clean_test"),
+                eval_transform=TransformSpec(rotate_deg=(-10.0, 10.0)),
+                variants=[VariantSpec(name="fa"),
+                          VariantSpec(name="fa_pre", pretrain=True),
+                          VariantSpec(name="bp", rule="BP")],
+            )
+            manifests.append((run_experiment(cfg), len(snapshots)))
+        (cached, cached_count), (uncached, uncached_count) = manifests
+        # pooled siblings that start together may each compute it
+        assert (cached_count == 2) if threads == 1 else (cached_count < 6)
+        assert uncached_count == 6
+        assert cached["initial_metrics"] == uncached["initial_metrics"]
+        assert cached["initial_metrics"]["fa"]["0"]["test_acc"] is not None
+
     def test_variant_rule_and_trial_seed_reach_each_phase(self, tmp_path, monkeypatch):
         calls = set()
         original_noise = experiment_mod.pretrain_random_noise
